@@ -193,11 +193,16 @@ def projector_from_annihilator(T):
 
 
 def projector_from_steering(A):
-    """Orthogonal projector I - A (A* A)^-1 A* onto the complement of R(A)."""
+    """Orthogonal projector I - A (A* A)^-1 A* onto the complement of R(A).
+
+    Formed as I - Q Q* from a QR factorization of A rather than from the
+    normal equations, which square the condition number of closely spaced
+    steering columns.
+    """
     Am = A.entries if isinstance(A, SteeringMatrix) else np.asarray(A, dtype=complex)
     gram = Am.conj().T @ Am
     gram = 0.5 * (gram + gram.conj().T)
     _check_conditioning(gram, "A* A")
-    m = Am.shape[0]
-    proj = np.eye(m, dtype=complex) - Am @ np.linalg.solve(gram, Am.conj().T)
+    Q, _ = np.linalg.qr(Am)
+    proj = np.eye(Am.shape[0], dtype=complex) - Q @ Q.conj().T
     return 0.5 * (proj + proj.conj().T)

@@ -251,9 +251,17 @@ def parse_method_token(token):
     raise ValidationError(f"unknown method {token!r}")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text.strip()!r}")
+    return value
+
+
 def parse_sweep_config(path):
     """Parse a sweep config file into a SweepSpec."""
     raw = {}
+    lines = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -267,37 +275,47 @@ def parse_sweep_config(path):
             if key in raw:
                 raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
             raw[key] = value
+            lines[key] = lineno
     missing = _KNOWN_KEYS - {"source_cov", "noise_power", "seed"} - set(raw)
     if missing:
         raise ValidationError(f"{path}: missing keys: {sorted(missing)}")
 
-    floats = lambda s: tuple(float(v) for v in s.split(","))
+    def parsed(key, parse, default=None):
+        if key not in raw:
+            return default
+        try:
+            return parse(raw[key])
+        except ValueError as exc:  # ValidationError included
+            raise ValidationError(f"{path}:{lines[key]}: bad {key} value: {exc}") from exc
+
+    floats = lambda s: tuple(_finite_float(v) for v in s.split(","))
     ints = lambda s: tuple(int(v) for v in s.split(","))
-    r = int(raw["r"])
-    cov_text = raw.get("source_cov", "identity").strip().lower()
-    if cov_text == "identity":
+    r = parsed("r", int)
+    if raw.get("source_cov", "identity").strip().lower() == "identity":
         P = np.eye(r, dtype=complex)
     else:
-        diag = floats(cov_text)
+        diag = parsed("source_cov", floats)
         if len(diag) != r:
-            raise ValidationError(f"{path}: source_cov needs {r} diagonal entries")
+            raise ValidationError(
+                f"{path}:{lines['source_cov']}: source_cov needs {r} diagonal entries"
+            )
         P = np.diag(np.asarray(diag, dtype=complex))
     base = Scenario(
-        m=int(raw["m"]),
+        m=parsed("m", int),
         r=r,
-        angles=AngleSet(floats(raw["angles"])),
+        angles=parsed("angles", lambda s: AngleSet(floats(s))),
         source_cov=P,
-        noise_power=float(raw.get("noise_power", 1.0)),
-        n_snapshots=int(raw["n_snapshots"]),
-        seed=int(raw.get("seed", 0)),
+        noise_power=parsed("noise_power", _finite_float, 1.0),
+        n_snapshots=parsed("n_snapshots", int),
+        seed=parsed("seed", int, 0),
     )
     return SweepSpec(
         base=base,
-        snr_db_list=floats(raw["snr_db_list"]),
-        snapshots_list=ints(raw["snapshots_list"]),
-        methods=tuple(parse_method_token(t) for t in raw["methods"].split(",")),
-        n_trials=int(raw["n_trials"]),
-        base_seed=int(raw["base_seed"]),
+        snr_db_list=parsed("snr_db_list", floats),
+        snapshots_list=parsed("snapshots_list", ints),
+        methods=parsed("methods", lambda s: tuple(parse_method_token(t) for t in s.split(","))),
+        n_trials=parsed("n_trials", int),
+        base_seed=parsed("base_seed", int),
     )
 
 

@@ -16,11 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .array_model import angles_from_coefs, toeplitz_annihilator
-from .criteria import v_ml_angles, v_mode
+from .array_model import COND_LIMIT, angles_from_coefs, toeplitz_annihilator
+from .criteria import v_mode
 from .errors import SingularityError, ValidationError
 
 _METHODS = ("MODE", "PUMA", "MODEX")
+
+# Subsets per stacked block in ``_score_subsets``.  Fixed, so the stacked
+# temporaries (block x m x r) stay small whatever the subset count.
+_SUBSET_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,9 @@ def modex(cov, decomp, weight, r, config):
     the running, so the selection can only match or improve on it;
     the extended roots supply the alternatives that matter when a
     subspace swap corrupts the plain fit.  Subsets with near-coincident
-    candidates score +inf.
+    candidates or a numerically singular steering Gram score +inf; the
+    first minimum wins ties.  ``candidate_log`` lists every subset with
+    its score in ``itertools.combinations`` order.
     """
     p = config.p_extra
     if p >= decomp.m - r:
@@ -275,33 +281,58 @@ def modex(cov, decomp, weight, r, config):
         candidates = np.sort(
             np.concatenate([candidates, angles_from_coefs(_safe_full_degree(c))])
         )
-    log = []
-    best_subset, best_val = None, np.inf
-    for subset in itertools.combinations(range(len(candidates)), r):
-        phi = candidates[list(subset)]
-        # Near-coincident candidates score +inf (rank-deficient steering).
-        if np.any(np.diff(phi) < 1e-12):
-            val = float("inf")
-        else:
-            try:
-                val = v_ml_angles(phi, cov).value
-            except SingularityError:
-                val = float("inf")
-        log.append((tuple(phi.tolist()), val))
-        if not np.isfinite(val):
-            continue
-        if val < best_val:
-            best_subset, best_val = phi, val
-    if best_subset is None:
+    subsets, scores = _score_subsets(candidates, cov, r)
+    finite = np.isfinite(scores)
+    if not np.any(finite):
         raise SingularityError("no valid candidate subset (all rank-deficient)")
+    phi = candidates[subsets]
+    best = int(np.argmin(np.where(finite, scores, np.inf)))
     return EstimationResult(
-        angles=best_subset,
+        angles=phi[best].copy(),
         coefs=np.asarray(c, dtype=complex),
-        criterion_value=best_val,
+        criterion_value=float(scores[best]),
         iterations_used=iters,
         converged=converged,
-        candidate_log=log,
+        candidate_log=list(zip(map(tuple, phi.tolist()), scores.tolist())),
     )
+
+
+def _score_subsets(candidates, cov, r):
+    """ML criterion tr{ P_A_perp R } of every r-subset of the candidates.
+
+    Returns ``(subsets, scores)``: the index rows of
+    ``itertools.combinations(range(K), r)`` in its order, and one score per
+    row.  A subset scores +inf when two consecutive candidates differ by
+    less than 1e-12, or when its Gram A* A fails the COND_LIMIT guard of
+    ``v_ml_angles``.  The rest score tr R - tr(Q* R Q), with Q from a
+    stacked QR of their steering columns.  The steering matrix and Gram of
+    all K candidates are built once; subsets are walked in blocks of
+    ``_SUBSET_BLOCK`` so the stacked temporaries stay small.
+    """
+    R = cov.matrix if hasattr(cov, "matrix") else np.asarray(cov)
+    m = R.shape[0]
+    A = np.exp(1j * np.outer(np.arange(m), candidates))
+    G = A.conj().T @ A
+    subsets = np.array(
+        list(itertools.combinations(range(len(candidates)), r)), dtype=np.intp
+    ).reshape(-1, r)
+    live = np.all(np.diff(candidates[subsets], axis=1) >= 1e-12, axis=1)
+    scores = np.full(len(subsets), np.inf)
+    trace_r = np.real(np.trace(R))
+    for start in range(0, len(subsets), _SUBSET_BLOCK):
+        block = slice(start, start + _SUBSET_BLOCK)
+        idx = subsets[block]
+        gram = G[idx[:, :, None], idx[:, None, :]]
+        w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().transpose(0, 2, 1)))
+        lo, hi = w[:, 0], w[:, -1]
+        ok = live[block] & (lo > 0) & (hi > 0)
+        ok[ok] = hi[ok] / lo[ok] <= COND_LIMIT
+        if not np.any(ok):
+            continue
+        Q, _ = np.linalg.qr(A.T[idx[ok]].transpose(0, 2, 1))
+        fit = np.real(np.sum(Q.conj() * (R @ Q), axis=(1, 2)))
+        scores[block][ok] = trace_r - fit
+    return subsets, scores
 
 
 def _puma_at_degree(decomp, weight, q, config):
@@ -344,17 +375,23 @@ def estimate(cov, decomp, weight, r, config):
 
 
 def match_angles(estimate_angles, truth_angles):
-    """Wrap-aware index-wise pairing of two equally sized angle sets.
+    """Wrap-aware pairing of two equally sized angle sets.
 
-    Both sets are sorted ascending; the per-pair error is the principal
-    value of (estimate - truth) in (-pi, pi].  Returns (errors, rmse).
+    Both sets are sorted ascending and paired by the cyclic shift of the
+    sorted estimates with the least squared error, so sets that straddle
+    +-pi pair across the wrap.  The per-pair error is the principal value
+    of (estimate - truth) in (-pi, pi], ordered like the sorted truth.
+    Returns (errors, rmse).
     """
     est = np.sort(np.atleast_1d(np.asarray(estimate_angles, dtype=float)))
     tru = np.sort(np.atleast_1d(np.asarray(truth_angles, dtype=float)))
     if est.shape != tru.shape:
         raise ValidationError("angle sets must have equal length")
-    d = est - tru
-    err = np.mod(d + np.pi, 2 * np.pi) - np.pi
-    err[err == -np.pi] = np.pi
+    n = tru.size
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n
+    d = est[shifts] - tru
+    errs = np.mod(d + np.pi, 2 * np.pi) - np.pi
+    errs[errs == -np.pi] = np.pi
+    err = errs[np.argmin(np.sum(errs**2, axis=1))]
     rmse = float(np.sqrt(np.mean(err**2)))
     return err, rmse

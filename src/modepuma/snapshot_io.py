@@ -55,4 +55,10 @@ def read_snapshots(path):
                     raise ValidationError(
                         f"{path}:{t + 2}: column {k + 1}: bad complex token {tok!r}"
                     ) from exc
+    bad = np.argwhere(~np.isfinite(Y.T))  # (t, k) pairs in file order
+    if bad.size:
+        t, k = bad[0]
+        raise ValidationError(
+            f"{path}:{t + 2}: column {k + 1}: non-finite value {Y[k, t]}"
+        )
     return Y

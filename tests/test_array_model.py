@@ -134,6 +134,17 @@ class TestProjectors:
             )
             assert np.linalg.norm(p_a - p_t) <= 1e-10
 
+    def test_identity_with_clustered_sources(self):
+        # Four clustered sources at m=5, drawn by the projector suite of
+        # `modepuma verify --instances 25 --seed 658043762`; solving the
+        # normal equations of A* A put the projectors 3.03e-10 apart here.
+        phi = AngleSet(
+            [-2.6496760392562404, -2.5889103496188985, -2.504839980009942, -2.1868014490636547]
+        )
+        p_a = projector_from_steering(steering_matrix(phi, 5))
+        p_t = projector_from_annihilator(toeplitz_annihilator(coefs_from_angles(phi), 5))
+        assert np.linalg.norm(p_a - p_t) <= 1e-10
+
     def test_hermitian_idempotent_trace(self):
         rng = np.random.default_rng(8)
         for _ in range(20):

@@ -70,6 +70,28 @@ class TestSweepConfig:
         with pytest.raises(ValidationError):
             parse_method_token("music")
 
+    @pytest.mark.parametrize(
+        "old,new,line",
+        [
+            ("angles = -0.4, 0.7", "angles = -0.4, abc", 4),
+            ("n_trials = 4", "n_trials = four", 10),
+            ("snr_db_list = 10", "snr_db_list = nan", 7),
+            ("methods = mode, puma", "methods = mode, modex:x", 9),
+        ],
+    )
+    def test_bad_value_names_line(self, tmp_path, old, new, line):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_TEXT.replace(old, new))
+        with pytest.raises(ValidationError, match=f"sweep.cfg:{line}: "):
+            parse_sweep_config(path)
+
+    def test_bad_value_exits_with_validation_code(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT.replace("0.7", "abc"))
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert "sweep.cfg:4:" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_snr_to_noise_power(self):
         # tr(P) = 2, r = 2, 10 dB -> sigma^2 = 0.1
         assert abs(noise_power_for_snr(np.eye(2), 2, 10.0) - 0.1) <= 1e-15
@@ -93,6 +115,13 @@ class TestSnapshotIO:
         path = tmp_path / "bad.txt"
         path.write_text("# m=2 T=1\n1+0j nope\n")
         with pytest.raises(ValidationError, match="column 2"):
+            read_snapshots(path)
+
+    @pytest.mark.parametrize("token", ["nan+0j", "1+infj", "-inf-1j"])
+    def test_non_finite_token_rejected(self, tmp_path, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# m=2 T=2\n1+0j 2+0j\n3+0j {token}\n")
+        with pytest.raises(ValidationError, match=r"bad.txt:3: column 2: non-finite"):
             read_snapshots(path)
 
     def test_zero_snapshots_rejected(self, tmp_path):
@@ -203,6 +232,13 @@ class TestEstimateCommand:
         proc = run_cli("estimate", str(bad), "--r", "1")
         assert proc.returncode == 1
 
+    def test_non_finite_file(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# m=2 T=2\n1+0j 2+0j\n3+0j nan+0j\n")
+        proc = run_cli("estimate", str(bad), "--r", "1")
+        assert proc.returncode == 1
+        assert "bad.txt:3: column 2" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_missing_file_is_io_error(self, tmp_path):
         proc = run_cli("estimate", str(tmp_path / "nope.txt"), "--r", "1")
         assert proc.returncode == 3
@@ -221,3 +257,10 @@ class TestVerifyProperties:
             "trace_as_inner_product",
         }
         assert all(r.ok for r in reports)
+
+    def test_clustered_projector_seed_passes(self):
+        # This seed draws four clustered sources at m=5 for the projector
+        # suite; the identity must hold there at the unchanged 1e-10.
+        proc = run_cli("verify", "--instances", "25", "--seed", "658043762")
+        assert proc.returncode == 0, proc.stdout
+        assert proc.stdout.count("ok") == 6

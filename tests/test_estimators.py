@@ -1,5 +1,10 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modepuma import (
     AngleSet,
@@ -17,10 +22,14 @@ from modepuma import (
     simulate_snapshots,
     subspace_decomposition,
     true_covariance,
+    v_ml_angles,
     v_mode,
 )
+from modepuma import estimators
+from modepuma.array_model import COND_LIMIT
 from modepuma.bench import _random_instance, noise_power_for_snr, trial_seed
-from modepuma.estimators import _conjugate_symmetric_basis
+from modepuma.errors import SingularityError
+from modepuma.estimators import _conjugate_symmetric_basis, _score_subsets
 
 
 def noiseless_decomp(m, angles):
@@ -245,6 +254,91 @@ class TestModex:
         assert np.max(np.abs(res.angles - truth)) <= 1e-6
 
 
+def _wrap(angles):
+    """Principal value in (-pi, pi]."""
+    w = np.mod(np.asarray(angles, dtype=float) + np.pi, 2 * np.pi) - np.pi
+    w[w <= -np.pi] = np.pi
+    return w
+
+
+@st.composite
+def candidate_sets(draw):
+    """Sorted candidates in (-pi, pi]: a cluster, scattered angles, and
+    partners at exact or near coincidence."""
+    centre = draw(st.floats(-np.pi, np.pi))
+    spread = st.floats(-0.15, 0.15)
+    cluster = [centre + d for d in draw(st.lists(spread, min_size=0, max_size=4))]
+    scattered = draw(st.lists(st.floats(-np.pi, np.pi), min_size=0, max_size=3))
+    base = (cluster + scattered)[:6] or [centre]
+    gaps = st.sampled_from([0.0, 1e-13, 1e-12, 3e-10, 1e-7, 2e-5, 1e-3])
+    partners = [a + draw(gaps) for a in draw(st.lists(st.sampled_from(base), max_size=2))]
+    candidates = np.sort(_wrap((base + partners)[:7]))
+    r = draw(st.integers(1, min(4, candidates.size)))
+    return candidates, r
+
+
+_CLUSTERED_COVS = [
+    noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 10.0, 50, seed=s)[0].matrix for s in range(3)
+]
+
+
+class TestScoreSubsets:
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_sets(), st.sampled_from(range(len(_CLUSTERED_COVS))))
+    def test_matches_per_subset_criterion(self, drawn, which):
+        candidates, r = drawn
+        R = _CLUSTERED_COVS[which]
+        subsets, scores = _score_subsets(candidates, R, r)
+        combos = list(itertools.combinations(range(candidates.size), r))
+        assert subsets.tolist() == [list(S) for S in combos]
+        for S, score in zip(combos, scores):
+            phi = candidates[list(S)]
+            if np.any(np.diff(phi) < 1e-12):
+                assert score == np.inf
+                continue
+            A = np.exp(1j * np.outer(np.arange(8), phi))
+            cond = np.linalg.cond(A.conj().T @ A)
+            if abs(cond / COND_LIMIT - 1) < 1e-2:
+                # The stacked Gram is gathered from A* A over all
+                # candidates, so its last bits differ from the per-subset
+                # Gram, and a condition number this close to the limit can
+                # fall on either side of it.
+                continue
+            try:
+                ref = v_ml_angles(phi, R).value
+            except SingularityError:
+                assert score == np.inf
+                continue
+            assert np.isfinite(score)
+            assert abs(score - ref) <= 1e-12 * abs(ref)
+
+    def test_all_coincident_scores_inf(self):
+        subsets, scores = _score_subsets(np.array([0.3, 0.3, 0.3]), np.eye(8), 2)
+        assert len(subsets) == 3 and np.all(scores == np.inf)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_modex_log_follows_combinations(self, monkeypatch, seed):
+        seen = []
+
+        def spy(candidates, cov, r):
+            seen.append(candidates)
+            return _score_subsets(candidates, cov, r)
+
+        monkeypatch.setattr(estimators, "_score_subsets", spy)
+        cov, decomp, weight = noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 0.0, 50, seed)
+        res = modex(cov, decomp, weight, 3, EstimatorConfig(method="MODEX", p_extra=3))
+        (candidates,) = seen
+        combos = list(itertools.combinations(range(9), 3))
+        assert len(res.candidate_log) == comb(9, 3) == len(combos)
+        assert [s for s, _ in res.candidate_log] == [
+            tuple(candidates[list(S)].tolist()) for S in combos
+        ]
+        values = [v for _, v in res.candidate_log]
+        best = values.index(min(values))
+        assert res.criterion_value == values[best]
+        assert tuple(res.angles.tolist()) == res.candidate_log[best][0]
+
+
 class TestMatchAngles:
     def test_identical(self):
         _, rmse = match_angles([0.1, 0.5], [0.1, 0.5])
@@ -261,6 +355,28 @@ class TestMatchAngles:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             match_angles([0.1], [0.1, 0.2])
+
+    def test_pairs_across_pi(self):
+        err, rmse = match_angles([-0.5, -3.13], [-0.5, 3.1])
+        gap = 2 * np.pi - 3.13 - 3.1
+        assert np.allclose(err, [0.0, gap], atol=1e-12)
+        assert abs(rmse - gap / np.sqrt(2)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=5),
+        st.data(),
+        st.floats(-np.pi, np.pi),
+    )
+    def test_rotation_invariance(self, truth, data, theta):
+        noise = data.draw(
+            st.lists(st.floats(-0.3, 0.3), min_size=len(truth), max_size=len(truth))
+        )
+        truth = _wrap(truth)
+        est = _wrap(truth + np.array(noise))
+        _, rmse = match_angles(est, truth)
+        _, rotated = match_angles(_wrap(est + theta), _wrap(truth + theta))
+        assert abs(rotated - rmse) <= 1e-9
 
 
 class TestEstimatorConfig:
