@@ -19,6 +19,33 @@ from .errors import DimensionError, SingularityError, ValidationError
 COND_LIMIT = 1e12
 
 
+def hermitian_gram(X):
+    """X X*, symmetrized so that it is Hermitian to the last bit."""
+    gram = X @ X.conj().T
+    return 0.5 * (gram + gram.conj().T)
+
+
+def condition_number(gram):
+    """2-norm condition number of a Hermitian Gram; inf unless positive definite."""
+    w = np.linalg.eigvalsh(gram)
+    if w[0] <= 0:
+        return np.inf
+    return float(w[-1] / w[0])
+
+
+def guarded_gram(X, what):
+    """``hermitian_gram(X)`` and its condition number, checked against COND_LIMIT.
+
+    Raises SingularityError naming ``what`` when the condition number
+    exceeds COND_LIMIT (or the Gram is not positive definite).
+    """
+    gram = hermitian_gram(X)
+    cond = condition_number(gram)
+    if cond > COND_LIMIT:
+        raise SingularityError(f"{what} is numerically singular")
+    return gram, cond
+
+
 @dataclass(frozen=True)
 class AngleSet:
     """Ordered set of distinct direction-of-arrival angles in radians.
@@ -176,18 +203,10 @@ def toeplitz_annihilator(coefs, m):
     return Annihilator(entries=entries, source=coefs)
 
 
-def _check_conditioning(gram, what):
-    w = np.linalg.eigvalsh(gram)
-    if w[-1] <= 0 or w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
-        raise SingularityError(f"{what} is numerically singular")
-
-
 def projector_from_annihilator(T):
     """Orthogonal projector T* (T T*)^-1 T onto the row space of T."""
     Tm = T.entries if isinstance(T, Annihilator) else np.asarray(T, dtype=complex)
-    gram = Tm @ Tm.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    _check_conditioning(gram, "T T*")
+    gram, _ = guarded_gram(Tm, "T T*")
     proj = Tm.conj().T @ np.linalg.solve(gram, Tm)
     return 0.5 * (proj + proj.conj().T)
 
@@ -200,9 +219,7 @@ def projector_from_steering(A):
     steering columns.
     """
     Am = A.entries if isinstance(A, SteeringMatrix) else np.asarray(A, dtype=complex)
-    gram = Am.conj().T @ Am
-    gram = 0.5 * (gram + gram.conj().T)
-    _check_conditioning(gram, "A* A")
+    guarded_gram(Am.conj().T, "A* A")
     Q, _ = np.linalg.qr(Am)
     proj = np.eye(Am.shape[0], dtype=complex) - Q @ Q.conj().T
     return 0.5 * (proj + proj.conj().T)

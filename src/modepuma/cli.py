@@ -14,6 +14,7 @@ failure, 3 I/O error.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -100,12 +101,8 @@ def _cmd_verify(args):
 def _cmd_mc(args):
     sweep = bench.parse_sweep_config(args.config)
     if args.trials is not None:
-        from dataclasses import replace
-
         sweep = replace(sweep, n_trials=args.trials)
     if args.seed is not None:
-        from dataclasses import replace
-
         sweep = replace(sweep, base_seed=args.seed)
     rows = bench.run_sweep(
         sweep,
@@ -131,12 +128,6 @@ def _cmd_estimate(args):
     Y = snapshot_io.read_snapshots(args.input)
     config = _method_config(args.method, args.p_extra)
     cov = sample_covariance(Y)
-    if not (0 < args.r < cov.m):
-        raise ValidationError(f"need 0 < r < m, got r={args.r}, m={cov.m}")
-    if config.method == "MODEX" and config.p_extra >= cov.m - args.r:
-        raise ValidationError(
-            f"p_extra must satisfy p < m - r (= {cov.m - args.r})"
-        )
     decomp = subspace_decomposition(cov, args.r)
     weight = signal_weight(decomp)
     result = run_estimator(cov, decomp, weight, args.r, config)

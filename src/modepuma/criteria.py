@@ -19,12 +19,12 @@ import numpy as np
 import scipy.linalg
 
 from .array_model import (
-    COND_LIMIT,
+    guarded_gram,
     projector_from_steering,
     steering_matrix,
     toeplitz_annihilator,
 )
-from .errors import DimensionError, SingularityError
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,12 @@ def kron(A, B):
     return np.kron(np.asarray(A), np.asarray(B))
 
 
-def _coef_array(coefs):
-    c = coefs.as_array() if hasattr(coefs, "as_array") else np.asarray(coefs, dtype=complex)
-    return c
-
-
-def _gram_cho(T):
-    """Cholesky factor of T T*, with a conditioning guard."""
-    gram = T @ T.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    w = np.linalg.eigvalsh(gram)
-    if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
-        raise SingularityError("T T* is numerically singular")
-    return scipy.linalg.cho_factor(gram, lower=True), gram
+def _trace_gram_inverse(T, inner):
+    """tr{ (T T*)^-1 inner } by Cholesky, after the COND_LIMIT guard on T T*."""
+    gram, cond = guarded_gram(T, "T T*")
+    cho = scipy.linalg.cho_factor(gram, lower=True)
+    val = float(np.real(np.trace(scipy.linalg.cho_solve(cho, inner))))
+    return CriterionValue(value=val, residual_diagnostics={"gram_cond": cond})
 
 
 def v_ml_angles(angles, cov):
@@ -69,36 +62,17 @@ def v_ml_angles(angles, cov):
 def v_ml_coefs(coefs, cov):
     """tr{ (T T*)^-1 T R_hat T* } in the coefficient parameterization."""
     R = cov.matrix if hasattr(cov, "matrix") else np.asarray(cov)
-    c = _coef_array(coefs)
-    T = toeplitz_annihilator(c, R.shape[0]).entries
-    cho, gram = _gram_cho(T)
-    inner = T @ R @ T.conj().T
-    val = float(np.real(np.trace(scipy.linalg.cho_solve(cho, inner))))
-    return CriterionValue(
-        value=val,
-        residual_diagnostics={"gram_cond": _cond_from_gram(gram)},
-    )
-
-
-def _cond_from_gram(gram):
-    w = np.linalg.eigvalsh(gram)
-    return float(w[-1] / w[0])
+    T = toeplitz_annihilator(coefs, R.shape[0]).entries
+    return _trace_gram_inverse(T, T @ R @ T.conj().T)
 
 
 def v_mode(coefs, decomp, weight):
     """tr{ (T T*)^-1 T U G U* T* }, the weighted signal-subspace fit."""
-    c = _coef_array(coefs)
     U = decomp.u_signal
     g = np.asarray(weight.g, dtype=float)
-    T = toeplitz_annihilator(c, U.shape[0]).entries
-    cho, gram = _gram_cho(T)
+    T = toeplitz_annihilator(coefs, U.shape[0]).entries
     TU = T @ U
-    inner = (TU * g) @ TU.conj().T
-    val = float(np.real(np.trace(scipy.linalg.cho_solve(cho, inner))))
-    return CriterionValue(
-        value=val,
-        residual_diagnostics={"gram_cond": _cond_from_gram(gram)},
-    )
+    return _trace_gram_inverse(T, (TU * g) @ TU.conj().T)
 
 
 def v_puma(coefs, decomp, weight, _fault_scale=1.0):
@@ -109,22 +83,14 @@ def v_puma(coefs, decomp, weight, _fault_scale=1.0):
     routes is the property under test elsewhere.  ``_fault_scale`` exists
     only for detector self-tests (it perturbs G in this path alone).
     """
-    c = _coef_array(coefs)
     U = decomp.u_signal
     g = np.asarray(weight.g, dtype=float) * _fault_scale
-    T = toeplitz_annihilator(c, U.shape[0]).entries
-    gram = T @ T.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    w = np.linalg.eigvalsh(gram)
-    if w[0] <= 0 or w[-1] / w[0] > COND_LIMIT:
-        raise SingularityError("T T* is numerically singular")
+    T = toeplitz_annihilator(coefs, U.shape[0]).entries
+    gram, cond = guarded_gram(T, "T T*")
     W = np.kron(np.diag(g), np.linalg.inv(gram))
     e = vec(T @ U)
     val = float(np.real(e.conj() @ W @ e))
-    return CriterionValue(
-        value=val,
-        residual_diagnostics={"gram_cond": float(w[-1] / w[0])},
-    )
+    return CriterionValue(value=val, residual_diagnostics={"gram_cond": cond})
 
 
 def vec_matrix_identity_residual(X, Y, Z):

@@ -7,7 +7,8 @@ Minimizers of the weighted subspace-fitting criterion.
 * ``puma_iterative`` — iteratively reweighted linear solves under the
   c_0 = 1 gauge; both minimize the same criterion.
 * ``modex`` — solves at degree r + p, then picks the best r of the r + p
-  candidate directions by the ML criterion over all subsets.
+  candidate directions by the ML criterion over all subsets; with the
+  PUMA base (Enhanced PUMA) both solves run PUMA's loop and stopping rule.
 """
 
 import itertools
@@ -16,7 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .array_model import COND_LIMIT, angles_from_coefs, toeplitz_annihilator
+from .array_model import (
+    COND_LIMIT,
+    angles_from_coefs,
+    condition_number,
+    hermitian_gram,
+    toeplitz_annihilator,
+)
 from .criteria import v_mode
 from .errors import SingularityError, ValidationError
 
@@ -26,14 +33,15 @@ _METHODS = ("MODE", "PUMA", "MODEX")
 # temporaries (block x m x r) stay small whatever the subset count.
 _SUBSET_BLOCK = 64
 
+# Iteration cap and relative-change tolerance of ``_puma_solve``.
+_MAX_ITERATIONS = 20
+_RELATIVE_TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     method: str = "MODE"
     p_extra: int = 0
-    max_iterations: int = 20
-    relative_tolerance: float = 1e-10
-    mode_extra_reweights: int = 0
     modex_base: str = "MODE"  # base solver for the extra-coefficient search
 
     def __post_init__(self):
@@ -45,8 +53,6 @@ class EstimatorConfig:
             raise ValidationError("p_extra is only meaningful for MODEX")
         if self.modex_base not in ("MODE", "PUMA"):
             raise ValidationError("modex_base must be MODE or PUMA")
-        if self.max_iterations < 1 or self.relative_tolerance <= 0:
-            raise ValidationError("bad iteration controls")
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,7 @@ def _gauge_fixed_solve(Q):
     """Solve Q[1:,1:] tail = -Q[1:,0]; minimum-norm fallback when singular."""
     Q11 = Q[1:, 1:]
     rhs = -Q[1:, 0]
-    w = np.linalg.eigvalsh(Q11)
-    if w[0] > 0 and w[-1] / w[0] <= 1e12:
+    if condition_number(Q11) <= COND_LIMIT:
         try:
             return scipy.linalg.solve(Q11, rhs, assume_a="her")
         except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -112,47 +117,43 @@ def _conjugate_symmetric_basis(n):
 
 def _omega_from_coefs(c, m):
     """(T T*)^-1 for the current coefficients, regularized near singularity."""
-    T = toeplitz_annihilator(c, m).entries
-    gram = T @ T.conj().T
-    gram = 0.5 * (gram + gram.conj().T)
-    w = np.linalg.eigvalsh(gram)
-    ok = w[0] > 0 and w[-1] / w[0] <= 1e12
+    gram = hermitian_gram(toeplitz_annihilator(c, m).entries)
+    ok = condition_number(gram) <= COND_LIMIT
     if not ok:
         eps = 1e-12 * np.trace(gram).real / gram.shape[0]
         gram = gram + eps * np.eye(gram.shape[0])
-        w = np.linalg.eigvalsh(gram)
-        if w[0] <= 0:
+        if condition_number(gram) == np.inf:
             raise SingularityError("T T* singular even after regularization")
     return np.linalg.inv(gram), ok
 
 
-def _mode_solve(decomp, weight, q, n_reweights):
-    """Eigenvector minimization of c* Q c over conjugate-symmetric unit c."""
+def _mode_solve(decomp, weight, q):
+    """Eigenvector minimization of c* Q c over conjugate-symmetric unit c.
+
+    Solves with Omega = I, then once more with Omega = (T T*)^-1 at that
+    solution; when that Gram is singular the first solution is returned,
+    flagged not converged.
+    """
+    _check_degree(decomp, q)
     m = decomp.m
     J = _conjugate_symmetric_basis(q + 1)
     D = np.real(J.conj().T @ J)  # diagonal metric of the real parameterization
-    omega = np.eye(m - q, dtype=complex)
-    converged = True
-    c = None
-    for step in range(1 + n_reweights):
-        Q = quadratic_form_matrix(decomp, weight, omega, q)
-        M = np.real(J.conj().T @ Q @ J)
-        M = 0.5 * (M + M.T)
-        vals, vecs = scipy.linalg.eigh(M, D)
-        rho = vecs[:, 0]
-        c = J @ rho
-        c = c / np.linalg.norm(c)
-        if step < n_reweights:
-            try:
-                omega, ok = _omega_from_coefs(c, m)
-            except SingularityError:
-                converged = False
-                break
-            converged = converged and ok
-    return c, 1 + n_reweights, converged
+
+    def solve(omega):
+        M = np.real(J.conj().T @ quadratic_form_matrix(decomp, weight, omega, q) @ J)
+        _, vecs = scipy.linalg.eigh(0.5 * (M + M.T), D)
+        c = J @ vecs[:, 0]
+        return c / np.linalg.norm(c)
+
+    c = solve(np.eye(m - q, dtype=complex))
+    try:
+        omega, converged = _omega_from_coefs(c, m)
+    except SingularityError:
+        return c, 2, False
+    return solve(omega), 2, converged
 
 
-def _as_coef_estimate(c, m, decomp, weight, iterations, converged, history=None):
+def _as_coef_estimate(c, decomp, weight, iterations, converged, history=None):
     angles = angles_from_coefs(_safe_full_degree(c))
     return EstimationResult(
         angles=angles,
@@ -176,27 +177,22 @@ def _safe_full_degree(c):
     return c
 
 
-def mode_two_step(decomp, weight, r, config=None):
+def mode_two_step(decomp, weight, r):
     """Classic two-step solve: Omega = I, then Omega = (T T*)^-1 at step 1's c."""
-    config = config or EstimatorConfig(method="MODE")
-    _check_degree(decomp, r)
-    c, iters, converged = _mode_solve(
-        decomp, weight, r, 1 + config.mode_extra_reweights
-    )
-    return _as_coef_estimate(c, decomp.m, decomp, weight, iters, converged)
+    c, iters, converged = _mode_solve(decomp, weight, r)
+    return _as_coef_estimate(c, decomp, weight, iters, converged)
 
 
-def puma_iterative(decomp, weight, r, config=None):
-    """Iteratively reweighted minimization under the c_0 = 1 gauge.
+def _puma_solve(decomp, weight, q):
+    """Iteratively reweighted minimization at degree q under the c_0 = 1 gauge.
 
     Each iteration fixes c_0 = 1 and solves the trailing q x q Hermitian
     block of the quadratic form for c_1 ... c_q, then refreshes the
-    weighting Omega = (T T*)^-1.  Stops on relative criterion change or
-    when the criterion increases twice in a row (returns the best
-    iterate, flagged not converged).
+    weighting Omega = (T T*)^-1.  Stops on relative criterion change
+    (converged), when the criterion rises twice in a row, or after
+    ``_MAX_ITERATIONS``.  Returns ``(c, iterations, converged, history)``
+    with the best iterate as c and the criterion value of every iterate.
     """
-    config = config or EstimatorConfig(method="PUMA")
-    q = r
     _check_degree(decomp, q)
     m = decomp.m
     omega = np.eye(m - q, dtype=complex)
@@ -204,9 +200,8 @@ def puma_iterative(decomp, weight, r, config=None):
     prev_val = np.inf
     rises = 0
     converged = False
-    iters = 0
     history = []
-    for iters in range(1, config.max_iterations + 1):
+    for iters in range(1, _MAX_ITERATIONS + 1):
         Q = quadratic_form_matrix(decomp, weight, omega, q)
         tail = _gauge_fixed_solve(Q)
         c = np.concatenate(([1.0 + 0.0j], tail))
@@ -227,7 +222,7 @@ def puma_iterative(decomp, weight, r, config=None):
             rises = 0
         # Floor the denominator so a criterion at numerical zero counts
         # as converged instead of chasing round-off.
-        if np.isfinite(prev_val) and abs(prev_val - val) <= config.relative_tolerance * max(
+        if np.isfinite(prev_val) and abs(prev_val - val) <= _RELATIVE_TOLERANCE * max(
             1e-15, abs(prev_val)
         ):
             converged = True
@@ -237,7 +232,18 @@ def puma_iterative(decomp, weight, r, config=None):
             omega, _ = _omega_from_coefs(c, m)
         except SingularityError:
             break
-    return _as_coef_estimate(best_c, m, decomp, weight, iters, converged, history=history)
+    return best_c, iters, converged, history
+
+
+def puma_iterative(decomp, weight, r):
+    """PUMA: the reweighted c_0 = 1 solve of ``_puma_solve`` at degree r.
+
+    Returns the best iterate; ``criterion_history`` holds the criterion
+    value of every iterate, and a stop on two rises in a row or on the
+    iteration cap is flagged not converged.
+    """
+    c, iters, converged, history = _puma_solve(decomp, weight, r)
+    return _as_coef_estimate(c, decomp, weight, iters, converged, history=history)
 
 
 def _check_degree(decomp, q):
@@ -268,8 +274,8 @@ def modex(cov, decomp, weight, r, config):
 
     def solve(degree):
         if config.modex_base == "PUMA":
-            return _puma_at_degree(decomp, weight, degree, config)
-        return _mode_solve(decomp, weight, degree, 1 + config.mode_extra_reweights)
+            return _puma_solve(decomp, weight, degree)[:3]
+        return _mode_solve(decomp, weight, degree)
 
     c_base, iters, converged = solve(r)
     candidates = angles_from_coefs(_safe_full_degree(c_base))
@@ -335,42 +341,12 @@ def _score_subsets(candidates, cov, r):
     return subsets, scores
 
 
-def _puma_at_degree(decomp, weight, q, config):
-    """PUMA-style reweighted solve at an arbitrary degree (Enhanced variant)."""
-    m = decomp.m
-    _check_degree(decomp, q)
-    omega = np.eye(m - q, dtype=complex)
-    c = None
-    prev_val = np.inf
-    converged = False
-    iters = 0
-    for iters in range(1, config.max_iterations + 1):
-        Q = quadratic_form_matrix(decomp, weight, omega, q)
-        tail = _gauge_fixed_solve(Q)
-        c = np.concatenate(([1.0 + 0.0j], tail))
-        try:
-            val = v_mode(c, decomp, weight).value
-        except SingularityError:
-            break
-        if np.isfinite(prev_val) and abs(prev_val - val) <= config.relative_tolerance * max(
-            1e-15, abs(prev_val)
-        ):
-            converged = True
-            break
-        prev_val = val
-        try:
-            omega, _ = _omega_from_coefs(c, m)
-        except SingularityError:
-            break
-    return c, iters, converged
-
-
 def estimate(cov, decomp, weight, r, config):
     """Dispatch on config.method; MODEX additionally needs the covariance."""
     if config.method == "MODE":
-        return mode_two_step(decomp, weight, r, config)
+        return mode_two_step(decomp, weight, r)
     if config.method == "PUMA":
-        return puma_iterative(decomp, weight, r, config)
+        return puma_iterative(decomp, weight, r)
     return modex(cov, decomp, weight, r, config)
 
 

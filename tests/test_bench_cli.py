@@ -226,6 +226,17 @@ class TestEstimateCommand:
         assert proc.returncode == 1
         assert "p < m - r" in proc.stderr
 
+    @pytest.mark.parametrize("r", ["0", "4"])
+    def test_source_count_out_of_range(self, tmp_path, r):
+        snaps = tmp_path / "snaps.txt"
+        run_cli(
+            "simulate", "--out", str(snaps), "--m", "4", "--angles", "0.5",
+            "--snapshots", "16", "--seed", "1",
+        )
+        proc = run_cli("estimate", str(snaps), "--r", r)
+        assert proc.returncode == 1
+        assert "need 0 < r < m" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("# m=2 T=1\n1+0j wat\n")

@@ -9,8 +9,10 @@ from modepuma import (
     SubspaceDecomposition,
     coefs_from_angles,
     kron,
+    projector_from_annihilator,
     sample_covariance,
     subspace_decomposition,
+    toeplitz_annihilator,
     true_covariance,
     v_ml_angles,
     v_ml_coefs,
@@ -18,6 +20,7 @@ from modepuma import (
     v_puma,
     vec,
 )
+from modepuma.array_model import COND_LIMIT
 from modepuma.bench import _random_instance, random_angle_set
 from modepuma.criteria import (
     trace_vec_identity_residual,
@@ -122,6 +125,60 @@ class TestVmlCoefs:
             c = np.convolve(c, [1, -1])
         with pytest.raises(SingularityError):
             v_ml_coefs(c, cov_of(np.eye(60)))
+
+
+def _binomial_coefs(degree):
+    """(1 - z)^degree: a root of multiplicity ``degree`` at z = 1."""
+    c = [1]
+    for _ in range(degree):
+        c = np.convolve(c, [1, -1])
+    return c
+
+
+def _one_source_decomp(m):
+    decomp = SubspaceDecomposition(
+        u_signal=np.eye(m, 1, dtype=complex),
+        lambdas=np.array([2.0]),
+        sigma2=1.0,
+        all_eigenvalues=np.r_[2.0, np.ones(m - 1)],
+    )
+    return decomp, SignalWeight(g=np.array([0.5]))
+
+
+class TestConditioningGuard:
+    def test_gram_cond_matches_numpy(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(200):
+            m, r, c, decomp, weight = _random_instance(rng)
+            T = toeplitz_annihilator(c, m).entries
+            expected = np.linalg.cond(T @ T.conj().T)
+            if expected > COND_LIMIT / 10:
+                continue
+            for value in (
+                v_mode(c, decomp, weight),
+                v_puma(c, decomp, weight),
+                v_ml_coefs(c, cov_of(np.eye(m))),
+            ):
+                got = value.residual_diagnostics["gram_cond"]
+                assert abs(got - expected) <= 1e-8 * expected
+            checked += 1
+        assert checked >= 190
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda c, m: v_mode(c, *_one_source_decomp(m)),
+            lambda c, m: v_puma(c, *_one_source_decomp(m)),
+            lambda c, m: projector_from_annihilator(toeplitz_annihilator(c, m)),
+        ],
+        ids=["v_mode", "v_puma", "projector_from_annihilator"],
+    )
+    def test_singular_gram_rejected_by_every_guard(self, evaluate):
+        # the Gram of the shifted rows of (1 - z)^8 at m = 60 is numerically
+        # rank deficient, as in test_singular_gram_rejected
+        with pytest.raises(SingularityError):
+            evaluate(_binomial_coefs(8), 60)
 
 
 def scalar_chain_inputs():

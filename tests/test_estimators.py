@@ -253,6 +253,18 @@ class TestModex:
         res = modex(cov, decomp, weight, 2, cfg)
         assert np.max(np.abs(res.angles - truth)) <= 1e-6
 
+    def test_enhanced_without_extras_is_puma(self):
+        # With p = 0 Enhanced PUMA is PUMA: one reweighted solve at degree r
+        # under the same stopping rule, returning the same best iterate.
+        cfg = EstimatorConfig(method="MODEX", p_extra=0, modex_base="PUMA")
+        for seed in range(20):
+            cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=seed)
+            res = modex(cov, decomp, weight, 2, cfg)
+            ref = puma_iterative(decomp, weight, 2)
+            assert np.array_equal(res.angles, ref.angles), seed
+            assert res.converged == ref.converged, seed
+            assert res.iterations_used == ref.iterations_used, seed
+
 
 def _wrap(angles):
     """Principal value in (-pi, pi]."""
