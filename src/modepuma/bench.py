@@ -3,10 +3,10 @@ Monte Carlo sweeps and numerical property verification.
 
 The sweep runner drives the full pipeline (simulate -> covariance ->
 eigendecomposition -> estimate -> angle matching) over a grid of SNR and
-snapshot-count cells, writing one CSV row per trial plus one aggregate
-row per cell.  Trial seeds derive deterministically from the base seed
-and are shared across methods within a cell, so method comparisons are
-paired.
+snapshot-count cells, writing one CSV row per (method, trial) plus one
+aggregate row per (cell, method).  Each trial is simulated once, from a
+seed derived deterministically from the base seed, and every method is
+fitted to that one sample covariance, so method comparisons are paired.
 
 SNR convention: SNR_dB = 10 log10( tr(P) / (r sigma^2) ), i.e. average
 per-source power over noise power.
@@ -99,40 +99,48 @@ def method_label(config):
 
 
 def _run_trial(args):
-    scenario, config, threshold, timing = args
+    """Simulate one trial and run every method on it.
+
+    Returns one ``(rmse, criterion, converged, success, wall_ms)`` outcome
+    per method; ``wall_ms`` is the shared simulate-to-weight time plus
+    that method's own estimate, or None without timing.
+    """
+    scenario, methods, threshold, timing = args
     t0 = time.perf_counter()
-    snaps = simulate_snapshots(scenario)
-    cov = sample_covariance(snaps)
+    cov = sample_covariance(simulate_snapshots(scenario))
     decomp = subspace_decomposition(cov, scenario.r)
     weight = signal_weight(decomp)
-    try:
-        result = estimate(cov, decomp, weight, scenario.r, config)
-        errors, rmse = match_angles(result.angles, scenario.angles.as_array())
-        success = bool(np.all(np.abs(errors) <= threshold))
-        row = (rmse, result.criterion_value, result.converged, success)
-    except (SingularityError, NumericalError, ValidationError):
-        row = (float("nan"), float("nan"), False, False)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return row + ((wall_ms if timing else None),)
+    shared = time.perf_counter() - t0
+    outcomes = []
+    for config in methods:
+        t1 = time.perf_counter()
+        try:
+            result = estimate(cov, decomp, weight, scenario.r, config)
+            errors, rmse = match_angles(result.angles, scenario.angles.as_array())
+            success = bool(np.all(np.abs(errors) <= threshold))
+            row = (rmse, result.criterion_value, result.converged, success)
+        except (SingularityError, NumericalError, ValidationError):
+            row = (float("nan"), float("nan"), False, False)
+        wall_ms = (shared + time.perf_counter() - t1) * 1e3
+        outcomes.append(row + ((wall_ms if timing else None),))
+    return outcomes
 
 
 def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing=False):
     """Execute the full sweep; returns a list of CSV rows (tuples of str).
 
-    Rows are ordered by (snr, snapshot count, method, trial); each cell is
-    followed by one aggregate row with trial_index = -1 carrying the cell
+    One task per (cell, trial) simulates the snapshots once and runs every
+    method on them, so methods are paired by construction.  Rows are
+    ordered by (snr, snapshot count, method, trial); each (cell, method)
+    is followed by one aggregate row with trial_index = -1 carrying the
     RMSE, mean criterion value, convergence rate, and success rate.
     """
     base = sweep.base
     cells = list(
-        itertools.product(
-            enumerate(sweep.snr_db_list),
-            enumerate(sweep.snapshots_list),
-            sweep.methods,
-        )
+        itertools.product(enumerate(sweep.snr_db_list), enumerate(sweep.snapshots_list))
     )
     tasks = []
-    for (si, snr), (ti, T), config in cells:
+    for (si, snr), (ti, T) in cells:
         sigma2 = noise_power_for_snr(base.source_cov, base.r, snr)
         for trial in range(sweep.n_trials):
             scenario = replace(
@@ -141,7 +149,7 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
                 n_snapshots=T,
                 seed=trial_seed(sweep.base_seed, si, ti, trial),
             )
-            tasks.append((scenario, config, success_threshold, timing))
+            tasks.append((scenario, sweep.methods, success_threshold, timing))
 
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -150,48 +158,35 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
         outcomes = [_run_trial(t) for t in tasks]
 
     rows = []
-    idx = 0
-    for (si, snr), (ti, T), config in cells:
-        label = method_label(config)
-        cell = outcomes[idx : idx + sweep.n_trials]
-        idx += sweep.n_trials
-        for trial, (rmse, crit, conv, succ, wall) in enumerate(cell):
-            rows.append(
-                (
-                    label,
-                    str(base.m),
-                    str(base.r),
-                    _fmt(snr),
-                    str(T),
-                    str(trial),
-                    _fmt(rmse),
-                    _fmt(crit),
-                    str(int(conv)),
-                    str(int(succ)),
-                    "" if wall is None else f"{wall:.3f}",
+    # Consecutive runs of n_trials outcomes belong to one cell.
+    per_cell = zip(*[iter(outcomes)] * sweep.n_trials)
+    for ((_, snr), (_, T)), cell in zip(cells, per_cell):
+        for config, trials in zip(sweep.methods, zip(*cell)):
+            prefix = (method_label(config), str(base.m), str(base.r), _fmt(snr), str(T))
+            for trial, (rmse, crit, conv, succ, wall) in enumerate(trials):
+                rows.append(
+                    prefix
+                    + (str(trial), _fmt(rmse), _fmt(crit), str(int(conv)), str(int(succ)))
+                    + ("" if wall is None else f"{wall:.3f}",)
                 )
-            )
-        rmses = np.array([c[0] for c in cell])
-        crits = np.array([c[1] for c in cell])
-        finite = np.isfinite(rmses)
-        cell_rmse = float(np.sqrt(np.mean(rmses[finite] ** 2))) if finite.any() else float("nan")
-        cell_crit = float(np.mean(crits[np.isfinite(crits)])) if np.isfinite(crits).any() else float("nan")
-        rows.append(
-            (
-                label,
-                str(base.m),
-                str(base.r),
-                _fmt(snr),
-                str(T),
-                "-1",
-                _fmt(cell_rmse),
-                _fmt(cell_crit),
-                _fmt(np.mean([c[2] for c in cell])),
-                _fmt(np.mean([c[3] for c in cell])),
-                "",
-            )
-        )
+            rows.append(prefix + ("-1",) + _aggregate(trials))
     return rows
+
+
+def _aggregate(trials):
+    """RMSE, mean criterion, convergence and success rates of one (cell, method)."""
+    rmses = np.array([t[0] for t in trials])
+    crits = np.array([t[1] for t in trials])
+    finite = np.isfinite(rmses)
+    cell_rmse = float(np.sqrt(np.mean(rmses[finite] ** 2))) if finite.any() else float("nan")
+    cell_crit = float(np.mean(crits[np.isfinite(crits)])) if np.isfinite(crits).any() else float("nan")
+    return (
+        _fmt(cell_rmse),
+        _fmt(cell_crit),
+        _fmt(np.mean([t[2] for t in trials])),
+        _fmt(np.mean([t[3] for t in trials])),
+        "",
+    )
 
 
 def _fmt(x):

@@ -61,7 +61,11 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None, help="override base_seed")
     p.add_argument("--success-threshold", type=float, default=bench.DEFAULT_SUCCESS_THRESHOLD)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timing", action="store_true", help="fill the wall_time_ms column")
+    p.add_argument(
+        "--timing",
+        action="store_true",
+        help="fill wall_time_ms: the trial's shared simulation time plus the method's estimate",
+    )
 
     p = sub.add_parser("estimate", help="estimate angles from a snapshot file")
     p.add_argument("input", help="snapshot file ('# m=<m> T=<T>' header)")

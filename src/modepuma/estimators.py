@@ -12,6 +12,7 @@ Minimizers of the weighted subspace-fitting criterion.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,10 @@ _METHODS = ("MODE", "PUMA", "MODEX")
 # Subsets per stacked block in ``_score_subsets``.  Fixed, so the stacked
 # temporaries (block x m x r) stay small whatever the subset count.
 _SUBSET_BLOCK = 64
+
+# Most candidate subsets ``modex`` will score; the count grows as
+# C(2r + p, r), so a larger request is rejected before any solve.
+_MAX_SUBSETS = 100_000
 
 # Iteration cap and relative-change tolerance of ``_puma_solve``.
 _MAX_ITERATIONS = 20
@@ -263,7 +268,8 @@ def modex(cov, decomp, weight, r, config):
     subspace swap corrupts the plain fit.  Subsets with near-coincident
     candidates or a numerically singular steering Gram score +inf; the
     first minimum wins ties.  ``candidate_log`` lists every subset with
-    its score in ``itertools.combinations`` order.
+    its score in ``itertools.combinations`` order.  More than
+    ``_MAX_SUBSETS`` subsets is a ``ValidationError``.
     """
     p = config.p_extra
     if p >= decomp.m - r:
@@ -271,6 +277,12 @@ def modex(cov, decomp, weight, r, config):
             f"p_extra must satisfy p < m - r, got p={p}, m={decomp.m}, r={r}"
         )
     q = r + p
+    n_subsets = math.comb(r + q, r) if p > 0 else 1
+    if n_subsets > _MAX_SUBSETS:
+        raise ValidationError(
+            f"MODEX would score C({r + q}, {r}) = {n_subsets} candidate subsets, "
+            f"over the limit of {_MAX_SUBSETS}"
+        )
 
     def solve(degree):
         if config.modex_base == "PUMA":

@@ -1,10 +1,11 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from modepuma import ValidationError
+from modepuma import ValidationError, bench
 from modepuma.bench import (
     noise_power_for_snr,
     parse_method_token,
@@ -185,6 +186,47 @@ class TestMcCommand:
             succ = np.mean([float(r[9]) for r in members])
             assert abs(succ - float(cell[9])) <= 1e-12
 
+    def test_each_trial_simulated_once(self, tmp_path, monkeypatch):
+        calls = {"simulate_snapshots": 0, "subspace_decomposition": 0}
+        for name in calls:
+            original = getattr(bench, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(bench, name, counted)
+        sweep = replace(
+            _sweep_from_text(tmp_path),
+            snr_db_list=(0.0, 10.0),
+            methods=tuple(parse_method_token(t) for t in ("mode", "puma", "modex:2", "epuma:2")),
+            n_trials=3,
+        )
+        rows = run_sweep(sweep)
+        assert len(rows) == 2 * 4 * (3 + 1)
+        # One simulation and one decomposition per (cell, trial).
+        assert calls == {"simulate_snapshots": 6, "subspace_decomposition": 6}
+
+    def test_timing_fills_only_trial_rows(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT)
+        plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+        assert run_cli("mc", "--config", str(cfg), "--out", str(plain)).returncode == 0
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(timed), "--timing")
+        assert proc.returncode == 0, proc.stderr
+        lines = timed.read_text().splitlines(keepends=True)
+        header = lines[2].rstrip("\n").split(",")
+        assert header[-1] == "wall_time_ms"
+        for line in lines[3:]:
+            rec = dict(zip(header, line.rstrip("\n").split(",")))
+            if rec["trial_index"] == "-1":
+                assert rec["wall_time_ms"] == ""
+            else:
+                wall = float(rec["wall_time_ms"])
+                assert np.isfinite(wall) and wall >= 0
+        stripped = lines[:3] + [line.rsplit(",", 1)[0] + ",\n" for line in lines[3:]]
+        assert "".join(stripped).encode() == plain.read_bytes()
+
     def test_csv_header_and_columns(self, tmp_path):
         sweep = _sweep_from_text(tmp_path)
         rows = run_sweep(sweep)
@@ -236,6 +278,20 @@ class TestEstimateCommand:
         proc = run_cli("estimate", str(snaps), "--r", r)
         assert proc.returncode == 1
         assert "need 0 < r < m" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_subset_cap_exits_with_validation_code(self, tmp_path):
+        snaps = tmp_path / "snaps.txt"
+        angles = ",".join(str(a) for a in np.linspace(-2.5, 2.5, 8))
+        proc = run_cli(
+            "simulate", "--out", str(snaps), "--m", "13", f"--angles={angles}",
+            "--snapshots", "40", "--seed", "1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(
+            "estimate", str(snaps), "--r", "8", "--method", "modex", "--p-extra", "4"
+        )
+        assert proc.returncode == 1
+        assert "125970" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -246,6 +246,14 @@ class TestModex:
         with pytest.raises(ValidationError):
             modex(cov, decomp, weight, 2, EstimatorConfig(method="MODEX", p_extra=4))
 
+    @pytest.mark.parametrize("base", ["MODE", "PUMA"])
+    def test_subset_count_capped(self, base):
+        # r = 8, p = 4 pools 20 candidates: C(20, 8) = 125970 subsets.
+        cov, decomp, weight = noisy_pipeline(13, 8, np.linspace(-2.5, 2.5, 8), 10.0, 40, seed=1)
+        cfg = EstimatorConfig(method="MODEX", p_extra=4, modex_base=base)
+        with pytest.raises(ValidationError, match="125970 .* 100000"):
+            modex(cov, decomp, weight, 8, cfg)
+
     def test_enhanced_variant_noiseless(self):
         truth = [-0.9, 0.3]
         cov, decomp, weight = noiseless_decomp(8, truth)

@@ -65,6 +65,14 @@ class TestSimulateSnapshots:
         b = simulate_snapshots(make_scenario(seed=123)).snapshots
         assert np.array_equal(a, b)
 
+    def test_prefix_does_not_depend_on_snapshot_count(self):
+        # Snapshot t depends only on (seed, t), so a shorter run is a
+        # prefix of a longer one with the same seed.
+        sc = dict(m=4, r=2, angles=(-0.3, 0.9), noise=0.5, seed=99)
+        short = simulate_snapshots(make_scenario(T=7, **sc)).snapshots
+        long = simulate_snapshots(make_scenario(T=20, **sc)).snapshots
+        assert np.array_equal(short, long[:, :7])
+
     def test_large_sample_matches_model(self):
         sc = make_scenario(T=100_000, seed=17)
         R_hat = sample_covariance(simulate_snapshots(sc)).matrix
