@@ -8,9 +8,7 @@ one and the same.
 
 from .array_model import (
     AngleSet,
-    Annihilator,
     CoefVector,
-    SteeringMatrix,
     angles_from_coefs,
     coefs_from_angles,
     projector_from_annihilator,
@@ -18,7 +16,7 @@ from .array_model import (
     steering_matrix,
     toeplitz_annihilator,
 )
-from .criteria import CriterionValue, kron, v_ml_angles, v_ml_coefs, v_mode, v_puma, vec
+from .criteria import CriterionValue, v_ml_angles, v_ml_coefs, v_mode, v_puma, vec
 from .errors import DimensionError, NumericalError, SingularityError, ValidationError
 from .estimators import (
     EstimationResult,
@@ -31,11 +29,7 @@ from .estimators import (
     quadratic_form_matrix,
 )
 from .sample_stats import (
-    EXACT,
-    SampleCovariance,
     Scenario,
-    SignalWeight,
-    SnapshotSet,
     SubspaceDecomposition,
     sample_covariance,
     signal_weight,
@@ -48,26 +42,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleSet",
-    "Annihilator",
     "CoefVector",
     "CriterionValue",
     "DimensionError",
-    "EXACT",
     "EstimationResult",
     "EstimatorConfig",
     "NumericalError",
-    "SampleCovariance",
     "Scenario",
-    "SignalWeight",
     "SingularityError",
-    "SnapshotSet",
-    "SteeringMatrix",
     "SubspaceDecomposition",
     "ValidationError",
     "angles_from_coefs",
     "coefs_from_angles",
     "estimate",
-    "kron",
     "match_angles",
     "mode_two_step",
     "modex",

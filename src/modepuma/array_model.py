@@ -9,7 +9,7 @@ Angles are electrical angles phi in (-pi, pi]; no wavelength or element
 spacing enters anywhere.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class AngleSet:
         arr = np.atleast_1d(np.asarray(angles, dtype=float))
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("AngleSet needs at least one angle")
-        if np.any(arr <= -np.pi) or np.any(arr > np.pi):
+        if not np.all((arr > -np.pi) & (arr <= np.pi)):
             raise ValidationError("angles must lie in (-pi, pi]")
         if np.any(np.diff(arr) <= 0):
             raise ValidationError("angles must be strictly ascending and distinct")
@@ -101,48 +101,12 @@ class CoefVector:
         return np.asarray(self.coefs, dtype=complex)
 
 
-@dataclass(frozen=True)
-class SteeringMatrix:
-    """Vandermonde array response matrix, m sensors by r sources."""
-
-    entries: np.ndarray
-    angles: AngleSet = field(compare=False)
-
-    @property
-    def m(self):
-        return self.entries.shape[0]
-
-    @property
-    def r(self):
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class Annihilator:
-    """Banded Toeplitz matrix T with T @ steering_matrix = 0.
-
-    Shape (m - q) x m where q is the polynomial degree; row i carries the
-    coefficients c_0 ... c_q starting at column i.
-    """
-
-    entries: np.ndarray
-    source: CoefVector = field(compare=False)
-
-    @property
-    def m(self):
-        return self.entries.shape[1]
-
-    @property
-    def q(self):
-        return self.source.degree
-
-
 def steering_matrix(angles, m):
-    """Vandermonde steering matrix with generator exp(j*phi_i) per column.
+    """m x r Vandermonde steering matrix with generator exp(j*phi_i) per column.
 
     Parameters
     ----------
-    angles : AngleSet
+    angles : AngleSet or sequence of radians
     m : int
         Sensor count; must exceed the number of angles.
     """
@@ -150,9 +114,7 @@ def steering_matrix(angles, m):
         angles = AngleSet(angles)
     if m <= angles.r:
         raise DimensionError(f"need m > r, got m={m}, r={angles.r}")
-    phi = angles.as_array()
-    entries = np.exp(1j * np.outer(np.arange(m), phi))
-    return SteeringMatrix(entries=entries, angles=angles)
+    return np.exp(1j * np.outer(np.arange(m), angles.as_array()))
 
 
 def coefs_from_angles(angles):
@@ -190,24 +152,28 @@ def angles_from_coefs(coefs):
 
 
 def toeplitz_annihilator(coefs, m):
-    """(m-q) x m banded Toeplitz annihilator built from the coefficients."""
+    """(m-q) x m banded Toeplitz annihilator T, with T @ steering_matrix = 0.
+
+    q is the polynomial degree; row i carries the coefficients c_0 ... c_q
+    starting at column i.
+    """
     if not isinstance(coefs, CoefVector):
         coefs = CoefVector(coefs)
     q = coefs.degree
     if m <= q:
         raise DimensionError(f"need m > q, got m={m}, q={q}")
     c = coefs.as_array()
-    entries = np.zeros((m - q, m), dtype=complex)
+    T = np.zeros((m - q, m), dtype=complex)
     for i in range(m - q):
-        entries[i, i : i + q + 1] = c
-    return Annihilator(entries=entries, source=coefs)
+        T[i, i : i + q + 1] = c
+    return T
 
 
 def projector_from_annihilator(T):
     """Orthogonal projector T* (T T*)^-1 T onto the row space of T."""
-    Tm = T.entries if isinstance(T, Annihilator) else np.asarray(T, dtype=complex)
-    gram, _ = guarded_gram(Tm, "T T*")
-    proj = Tm.conj().T @ np.linalg.solve(gram, Tm)
+    T = np.asarray(T, dtype=complex)
+    gram, _ = guarded_gram(T, "T T*")
+    proj = T.conj().T @ np.linalg.solve(gram, T)
     return 0.5 * (proj + proj.conj().T)
 
 
@@ -218,8 +184,8 @@ def projector_from_steering(A):
     normal equations, which square the condition number of closely spaced
     steering columns.
     """
-    Am = A.entries if isinstance(A, SteeringMatrix) else np.asarray(A, dtype=complex)
-    guarded_gram(Am.conj().T, "A* A")
-    Q, _ = np.linalg.qr(Am)
-    proj = np.eye(Am.shape[0], dtype=complex) - Q @ Q.conj().T
+    A = np.asarray(A, dtype=complex)
+    guarded_gram(A.conj().T, "A* A")
+    Q, _ = np.linalg.qr(A)
+    proj = np.eye(A.shape[0], dtype=complex) - Q @ Q.conj().T
     return 0.5 * (proj + proj.conj().T)

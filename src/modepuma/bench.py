@@ -38,7 +38,6 @@ from .errors import NumericalError, SingularityError, ValidationError
 from .estimators import EstimatorConfig, estimate, match_angles
 from .sample_stats import (
     Scenario,
-    SignalWeight,
     SubspaceDecomposition,
     sample_covariance,
     signal_weight,
@@ -352,11 +351,18 @@ def _random_instance(rng, max_m=12, max_r=4):
         u_signal=U, lambdas=np.sort(g)[::-1] + 1.0, sigma2=0.5,
         all_eigenvalues=np.full(m, 0.5),
     )
-    return m, r, c, decomp, SignalWeight(g=g)
+    return m, r, c, decomp, g
 
 
 def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1.0):
-    """Run all numerical property suites; returns a list of PropertyReport."""
+    """Run all numerical property suites; returns a list of PropertyReport.
+
+    Instances draw m from 3 ... max_m and r from 1 ... min(max_r, m - 1).
+    """
+    if max_m < 3 or max_r < 1:
+        raise ValidationError(
+            f"need max_m >= 3 and max_r >= 1, got max_m={max_m}, max_r={max_r}"
+        )
     rng = np.random.default_rng(seed)
     dev_equiv = 0.0
     dev_gauge = 0.0
@@ -390,7 +396,7 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
         A = steering_matrix(phi, m)
         c = coefs_from_angles(phi)
         T = toeplitz_annihilator(c, m)
-        dev_annih = max(dev_annih, float(np.max(np.abs(T.entries @ A.entries))))
+        dev_annih = max(dev_annih, float(np.max(np.abs(T @ A))))
         diff = projector_from_steering(A) - projector_from_annihilator(T)
         dev_proj = max(dev_proj, float(np.linalg.norm(diff)))
 

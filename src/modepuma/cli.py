@@ -143,7 +143,11 @@ def _cmd_estimate(args):
 
 
 def _cmd_simulate(args):
-    angles = AngleSet([float(a) for a in args.angles.split(",")])
+    try:
+        phi = [float(a) for a in args.angles.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"bad --angles value: {exc}") from exc
+    angles = AngleSet(phi)
     r = angles.r
     P = np.eye(r, dtype=complex)
     noise = args.noise_power
@@ -158,8 +162,7 @@ def _cmd_simulate(args):
         n_snapshots=args.snapshots,
         seed=args.seed,
     )
-    snaps = simulate_snapshots(scenario)
-    snapshot_io.write_snapshots(args.out, snaps.snapshots)
+    snapshot_io.write_snapshots(args.out, simulate_snapshots(scenario))
     print(f"wrote {scenario.n_snapshots} snapshots to {args.out}")
     return EXIT_OK
 

@@ -38,11 +38,6 @@ def vec(matrix):
     return np.asarray(matrix).reshape(-1, order="F")
 
 
-def kron(A, B):
-    """Kronecker product (thin wrapper, kept for a uniform namespace)."""
-    return np.kron(np.asarray(A), np.asarray(B))
-
-
 def _trace_gram_inverse(T, inner):
     """tr{ (T T*)^-1 inner } by Cholesky, after the COND_LIMIT guard on T T*."""
     gram, cond = guarded_gram(T, "T T*")
@@ -53,7 +48,7 @@ def _trace_gram_inverse(T, inner):
 
 def v_ml_angles(angles, cov):
     """tr{ P_A_perp R_hat } evaluated at a set of candidate angles."""
-    R = cov.matrix if hasattr(cov, "matrix") else np.asarray(cov)
+    R = np.asarray(cov)
     A = steering_matrix(angles, R.shape[0])
     proj = projector_from_steering(A)
     return CriterionValue(value=float(np.real(np.trace(proj @ R))))
@@ -61,16 +56,16 @@ def v_ml_angles(angles, cov):
 
 def v_ml_coefs(coefs, cov):
     """tr{ (T T*)^-1 T R_hat T* } in the coefficient parameterization."""
-    R = cov.matrix if hasattr(cov, "matrix") else np.asarray(cov)
-    T = toeplitz_annihilator(coefs, R.shape[0]).entries
+    R = np.asarray(cov)
+    T = toeplitz_annihilator(coefs, R.shape[0])
     return _trace_gram_inverse(T, T @ R @ T.conj().T)
 
 
 def v_mode(coefs, decomp, weight):
     """tr{ (T T*)^-1 T U G U* T* }, the weighted signal-subspace fit."""
     U = decomp.u_signal
-    g = np.asarray(weight.g, dtype=float)
-    T = toeplitz_annihilator(coefs, U.shape[0]).entries
+    g = np.asarray(weight, dtype=float)
+    T = toeplitz_annihilator(coefs, U.shape[0])
     TU = T @ U
     return _trace_gram_inverse(T, (TU * g) @ TU.conj().T)
 
@@ -84,8 +79,8 @@ def v_puma(coefs, decomp, weight, _fault_scale=1.0):
     only for detector self-tests (it perturbs G in this path alone).
     """
     U = decomp.u_signal
-    g = np.asarray(weight.g, dtype=float) * _fault_scale
-    T = toeplitz_annihilator(coefs, U.shape[0]).entries
+    g = np.asarray(weight, dtype=float) * _fault_scale
+    T = toeplitz_annihilator(coefs, U.shape[0])
     gram, cond = guarded_gram(T, "T T*")
     W = np.kron(np.diag(g), np.linalg.inv(gram))
     e = vec(T @ U)
@@ -99,7 +94,7 @@ def vec_matrix_identity_residual(X, Y, Z):
     if X.shape[1] != Y.shape[0] or Y.shape[1] != Z.shape[0]:
         raise DimensionError("X, Y, Z are not conformable")
     lhs = vec(X @ Y @ Z)
-    rhs = kron(Z.T, X) @ vec(Y)
+    rhs = np.kron(Z.T, X) @ vec(Y)
     return float(np.max(np.abs(lhs - rhs)))
 
 

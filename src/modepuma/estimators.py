@@ -78,11 +78,10 @@ def quadratic_form_matrix(decomp, weight, omega, q):
     Phi[l*(m-q) + i, k] = U[i + k, l].  Then Q = Phi* (G kron Omega) Phi,
     accumulated column-block by column-block.
     """
+    _check_degree(decomp, q)
     U = decomp.u_signal
-    g = np.asarray(weight.g, dtype=float)
+    g = np.asarray(weight, dtype=float)
     m, r = U.shape
-    if not (0 < q < m):
-        raise ValidationError(f"need 0 < q < m, got q={q}, m={m}")
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (m - q, m - q):
         raise ValidationError("omega must be (m-q) x (m-q)")
@@ -122,7 +121,7 @@ def _conjugate_symmetric_basis(n):
 
 def _omega_from_coefs(c, m):
     """(T T*)^-1 for the current coefficients, regularized near singularity."""
-    gram = hermitian_gram(toeplitz_annihilator(c, m).entries)
+    gram = hermitian_gram(toeplitz_annihilator(c, m))
     ok = condition_number(gram) <= COND_LIMIT
     if not ok:
         eps = 1e-12 * np.trace(gram).real / gram.shape[0]
@@ -136,8 +135,10 @@ def _mode_solve(decomp, weight, q):
     """Eigenvector minimization of c* Q c over conjugate-symmetric unit c.
 
     Solves with Omega = I, then once more with Omega = (T T*)^-1 at that
-    solution; when that Gram is singular the first solution is returned,
-    flagged not converged.
+    solution.  When that Gram is past COND_LIMIT, Omega comes from the
+    regularized Gram and the second solution is flagged not converged;
+    only when the regularized Gram is still singular is the first
+    solution returned (also flagged not converged).
     """
     _check_degree(decomp, q)
     m = decomp.m
@@ -233,10 +234,7 @@ def _puma_solve(decomp, weight, q):
             converged = True
             break
         prev_val = val
-        try:
-            omega, _ = _omega_from_coefs(c, m)
-        except SingularityError:
-            break
+        omega, _ = _omega_from_coefs(c, m)
     return best_c, iters, converged, history
 
 
@@ -327,7 +325,7 @@ def _score_subsets(candidates, cov, r):
     all K candidates are built once; subsets are walked in blocks of
     ``_SUBSET_BLOCK`` so the stacked temporaries stay small.
     """
-    R = cov.matrix if hasattr(cov, "matrix") else np.asarray(cov)
+    R = np.asarray(cov)
     m = R.shape[0]
     A = np.exp(1j * np.outer(np.arange(m), candidates))
     G = A.conj().T @ A

@@ -7,15 +7,12 @@ into signal subspace / noise power, and the diagonal signal weights
 g_i = (lambda_i - sigma^2)^2 / lambda_i used by the weighted subspace fit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .array_model import AngleSet, steering_matrix
 from .errors import NumericalError, ValidationError
-
-# Sentinel for the n_snapshots field of an exactly computed covariance.
-EXACT = "exact"
 
 
 @dataclass(frozen=True)
@@ -44,36 +41,12 @@ class Scenario:
         if w.size and w[0] < -1e-10 * max(w[-1], 1.0):
             raise ValidationError("source covariance must be positive semidefinite")
         object.__setattr__(self, "source_cov", P)
-        if self.noise_power < 0:
-            raise ValidationError("noise power must be >= 0")
+        if not (np.isfinite(self.noise_power) and self.noise_power >= 0):
+            raise ValidationError("noise power must be finite and >= 0")
         if self.n_snapshots < 1:
             raise ValidationError("need at least one snapshot")
         if not (0 <= int(self.seed) < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class SnapshotSet:
-    """m x T matrix of array snapshots, column t = y(t)."""
-
-    snapshots: np.ndarray
-    provenance: Scenario = field(compare=False)
-
-    @property
-    def n_snapshots(self):
-        return self.snapshots.shape[1]
-
-
-@dataclass(frozen=True)
-class SampleCovariance:
-    """Hermitian m x m covariance with the snapshot count that produced it."""
-
-    matrix: np.ndarray
-    n_snapshots: object  # int, or EXACT for a model covariance
-
-    @property
-    def m(self):
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -94,19 +67,12 @@ class SubspaceDecomposition:
         return self.u_signal.shape[1]
 
 
-@dataclass(frozen=True)
-class SignalWeight:
-    """Diagonal weights g_i = (lambda_i - sigma^2)^2 / lambda_i."""
-
-    g: np.ndarray
-
-
 def true_covariance(scenario):
     """Exact model covariance A P A* + sigma^2 I (no sampling)."""
-    A = steering_matrix(scenario.angles, scenario.m).entries
+    A = steering_matrix(scenario.angles, scenario.m)
     R = A @ scenario.source_cov @ A.conj().T
     R = R + scenario.noise_power * np.eye(scenario.m)
-    return SampleCovariance(matrix=0.5 * (R + R.conj().T), n_snapshots=EXACT)
+    return 0.5 * (R + R.conj().T)
 
 
 def _hermitian_sqrt(P):
@@ -124,12 +90,13 @@ def _snapshot_rng(seed, t):
 def simulate_snapshots(scenario):
     """Draw T snapshots y(t) = A s(t) + n(t), deterministic given the seed.
 
-    Sources and noise are circular complex Gaussian: real and imaginary
-    parts are independent zero-mean Gaussians with half the target
-    variance; sources are colored by the Hermitian square root of P.
+    Returns the m x T matrix whose column t is y(t).  Sources and noise
+    are circular complex Gaussian: real and imaginary parts are independent
+    zero-mean Gaussians with half the target variance; sources are colored
+    by the Hermitian square root of P.
     """
     m, r, T = scenario.m, scenario.r, scenario.n_snapshots
-    A = steering_matrix(scenario.angles, scenario.m).entries
+    A = steering_matrix(scenario.angles, scenario.m)
     L = _hermitian_sqrt(scenario.source_cov)
     sigma = np.sqrt(scenario.noise_power)
     Y = np.empty((m, T), dtype=complex)
@@ -137,17 +104,17 @@ def simulate_snapshots(scenario):
         z = _snapshot_rng(scenario.seed, t).standard_normal(2 * (r + m))
         w = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
         Y[:, t] = A @ (L @ w[:r]) + sigma * w[r:]
-    return SnapshotSet(snapshots=Y, provenance=scenario)
+    return Y
 
 
 def sample_covariance(snapshots):
     """(1/T) sum_t y(t) y*(t), symmetrized to be exactly Hermitian."""
-    Y = snapshots.snapshots if isinstance(snapshots, SnapshotSet) else np.asarray(snapshots)
+    Y = np.asarray(snapshots)
     if Y.ndim != 2 or Y.shape[1] < 1:
         raise ValidationError("need an m x T snapshot matrix with T >= 1")
     T = Y.shape[1]
     R = (Y @ Y.conj().T) / T
-    return SampleCovariance(matrix=0.5 * (R + R.conj().T), n_snapshots=T)
+    return 0.5 * (R + R.conj().T)
 
 
 def subspace_decomposition(cov, r):
@@ -157,7 +124,7 @@ def subspace_decomposition(cov, r):
     eigenvector's phase is fixed so its largest-magnitude entry is real
     positive, making the output deterministic.
     """
-    R = cov.matrix if isinstance(cov, SampleCovariance) else np.asarray(cov)
+    R = np.asarray(cov)
     m = R.shape[0]
     if not (0 < r < m):
         raise ValidationError(f"need 0 < r < m, got r={r}, m={m}")
@@ -185,5 +152,4 @@ def signal_weight(decomp):
     lam = np.asarray(decomp.lambdas, dtype=float)
     if np.any(lam <= 0):
         raise ValidationError("signal eigenvalues must be positive")
-    g = (lam - decomp.sigma2) ** 2 / lam
-    return SignalWeight(g=g)
+    return (lam - decomp.sigma2) ** 2 / lam

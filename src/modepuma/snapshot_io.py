@@ -38,27 +38,31 @@ def read_snapshots(path):
             raise ValidationError(f"{path}:1: malformed header: {exc}") from exc
         if T < 1 or m < 1:
             raise ValidationError(f"{path}:1: need m >= 1 and T >= 1")
-        Y = np.empty((m, T), dtype=complex)
-        for t in range(T):
-            line = fh.readline()
-            if not line:
-                raise ValidationError(f"{path}:{t + 2}: expected {T} snapshot lines")
+        values = []
+        for lineno, line in enumerate(fh, 2):
             tokens = line.split()
             if len(tokens) != m:
                 raise ValidationError(
-                    f"{path}:{t + 2}: expected {m} entries, got {len(tokens)}"
+                    f"{path}:{lineno}: expected {m} entries, got {len(tokens)}"
                 )
             for k, tok in enumerate(tokens):
                 try:
-                    Y[k, t] = complex(tok)
+                    values.append(complex(tok))
                 except ValueError as exc:
                     raise ValidationError(
-                        f"{path}:{t + 2}: column {k + 1}: bad complex token {tok!r}"
+                        f"{path}:{lineno}: column {k + 1}: bad complex token {tok!r}"
                     ) from exc
-    bad = np.argwhere(~np.isfinite(Y.T))  # (t, k) pairs in file order
+    # The header's m and T are only compared with what was read, never used
+    # to size an allocation, so a wrong count is a validation error.
+    rows = np.array(values, dtype=complex).reshape(-1, m)  # row t = snapshot t
+    if len(rows) != T:
+        raise ValidationError(
+            f"{path}:{min(len(rows), T) + 2}: expected {T} snapshot lines, got {len(rows)}"
+        )
+    bad = np.argwhere(~np.isfinite(rows))  # (t, k) pairs in file order
     if bad.size:
         t, k = bad[0]
         raise ValidationError(
-            f"{path}:{t + 2}: column {k + 1}: non-finite value {Y[k, t]}"
+            f"{path}:{t + 2}: column {k + 1}: non-finite value {rows[t, k]}"
         )
-    return Y
+    return rows.T.copy()

@@ -310,6 +310,67 @@ class TestEstimateCommand:
         proc = run_cli("estimate", str(tmp_path / "nope.txt"), "--r", "1")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "# m=2 T=10000000000000\n1+0j 2+0j\n",
+                "bad.txt:3: expected 10000000000000 snapshot lines, got 1",
+            ),
+            (
+                "# m=2 T=2\n1+0j 2+0j\n3+0j 4+0j\n5+0j 6+0j\n",
+                "bad.txt:4: expected 2 snapshot lines, got 3",
+            ),
+            (
+                "# m=10000000000000 T=1\n1+0j\n",
+                "bad.txt:2: expected 10000000000000 entries, got 1",
+            ),
+        ],
+        ids=["header-T-above-line-count", "line-past-header-T", "header-m-above-token-count"],
+    )
+    def test_header_counts_checked_against_file(self, tmp_path, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            read_snapshots(bad)
+        assert message in str(info.value)
+        proc = run_cli("estimate", str(bad), "--r", "1")
+        assert proc.returncode == 1
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--instances", "5", "--max-m", "2"),
+            ("verify", "--instances", "5", "--max-r", "0"),
+        ],
+        ids=["max-m-2", "max-r-0"],
+    )
+    def test_verify_bounds(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert "need max_m >= 3 and max_r >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--angles", "a,0.2"),
+            ("--angles", "nan"),
+            ("--angles", "0.1", "--noise-power", "nan"),
+            ("--angles", "0.1", "--snr-db", "nan"),
+        ],
+        ids=["angle-not-a-number", "angle-nan", "noise-power-nan", "snr-db-nan"],
+    )
+    def test_simulate_rejects_bad_values(self, tmp_path, extra):
+        out = tmp_path / "snaps.txt"
+        proc = run_cli("simulate", "--out", str(out), "--m", "4", "--snapshots", "8", *extra)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert not out.exists()
+
 
 class TestVerifyProperties:
     def test_reports_cover_all_suites(self):

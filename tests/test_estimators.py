@@ -10,7 +10,6 @@ from modepuma import (
     AngleSet,
     EstimatorConfig,
     Scenario,
-    SignalWeight,
     ValidationError,
     match_angles,
     mode_two_step,
@@ -61,7 +60,7 @@ class TestQuadraticFormMatrix:
             m, r, c, decomp, weight = _random_instance(rng, max_m=8, max_r=3)
             from modepuma import toeplitz_annihilator
 
-            T = toeplitz_annihilator(c, m).entries
+            T = toeplitz_annihilator(c, m)
             gram = T @ T.conj().T
             if np.linalg.cond(gram) > 1e10:
                 continue
@@ -82,7 +81,7 @@ class TestQuadraticFormMatrix:
             all_eigenvalues=np.zeros(m),
         )
         Q = quadratic_form_matrix(
-            decomp, SignalWeight(g=np.array([1.0])), np.eye(m - q), q
+            decomp, np.array([1.0]), np.eye(m - q), q
         )
         # only the c_0 column of the shift map touches e_1
         expected = np.zeros((q + 1, q + 1))
@@ -298,7 +297,7 @@ def candidate_sets(draw):
 
 
 _CLUSTERED_COVS = [
-    noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 10.0, 50, seed=s)[0].matrix for s in range(3)
+    noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 10.0, 50, seed=s)[0] for s in range(3)
 ]
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from modepuma import (
-    EXACT,
     AngleSet,
     Scenario,
     ValidationError,
@@ -38,57 +37,61 @@ class TestScenario:
                 noise_power=1.0, n_snapshots=10, seed=0,
             )
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_rejects_noise_power_not_finite_non_negative(self, noise):
+        with pytest.raises(ValidationError, match="noise power"):
+            make_scenario(noise=noise)
+
 
 class TestTrueCovariance:
     def test_rank_one_noiseless(self):
         R = true_covariance(make_scenario(m=2, angles=(0.0,), noise=0.0))
-        assert R.n_snapshots == EXACT
-        assert np.allclose(R.matrix, [[1, 1], [1, 1]])
+        assert np.allclose(R, [[1, 1], [1, 1]])
 
     def test_noise_only(self):
         R = true_covariance(make_scenario(m=4, power=0.0, noise=1.0))
-        assert np.allclose(R.matrix, np.eye(4))
+        assert np.allclose(R, np.eye(4))
 
     def test_eigenvalues_rank_one_plus_noise(self):
         R = true_covariance(make_scenario(m=3, angles=(0.0,), noise=0.5))
-        w = np.sort(np.linalg.eigvalsh(R.matrix))
+        w = np.sort(np.linalg.eigvalsh(R))
         assert np.allclose(w, [0.5, 0.5, 3.5])
 
 
 class TestSimulateSnapshots:
     def test_zero_sources_zero_noise(self):
         Y = simulate_snapshots(make_scenario(power=0.0, noise=0.0, T=10))
-        assert np.all(Y.snapshots == 0)
+        assert np.all(Y == 0)
 
     def test_deterministic_given_seed(self):
-        a = simulate_snapshots(make_scenario(seed=123)).snapshots
-        b = simulate_snapshots(make_scenario(seed=123)).snapshots
+        a = simulate_snapshots(make_scenario(seed=123))
+        b = simulate_snapshots(make_scenario(seed=123))
         assert np.array_equal(a, b)
 
     def test_prefix_does_not_depend_on_snapshot_count(self):
         # Snapshot t depends only on (seed, t), so a shorter run is a
         # prefix of a longer one with the same seed.
         sc = dict(m=4, r=2, angles=(-0.3, 0.9), noise=0.5, seed=99)
-        short = simulate_snapshots(make_scenario(T=7, **sc)).snapshots
-        long = simulate_snapshots(make_scenario(T=20, **sc)).snapshots
+        short = simulate_snapshots(make_scenario(T=7, **sc))
+        long = simulate_snapshots(make_scenario(T=20, **sc))
         assert np.array_equal(short, long[:, :7])
 
     def test_large_sample_matches_model(self):
         sc = make_scenario(T=100_000, seed=17)
-        R_hat = sample_covariance(simulate_snapshots(sc)).matrix
-        R = true_covariance(sc).matrix
+        R_hat = sample_covariance(simulate_snapshots(sc))
+        R = true_covariance(sc)
         assert np.linalg.norm(R_hat - R) <= 0.05 * np.linalg.norm(R)
 
     def test_error_scaling_with_snapshot_count(self):
         # averaged Frobenius error should shrink roughly like 1/sqrt(T)
         sc_small = [make_scenario(T=50, seed=s) for s in range(50)]
         sc_large = [make_scenario(T=800, seed=1000 + s) for s in range(50)]
-        R = true_covariance(sc_small[0]).matrix
+        R = true_covariance(sc_small[0])
 
         def mean_err(scenarios):
             return np.mean(
                 [
-                    np.linalg.norm(sample_covariance(simulate_snapshots(sc)).matrix - R)
+                    np.linalg.norm(sample_covariance(simulate_snapshots(sc)) - R)
                     for sc in scenarios
                 ]
             )
@@ -100,11 +103,11 @@ class TestSimulateSnapshots:
 class TestSampleCovariance:
     def test_single_snapshot_outer_product(self):
         R = sample_covariance(np.array([[1.0], [1j]]))
-        assert np.allclose(R.matrix, [[1, -1j], [1j, 1]])
+        assert np.allclose(R, [[1, -1j], [1j, 1]])
 
     def test_zero_snapshots_matrix(self):
         R = sample_covariance(np.zeros((3, 5), dtype=complex))
-        assert np.all(R.matrix == 0)
+        assert np.all(R == 0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -113,7 +116,7 @@ class TestSampleCovariance:
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(4)
         Y = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
-        R = sample_covariance(Y).matrix
+        R = sample_covariance(Y)
         direct = np.zeros((4, 4), dtype=complex)
         for t in range(30):
             y = Y[:, t : t + 1]
@@ -124,7 +127,7 @@ class TestSampleCovariance:
     def test_hermitian_psd(self):
         rng = np.random.default_rng(6)
         Y = rng.standard_normal((5, 20)) + 1j * rng.standard_normal((5, 20))
-        R = sample_covariance(Y).matrix
+        R = sample_covariance(Y)
         assert np.linalg.norm(R - R.conj().T) <= 1e-12
         w = np.linalg.eigvalsh(R)
         assert w[0] >= -1e-10 * w[-1]
@@ -154,7 +157,7 @@ class TestSubspaceDecomposition:
         d = subspace_decomposition(R, 1)
         noise_proj = np.eye(4) - d.u_signal @ d.u_signal.conj().T
         rebuilt = (d.u_signal * d.lambdas) @ d.u_signal.conj().T + d.sigma2 * noise_proj
-        assert np.max(np.abs(rebuilt - R.matrix)) <= 1e-10
+        assert np.max(np.abs(rebuilt - R)) <= 1e-10
 
     def test_sigma2_consistency_on_model_covariance(self):
         sc = make_scenario(m=5, r=1, angles=(0.4,), power=2.0, noise=0.3)
@@ -164,20 +167,18 @@ class TestSubspaceDecomposition:
 
 
 def sample_covariance_like(matrix):
-    from modepuma import SampleCovariance
-
-    return SampleCovariance(matrix=np.asarray(matrix, dtype=complex), n_snapshots=EXACT)
+    return np.asarray(matrix, dtype=complex)
 
 
 class TestSignalWeight:
     def test_zero_noise(self):
         d = subspace_decomposition(sample_covariance_like(np.diag([2.0, 0, 0])), 1)
-        assert np.allclose(signal_weight(d).g, [2.0])
+        assert np.allclose(signal_weight(d), [2.0])
 
     def test_formula(self):
         d = subspace_decomposition(sample_covariance_like(np.diag([3.0, 1.0, 1.0])), 1)
-        assert np.allclose(signal_weight(d).g, [4.0 / 3.0])
+        assert np.allclose(signal_weight(d), [4.0 / 3.0])
 
     def test_boundary_zero_weight(self):
         d = subspace_decomposition(sample_covariance_like(np.eye(3)), 1)
-        assert np.allclose(signal_weight(d).g, [0.0])
+        assert np.allclose(signal_weight(d), [0.0])
