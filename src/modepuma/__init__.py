@@ -7,8 +7,6 @@ one and the same.
 """
 
 from .array_model import (
-    AngleSet,
-    CoefVector,
     angles_from_coefs,
     coefs_from_angles,
     projector_from_annihilator,
@@ -41,8 +39,6 @@ from .sample_stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSet",
-    "CoefVector",
     "CriterionValue",
     "DimensionError",
     "EstimationResult",

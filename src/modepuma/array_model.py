@@ -9,8 +9,6 @@ Angles are electrical angles phi in (-pi, pi]; no wavelength or element
 spacing enters anywhere.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, SingularityError, ValidationError
@@ -46,59 +44,38 @@ def guarded_gram(X, what):
     return gram, cond
 
 
-@dataclass(frozen=True)
-class AngleSet:
-    """Ordered set of distinct direction-of-arrival angles in radians.
+def as_angles(angles):
+    """Validated float array of direction-of-arrival angles in radians.
 
-    Angles must lie in (-pi, pi] and be strictly ascending.
+    Needs at least one angle, every angle in (-pi, pi] (NaN rejected),
+    strictly ascending.  Always a new array, so a Scenario holding it does
+    not change with the caller's input.
     """
-
-    angles: tuple
-
-    def __init__(self, angles):
-        arr = np.atleast_1d(np.asarray(angles, dtype=float))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("AngleSet needs at least one angle")
-        if not np.all((arr > -np.pi) & (arr <= np.pi)):
-            raise ValidationError("angles must lie in (-pi, pi]")
-        if np.any(np.diff(arr) <= 0):
-            raise ValidationError("angles must be strictly ascending and distinct")
-        object.__setattr__(self, "angles", tuple(arr.tolist()))
-
-    @property
-    def r(self):
-        return len(self.angles)
-
-    def as_array(self):
-        return np.asarray(self.angles, dtype=float)
+    arr = np.array(angles, dtype=float, ndmin=1)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValidationError("need a 1-D set of at least one angle")
+    if not np.all((arr > -np.pi) & (arr <= np.pi)):
+        raise ValidationError("angles must lie in (-pi, pi]")
+    if np.any(np.diff(arr) <= 0):
+        raise ValidationError("angles must be strictly ascending and distinct")
+    return arr
 
 
-@dataclass(frozen=True)
-class CoefVector:
-    """Complex polynomial coefficients c_0 ... c_q, constant term first.
+def as_coefs(coefs):
+    """Validated complex array of polynomial coefficients c_0 ... c_q.
 
     The coefficients parameterize the annihilating polynomial
-    c_0 + c_1 z + ... + c_q z^q; c_0 must be nonzero.
+    c_0 + c_1 z + ... + c_q z^q, constant term first: 1-D, degree q >= 1,
+    finite, c_0 nonzero.
     """
-
-    coefs: tuple
-
-    def __init__(self, coefs):
-        arr = np.atleast_1d(np.asarray(coefs, dtype=complex))
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValidationError("CoefVector needs degree >= 1 (length >= 2)")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValidationError("coefficients must be finite")
-        if arr[0] == 0:
-            raise ValidationError("leading coefficient c_0 must be nonzero")
-        object.__setattr__(self, "coefs", tuple(arr.tolist()))
-
-    @property
-    def degree(self):
-        return len(self.coefs) - 1
-
-    def as_array(self):
-        return np.asarray(self.coefs, dtype=complex)
+    arr = np.atleast_1d(np.asarray(coefs, dtype=complex))
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValidationError("coefficients need degree >= 1 (length >= 2)")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("coefficients must be finite")
+    if arr[0] == 0:
+        raise ValidationError("leading coefficient c_0 must be nonzero")
+    return arr
 
 
 def steering_matrix(angles, m):
@@ -106,15 +83,14 @@ def steering_matrix(angles, m):
 
     Parameters
     ----------
-    angles : AngleSet or sequence of radians
+    angles : sequence of radians, checked by ``as_angles``
     m : int
         Sensor count; must exceed the number of angles.
     """
-    if not isinstance(angles, AngleSet):
-        angles = AngleSet(angles)
-    if m <= angles.r:
-        raise DimensionError(f"need m > r, got m={m}, r={angles.r}")
-    return np.exp(1j * np.outer(np.arange(m), angles.as_array()))
+    phi = as_angles(angles)
+    if m <= phi.size:
+        raise DimensionError(f"need m > r, got m={m}, r={phi.size}")
+    return np.exp(1j * np.outer(np.arange(m), phi))
 
 
 def coefs_from_angles(angles):
@@ -122,12 +98,10 @@ def coefs_from_angles(angles):
 
     The resulting polynomial has roots exactly {exp(j*phi_k)}.
     """
-    if not isinstance(angles, AngleSet):
-        angles = AngleSet(angles)
     c = np.array([1.0 + 0.0j])
-    for phi in angles.angles:
+    for phi in as_angles(angles).tolist():
         c = np.convolve(c, [1.0, -np.exp(-1j * phi)])
-    return CoefVector(c)
+    return c
 
 
 def angles_from_coefs(coefs):
@@ -137,9 +111,7 @@ def angles_from_coefs(coefs):
     sorted ascending in (-pi, pi].  Requires c_q != 0 so the degree does
     not collapse.
     """
-    if not isinstance(coefs, CoefVector):
-        coefs = CoefVector(coefs)
-    c = coefs.as_array()
+    c = as_coefs(coefs)
     if c[-1] == 0:
         raise ValidationError("trailing coefficient c_q is zero; degree collapsed")
     # np.roots builds the companion matrix of the monic polynomial.
@@ -157,12 +129,10 @@ def toeplitz_annihilator(coefs, m):
     q is the polynomial degree; row i carries the coefficients c_0 ... c_q
     starting at column i.
     """
-    if not isinstance(coefs, CoefVector):
-        coefs = CoefVector(coefs)
-    q = coefs.degree
+    c = as_coefs(coefs)
+    q = c.size - 1
     if m <= q:
         raise DimensionError(f"need m > q, got m={m}, q={q}")
-    c = coefs.as_array()
     T = np.zeros((m - q, m), dtype=complex)
     for i in range(m - q):
         T[i, i : i + q + 1] = c

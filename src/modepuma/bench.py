@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .array_model import (
-    AngleSet,
+    as_angles,
     coefs_from_angles,
     projector_from_annihilator,
     projector_from_steering,
@@ -115,7 +115,7 @@ def _run_trial(args):
         t1 = time.perf_counter()
         try:
             result = estimate(cov, decomp, weight, scenario.r, config)
-            errors, rmse = match_angles(result.angles, scenario.angles.as_array())
+            errors, rmse = match_angles(result.angles, scenario.angles)
             success = bool(np.all(np.abs(errors) <= threshold))
             row = (rmse, result.criterion_value, result.converged, success)
         except (SingularityError, NumericalError, ValidationError):
@@ -133,7 +133,10 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
     ordered by (snr, snapshot count, method, trial); each (cell, method)
     is followed by one aggregate row with trial_index = -1 carrying the
     RMSE, mean criterion value, convergence rate, and success rate.
+    A NaN or negative ``success_threshold`` is a ValidationError.
     """
+    if not success_threshold >= 0:
+        raise ValidationError(f"success threshold must be >= 0, got {success_threshold}")
     base = sweep.base
     cells = list(
         itertools.product(enumerate(sweep.snr_db_list), enumerate(sweep.snapshots_list))
@@ -297,7 +300,7 @@ def parse_sweep_config(path):
     base = Scenario(
         m=parsed("m", int),
         r=r,
-        angles=parsed("angles", lambda s: AngleSet(floats(s))),
+        angles=parsed("angles", lambda s: as_angles(floats(s))),
         source_cov=P,
         noise_power=parsed("noise_power", _finite_float, 1.0),
         n_snapshots=parsed("n_snapshots", int),
@@ -329,13 +332,13 @@ class PropertyReport:
 
 
 def random_angle_set(rng, r, min_separation=0.05):
-    """Uniform random AngleSet with a circular minimum separation."""
+    """Uniform random ascending angles with a circular minimum separation."""
     while True:
         phi = np.sort(rng.uniform(-np.pi + 1e-9, np.pi, size=r))
         gaps = np.diff(phi)
         wrap = 2 * np.pi - (phi[-1] - phi[0]) if r > 1 else np.inf
         if r == 1 or (np.all(gaps >= min_separation) and wrap >= min_separation):
-            return AngleSet(phi)
+            return phi
 
 
 def _random_instance(rng, max_m=12, max_r=4):
@@ -358,7 +361,10 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
     """Run all numerical property suites; returns a list of PropertyReport.
 
     Instances draw m from 3 ... max_m and r from 1 ... min(max_r, m - 1).
+    A negative ``n_instances`` is a ValidationError; zero runs no instance.
     """
+    if n_instances < 0:
+        raise ValidationError(f"need n_instances >= 0, got {n_instances}")
     if max_m < 3 or max_r < 1:
         raise ValidationError(
             f"need max_m >= 3 and max_r >= 1, got max_m={max_m}, max_r={max_r}"

@@ -13,13 +13,13 @@ failure, 3 I/O error.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import bench, snapshot_io
-from .array_model import AngleSet
 from .errors import NumericalError, SingularityError, ValidationError
 from .estimators import estimate as run_estimator
 from .sample_stats import (
@@ -108,6 +108,7 @@ def _cmd_mc(args):
         sweep = replace(sweep, n_trials=args.trials)
     if args.seed is not None:
         sweep = replace(sweep, base_seed=args.seed)
+    _check_writable(args.out)
     rows = bench.run_sweep(
         sweep,
         success_threshold=args.success_threshold,
@@ -117,6 +118,19 @@ def _cmd_mc(args):
     bench.write_csv(args.out, rows, sweep, args.success_threshold)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
+
+
+def _check_writable(path):
+    """Raise OSError now, not after the sweep, if ``path`` cannot be written.
+
+    Opens it for appending, which changes no existing content, and removes
+    the file again if this call created it.
+    """
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _method_config(method, p_extra):
@@ -147,8 +161,7 @@ def _cmd_simulate(args):
         phi = [float(a) for a in args.angles.split(",")]
     except ValueError as exc:
         raise ValidationError(f"bad --angles value: {exc}") from exc
-    angles = AngleSet(phi)
-    r = angles.r
+    r = len(phi)
     P = np.eye(r, dtype=complex)
     noise = args.noise_power
     if args.snr_db is not None:
@@ -156,7 +169,7 @@ def _cmd_simulate(args):
     scenario = Scenario(
         m=args.m,
         r=r,
-        angles=angles,
+        angles=phi,
         source_cov=P,
         noise_power=noise,
         n_snapshots=args.snapshots,

@@ -86,9 +86,10 @@ def quadratic_form_matrix(decomp, weight, omega, q):
     if omega.shape != (m - q, m - q):
         raise ValidationError("omega must be (m-q) x (m-q)")
     Q = np.zeros((q + 1, q + 1), dtype=complex)
+    # Hankel slices Phi_l[i, k] = U[i + k, l], gathered through one index array.
+    hankel = np.arange(m - q)[:, None] + np.arange(q + 1)
     for l in range(r):
-        # Hankel slice: Phi_l[i, k] = U[i + k, l]
-        Phi_l = scipy.linalg.hankel(U[: m - q, l], U[m - q - 1 :, l])
+        Phi_l = U[hankel, l]
         Q += g[l] * (Phi_l.conj().T @ omega @ Phi_l)
     return 0.5 * (Q + Q.conj().T)
 
@@ -250,6 +251,8 @@ def puma_iterative(decomp, weight, r):
 
 
 def _check_degree(decomp, q):
+    # The solvers build the Omega = I start (m - q square) and MODE's basis
+    # before their first quadratic form, so they check q up front too.
     if not (0 < q < decomp.m):
         raise ValidationError(f"need 0 < q < m, got q={q}, m={decomp.m}")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import AngleSet, steering_matrix
+from .array_model import as_angles, steering_matrix
 from .errors import NumericalError, ValidationError
 
 
@@ -21,16 +21,15 @@ class Scenario:
 
     m: int
     r: int
-    angles: AngleSet
+    angles: np.ndarray  # r ascending, in (-pi, pi]
     source_cov: np.ndarray  # r x r Hermitian PSD
     noise_power: float
     n_snapshots: int
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.angles, AngleSet):
-            object.__setattr__(self, "angles", AngleSet(self.angles))
-        if self.r != self.angles.r:
+        object.__setattr__(self, "angles", as_angles(self.angles))
+        if self.r != self.angles.size:
             raise ValidationError("r does not match the number of angles")
         if self.r >= self.m:
             raise ValidationError(f"need r < m, got r={self.r}, m={self.m}")

@@ -30,7 +30,7 @@ def report(name, ok, detail):
 
 def noisy_pipeline(m, r, angles, snr_db, T, seed):
     sc = mp.Scenario(
-        m=m, r=r, angles=mp.AngleSet(angles), source_cov=np.eye(r),
+        m=m, r=r, angles=angles, source_cov=np.eye(r),
         noise_power=noise_power_for_snr(np.eye(r), r, snr_db),
         n_snapshots=T, seed=seed,
     )
@@ -145,7 +145,7 @@ def test_4_gauge_invariance():
 def test_5_exact_recovery(m, angles):
     r = len(angles)
     sc = mp.Scenario(
-        m=m, r=r, angles=mp.AngleSet(angles), source_cov=np.eye(r),
+        m=m, r=r, angles=angles, source_cov=np.eye(r),
         noise_power=0.0, n_snapshots=1, seed=0,
     )
     cov = mp.true_covariance(sc)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+import modepuma
 from modepuma import (
-    AngleSet,
-    CoefVector,
     DimensionError,
+    Scenario,
     ValidationError,
     angles_from_coefs,
     coefs_from_angles,
@@ -13,34 +13,87 @@ from modepuma import (
     steering_matrix,
     toeplitz_annihilator,
 )
+from modepuma.array_model import as_angles, as_coefs
 from modepuma.bench import random_angle_set
 
 
 class TestAngleSet:
     def test_sorted_distinct_required(self):
         with pytest.raises(ValidationError):
-            AngleSet([0.5, 0.5])
+            as_angles([0.5, 0.5])
         with pytest.raises(ValidationError):
-            AngleSet([0.7, 0.2])
+            as_angles([0.7, 0.2])
         with pytest.raises(ValidationError):
-            AngleSet([-np.pi])  # open at -pi
+            as_angles([-np.pi])  # open at -pi
 
     @pytest.mark.parametrize("angles", [[np.nan], [0.1, np.nan]])
     def test_non_finite_rejected(self, angles):
         with pytest.raises(ValidationError, match=r"\(-pi, pi\]"):
-            AngleSet(angles)
+            as_angles(angles)
 
     def test_pi_allowed(self):
-        assert AngleSet([np.pi]).angles == (np.pi,)
+        assert tuple(as_angles([np.pi])) == (np.pi,)
 
 
 class TestCoefVector:
     def test_c0_nonzero(self):
         with pytest.raises(ValidationError):
-            CoefVector([0, 1])
+            as_coefs([0, 1])
 
     def test_degree(self):
-        assert CoefVector([1, 0, -1]).degree == 2
+        assert as_coefs([1, 0, -1]).size - 1 == 2
+
+
+BAD_COEFS = pytest.mark.parametrize(
+    "coefs", [[0, 1], [1, np.nan], [1]], ids=["c0-zero", "nan", "length-1"]
+)
+BAD_ANGLES = pytest.mark.parametrize(
+    "angles",
+    [[0.7, 0.2], [0.5, 0.5], [-np.pi], [np.nan]],
+    ids=["unsorted", "duplicate", "minus-pi", "nan"],
+)
+
+
+def _scenario(angles):
+    r = len(angles)
+    return Scenario(
+        m=6, r=r, angles=angles, source_cov=np.eye(r),
+        noise_power=1.0, n_snapshots=4, seed=0,
+    )
+
+
+class TestChecksAtPublicEntryPoints:
+    @BAD_COEFS
+    @pytest.mark.parametrize(
+        "call",
+        [lambda c: toeplitz_annihilator(c, 6), angles_from_coefs],
+        ids=["toeplitz_annihilator", "angles_from_coefs"],
+    )
+    def test_bad_coefficients_rejected(self, call, coefs):
+        with pytest.raises(ValidationError):
+            call(coefs)
+
+    @BAD_ANGLES
+    @pytest.mark.parametrize(
+        "call",
+        [lambda a: steering_matrix(a, 6), coefs_from_angles, _scenario],
+        ids=["steering_matrix", "coefs_from_angles", "Scenario"],
+    )
+    def test_bad_angles_rejected(self, call, angles):
+        with pytest.raises(ValidationError):
+            call(angles)
+
+    def test_scenario_stores_its_own_float_array(self):
+        given = np.array([-0.4, 0.7])
+        angles = _scenario(given).angles
+        given[1] = -1.0
+        assert isinstance(angles, np.ndarray) and angles.dtype == float
+        assert angles.tolist() == [-0.4, 0.7]
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in modepuma.__all__ if not hasattr(modepuma, name)]
+    assert missing == []
 
 
 class TestSteeringMatrix:
@@ -64,14 +117,14 @@ class TestSteeringMatrix:
 
 class TestCoefAngleConversion:
     def test_single_root_at_one(self):
-        assert np.allclose(coefs_from_angles([0.0]).as_array(), [1, -1])
+        assert np.allclose(coefs_from_angles([0.0]), [1, -1])
 
     def test_single_root_at_j(self):
-        assert np.allclose(coefs_from_angles([np.pi / 2]).as_array(), [1, 1j])
+        assert np.allclose(coefs_from_angles([np.pi / 2]), [1, 1j])
 
     def test_difference_of_squares(self):
         # (1 - z)(1 + z) = 1 - z^2
-        assert np.allclose(coefs_from_angles([0.0, np.pi]).as_array(), [1, 0, -1])
+        assert np.allclose(coefs_from_angles([0.0, np.pi]), [1, 0, -1])
 
     def test_roots_back_to_angles(self):
         assert np.allclose(angles_from_coefs([1, -1]), [0.0])
@@ -87,7 +140,7 @@ class TestCoefAngleConversion:
             r = int(rng.integers(1, 5))
             phi = random_angle_set(rng, r)
             back = angles_from_coefs(coefs_from_angles(phi))
-            assert np.max(np.abs(back - phi.as_array())) <= 1e-9
+            assert np.max(np.abs(back - phi)) <= 1e-9
 
 
 class TestAnnihilator:
@@ -143,9 +196,7 @@ class TestProjectors:
         # Four clustered sources at m=5, drawn by the projector suite of
         # `modepuma verify --instances 25 --seed 658043762`; solving the
         # normal equations of A* A put the projectors 3.03e-10 apart here.
-        phi = AngleSet(
-            [-2.6496760392562404, -2.5889103496188985, -2.504839980009942, -2.1868014490636547]
-        )
+        phi = [-2.6496760392562404, -2.5889103496188985, -2.504839980009942, -2.1868014490636547]
         p_a = projector_from_steering(steering_matrix(phi, 5))
         p_t = projector_from_annihilator(toeplitz_annihilator(coefs_from_angles(phi), 5))
         assert np.linalg.norm(p_a - p_t) <= 1e-10

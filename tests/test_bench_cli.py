@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modepuma import ValidationError, bench
+from modepuma import ValidationError, bench, cli
 from modepuma.bench import (
     noise_power_for_snr,
     parse_method_token,
@@ -147,6 +147,13 @@ class TestVerifyCommand:
         assert proc.returncode == 2
         assert "FAIL" in proc.stdout
 
+    def test_negative_instance_count_rejected(self):
+        with pytest.raises(ValidationError, match="n_instances"):
+            verify_properties(n_instances=-5)
+        proc = run_cli("verify", "--instances", "-5")
+        assert proc.returncode == 1
+        assert "ok" not in proc.stdout and "Traceback" not in proc.stderr
+
 
 class TestMcCommand:
     def test_deterministic_across_jobs(self, tmp_path):
@@ -226,6 +233,37 @@ class TestMcCommand:
                 assert np.isfinite(wall) and wall >= 0
         stripped = lines[:3] + [line.rsplit(",", 1)[0] + ",\n" for line in lines[3:]]
         assert "".join(stripped).encode() == plain.read_bytes()
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1], ids=["nan", "negative"])
+    def test_bad_success_threshold_rejected(self, tmp_path, threshold):
+        with pytest.raises(ValidationError, match="success threshold"):
+            run_sweep(_sweep_from_text(tmp_path), success_threshold=threshold)
+        out = tmp_path / "out.csv"
+        code = cli.main([
+            "mc", "--config", str(tmp_path / "sweep.cfg"), "--out", str(out),
+            "--success-threshold", str(threshold),
+        ])
+        assert code == 1
+        assert not out.exists()
+
+    def test_unwritable_out_fails_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT)
+        trials = []
+        original = bench._run_trial
+
+        def counted(args):
+            trials.append(1)
+            return original(args)
+
+        monkeypatch.setattr(bench, "_run_trial", counted)
+        missing = tmp_path / "missing" / "out.csv"
+        assert cli.main(["mc", "--config", str(cfg), "--out", str(missing)]) == 3
+        assert trials == []
+        assert "i/o error" in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        assert cli.main(["mc", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(trials) == 4 and out.exists()
 
     def test_csv_header_and_columns(self, tmp_path):
         sweep = _sweep_from_text(tmp_path)

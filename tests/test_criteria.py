@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from modepuma import (
-    AngleSet,
     Scenario,
     SingularityError,
     SubspaceDecomposition,
@@ -24,7 +24,7 @@ from modepuma.criteria import (
     trace_vec_identity_residual,
     vec_matrix_identity_residual,
 )
-from modepuma.errors import DimensionError
+from modepuma.errors import DimensionError, ValidationError
 
 
 def cov_of(matrix):
@@ -58,7 +58,7 @@ class TestVecKron:
 class TestVmlAngles:
     def test_zero_at_truth_noiseless(self):
         sc = Scenario(
-            m=5, r=2, angles=AngleSet([-0.4, 0.7]), source_cov=np.eye(2),
+            m=5, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
             noise_power=0.0, n_snapshots=1, seed=0,
         )
         val = v_ml_angles(sc.angles, true_covariance(sc)).value
@@ -256,3 +256,22 @@ class TestVmodeVpuma:
             except SingularityError:
                 continue
             assert abs(val - (m - q)) <= 1e-12 * max(1.0, m - q)
+
+
+class TestVmodeCoefficientCheck:
+    @pytest.mark.parametrize(
+        "coefs", [[0, 1], [1, np.nan], [1]], ids=["c0-zero", "nan", "length-1"]
+    )
+    def test_rejected_before_factorization(self, coefs, monkeypatch):
+        calls = []
+        original = scipy.linalg.cho_factor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        _, _, _, decomp, weight = _random_instance(np.random.default_rng(3), max_m=6, max_r=1)
+        with pytest.raises(ValidationError):
+            v_mode(coefs, decomp, weight)
+        assert calls == []

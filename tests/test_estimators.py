@@ -3,13 +3,14 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modepuma import (
-    AngleSet,
     EstimatorConfig,
     Scenario,
+    SubspaceDecomposition,
     ValidationError,
     match_angles,
     mode_two_step,
@@ -34,7 +35,7 @@ from modepuma.estimators import _conjugate_symmetric_basis, _score_subsets
 def noiseless_decomp(m, angles):
     r = len(angles)
     sc = Scenario(
-        m=m, r=r, angles=AngleSet(angles), source_cov=np.eye(r),
+        m=m, r=r, angles=angles, source_cov=np.eye(r),
         noise_power=0.0, n_snapshots=1, seed=0,
     )
     cov = true_covariance(sc)
@@ -44,7 +45,7 @@ def noiseless_decomp(m, angles):
 
 def noisy_pipeline(m, r, angles, snr_db, T, seed):
     sc = Scenario(
-        m=m, r=r, angles=AngleSet(angles), source_cov=np.eye(r),
+        m=m, r=r, angles=angles, source_cov=np.eye(r),
         noise_power=noise_power_for_snr(np.eye(r), r, snr_db),
         n_snapshots=T, seed=seed,
     )
@@ -54,6 +55,27 @@ def noisy_pipeline(m, r, angles, snr_db, T, seed):
 
 
 class TestQuadraticFormMatrix:
+    def test_equals_hankel_loop_reference(self):
+        # The Hankel slices are gathered by index; the reference builds each
+        # with scipy.linalg.hankel and accumulates in the same order.
+        rng = np.random.default_rng(4)
+        for m in range(3, 11):
+            U, _ = np.linalg.qr(rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)))
+            decomp = SubspaceDecomposition(
+                u_signal=U, lambdas=np.array([3.0, 2.0]), sigma2=1.0,
+                all_eigenvalues=np.ones(m),
+            )
+            g = rng.uniform(0.1, 5.0, size=2)
+            for q in range(1, m):
+                X = rng.standard_normal((m - q, m - q)) + 1j * rng.standard_normal((m - q, m - q))
+                omega = X @ X.conj().T
+                ref = np.zeros((q + 1, q + 1), dtype=complex)
+                for l in range(2):
+                    Phi_l = scipy.linalg.hankel(U[: m - q, l], U[m - q - 1 :, l])
+                    ref += g[l] * (Phi_l.conj().T @ omega @ Phi_l)
+                ref = 0.5 * (ref + ref.conj().T)
+                assert np.array_equal(quadratic_form_matrix(decomp, g, omega, q), ref)
+
     def test_matches_vmode_at_omega_point(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -406,3 +428,13 @@ class TestEstimatorConfig:
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             EstimatorConfig(method="MUSIC")
+
+
+@pytest.mark.parametrize("solver", [mode_two_step, puma_iterative])
+@pytest.mark.parametrize("r", [-1, 0, 6, 7])
+def test_degree_out_of_range_is_a_validation_error(solver, r):
+    # The solvers size their Omega = I start by m - r before the first
+    # quadratic form, so the degree must be checked before that.
+    _, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
+    with pytest.raises(ValidationError, match="need 0 < q < m"):
+        solver(decomp, weight, r)

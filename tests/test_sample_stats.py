@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from modepuma import (
-    AngleSet,
     Scenario,
     ValidationError,
     sample_covariance,
@@ -17,7 +16,7 @@ def make_scenario(m=3, r=1, angles=(0.5,), power=1.0, noise=1.0, T=100, seed=0):
     return Scenario(
         m=m,
         r=r,
-        angles=AngleSet(angles),
+        angles=angles,
         source_cov=power * np.eye(r),
         noise_power=noise,
         n_snapshots=T,
@@ -33,7 +32,7 @@ class TestScenario:
     def test_rejects_non_psd_source_cov(self):
         with pytest.raises(ValidationError):
             Scenario(
-                m=3, r=1, angles=AngleSet([0.2]), source_cov=-np.eye(1),
+                m=3, r=1, angles=[0.2], source_cov=-np.eye(1),
                 noise_power=1.0, n_snapshots=10, seed=0,
             )
 
