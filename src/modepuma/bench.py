@@ -133,10 +133,13 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
     ordered by (snr, snapshot count, method, trial); each (cell, method)
     is followed by one aggregate row with trial_index = -1 carrying the
     RMSE, mean criterion value, convergence rate, and success rate.
-    A NaN or negative ``success_threshold`` is a ValidationError.
+    A NaN or negative ``success_threshold``, or ``jobs < 1``, is a
+    ValidationError.
     """
     if not success_threshold >= 0:
         raise ValidationError(f"success threshold must be >= 0, got {success_threshold}")
+    if jobs < 1:
+        raise ValidationError(f"need jobs >= 1, got {jobs}")
     base = sweep.base
     cells = list(
         itertools.product(enumerate(sweep.snr_db_list), enumerate(sweep.snapshots_list))

@@ -1,14 +1,19 @@
 """
 Minimizers of the weighted subspace-fitting criterion.
 
-* ``mode_two_step`` — closed-form eigenvector solve under a
-  conjugate-symmetric, unit-norm coefficient constraint, reweighted once
-  (classic two-step scheme).
-* ``puma_iterative`` — iteratively reweighted linear solves under the
-  c_0 = 1 gauge; both minimize the same criterion.
+MODE and PUMA minimize the same criterion, V_MODE(c) = c* Q(Omega) c at
+Omega = (T T*)^-1, and run one reweighted loop, ``_reweighted_solve``:
+solve for c at the current Omega, stop at the fixed point, else reweight
+Omega at c.  They differ only in the constraint step and the tolerance:
+
+* ``mode_two_step`` — ``_symmetric_step``, the eigenvector solve over
+  conjugate-symmetric, unit-norm c, stopped after its one reweight (the
+  classic two-step scheme).
+* ``puma_iterative`` — ``_gauge_step``, the linear solve under the
+  c_0 = 1 gauge, run until c / c_0 stops changing.
 * ``modex`` — solves at degree r + p, then picks the best r of the r + p
   candidate directions by the ML criterion over all subsets; with the
-  PUMA base (Enhanced PUMA) both solves run PUMA's loop and stopping rule.
+  PUMA base (Enhanced PUMA) both solves run PUMA's step and tolerance.
 """
 
 import itertools
@@ -38,7 +43,8 @@ _SUBSET_BLOCK = 64
 # C(2r + p, r), so a larger request is rejected before any solve.
 _MAX_SUBSETS = 100_000
 
-# Iteration cap and relative-change tolerance of ``_puma_solve``.
+# Iteration cap of ``_reweighted_solve``, and the relative change of c / c_0
+# at which PUMA's loop counts as at its fixed point.
 _MAX_ITERATIONS = 20
 _RELATIVE_TOLERANCE = 1e-10
 
@@ -121,7 +127,11 @@ def _conjugate_symmetric_basis(n):
 
 
 def _omega_from_coefs(c, m):
-    """(T T*)^-1 for the current coefficients, regularized near singularity."""
+    """(T T*)^-1 at c, and whether T T* passed COND_LIMIT.
+
+    A Gram past COND_LIMIT is regularized by 1e-12 of its mean eigenvalue
+    before the inverse; one still singular after that is a SingularityError.
+    """
     gram = hermitian_gram(toeplitz_annihilator(c, m))
     ok = condition_number(gram) <= COND_LIMIT
     if not ok:
@@ -132,43 +142,76 @@ def _omega_from_coefs(c, m):
     return np.linalg.inv(gram), ok
 
 
-def _mode_solve(decomp, weight, q):
-    """Eigenvector minimization of c* Q c over conjugate-symmetric unit c.
+def _symmetric_step(Q):
+    """MODE's step: the conjugate-symmetric, unit-norm c minimizing c* Q c."""
+    J = _conjugate_symmetric_basis(Q.shape[0])
+    D = np.real(J.conj().T @ J)  # diagonal metric of the real parameterization
+    M = np.real(J.conj().T @ Q @ J)
+    _, vecs = scipy.linalg.eigh(0.5 * (M + M.T), D)
+    c = J @ vecs[:, 0]
+    return c / np.linalg.norm(c)
 
-    Solves with Omega = I, then once more with Omega = (T T*)^-1 at that
-    solution.  When that Gram is past COND_LIMIT, Omega comes from the
-    regularized Gram and the second solution is flagged not converged;
-    only when the regularized Gram is still singular is the first
-    solution returned (also flagged not converged).
+
+def _gauge_step(Q):
+    """PUMA's step: the c with c_0 = 1 minimizing c* Q c."""
+    return np.concatenate(([1.0 + 0.0j], _gauge_fixed_solve(Q)))
+
+
+def _reweighted_solve(decomp, weight, q, step, tolerance):
+    """Minimize c* Q(Omega) c by ``step``, reweighting Omega = (T T*)^-1 at c.
+
+    Starts from Omega = I.  After each solve past the first it stops when
+    c / c_0 changed by at most ``tolerance`` (relative): the coefficients
+    are at the reweighting fixed point, and that last iterate is returned.
+    Otherwise it reweights at the new c through ``_omega_from_coefs``.  A
+    regularized Gram, or a stop at ``_MAX_ITERATIONS`` solves, flags the
+    result not converged; a Gram singular even after regularization
+    returns the current c, also not converged.  Returns
+    ``(c, iterations, converged, history)``; ``history`` holds V_MODE of
+    every iterate before the last, read as c* Q c off the next solve's
+    quadratic form.
     """
     _check_degree(decomp, q)
     m = decomp.m
-    J = _conjugate_symmetric_basis(q + 1)
-    D = np.real(J.conj().T @ J)  # diagonal metric of the real parameterization
+    c = step(quadratic_form_matrix(decomp, weight, np.eye(m - q, dtype=complex), q))
+    converged, history = True, []
+    for iters in range(2, _MAX_ITERATIONS + 1):
+        try:
+            omega, ok = _omega_from_coefs(c, m)
+        except SingularityError:
+            return c, iters - 1, False, history
+        converged = converged and ok
+        Q = quadratic_form_matrix(decomp, weight, omega, q)
+        history.append(float(np.real(c.conj() @ Q @ c)))
+        prev, c = c, step(Q)
+        a = c / c[0]  # drops the scale and sign MODE's unit eigenvector leaves free
+        if np.linalg.norm(a - prev / prev[0]) <= tolerance * np.linalg.norm(a):
+            return c, iters, converged, history
+    return c, _MAX_ITERATIONS, False, history
 
-    def solve(omega):
-        M = np.real(J.conj().T @ quadratic_form_matrix(decomp, weight, omega, q) @ J)
-        _, vecs = scipy.linalg.eigh(0.5 * (M + M.T), D)
-        c = J @ vecs[:, 0]
-        return c / np.linalg.norm(c)
 
-    c = solve(np.eye(m - q, dtype=complex))
-    try:
-        omega, converged = _omega_from_coefs(c, m)
-    except SingularityError:
-        return c, 2, False
-    return solve(omega), 2, converged
+# Constraint step and tolerance of each base solver.  MODE's +inf stops at
+# the first change it can measure, after one reweight: the classic two-step.
+_SOLVERS = {
+    "MODE": (_symmetric_step, np.inf),
+    "PUMA": (_gauge_step, _RELATIVE_TOLERANCE),
+}
 
 
-def _as_coef_estimate(c, decomp, weight, iterations, converged, history=None):
+def _coef_estimate(decomp, weight, r, method):
+    """Run ``method``'s reweighted solve at degree r; V_MODE of c computed once."""
+    c, iterations, converged, history = _reweighted_solve(
+        decomp, weight, r, *_SOLVERS[method]
+    )
     angles = angles_from_coefs(_safe_full_degree(c))
+    value = v_mode(c, decomp, weight).value
     return EstimationResult(
         angles=angles,
         coefs=np.asarray(c, dtype=complex),
-        criterion_value=v_mode(c, decomp, weight).value,
+        criterion_value=value,
         iterations_used=iterations,
         converged=converged,
-        criterion_history=history,
+        criterion_history=history + [value],
     )
 
 
@@ -185,74 +228,26 @@ def _safe_full_degree(c):
 
 
 def mode_two_step(decomp, weight, r):
-    """Classic two-step solve: Omega = I, then Omega = (T T*)^-1 at step 1's c."""
-    c, iters, converged = _mode_solve(decomp, weight, r)
-    return _as_coef_estimate(c, decomp, weight, iters, converged)
+    """MODE: the reweighted symmetric solve, stopped after its one reweight.
 
-
-def _puma_solve(decomp, weight, q):
-    """Iteratively reweighted minimization at degree q under the c_0 = 1 gauge.
-
-    Each iteration fixes c_0 = 1 and solves the trailing q x q Hermitian
-    block of the quadratic form for c_1 ... c_q, then refreshes the
-    weighting Omega = (T T*)^-1.  Stops on relative criterion change
-    (converged), when the criterion rises twice in a row, or after
-    ``_MAX_ITERATIONS``.  Returns ``(c, iterations, converged, history)``
-    with the best iterate as c and the criterion value of every iterate.
+    Solves with Omega = I, then once more with Omega = (T T*)^-1 at that
+    solution, and returns the second solution.
     """
-    _check_degree(decomp, q)
-    m = decomp.m
-    omega = np.eye(m - q, dtype=complex)
-    best_c, best_val = None, np.inf
-    prev_val = np.inf
-    rises = 0
-    converged = False
-    history = []
-    for iters in range(1, _MAX_ITERATIONS + 1):
-        Q = quadratic_form_matrix(decomp, weight, omega, q)
-        tail = _gauge_fixed_solve(Q)
-        c = np.concatenate(([1.0 + 0.0j], tail))
-        try:
-            val = v_mode(c, decomp, weight).value
-        except SingularityError:
-            if best_c is None:
-                raise
-            break
-        history.append(val)
-        if val < best_val:
-            best_c, best_val = c, val
-        if val > prev_val * (1 + 1e-12):
-            rises += 1
-            if rises >= 2:
-                break
-        else:
-            rises = 0
-        # Floor the denominator so a criterion at numerical zero counts
-        # as converged instead of chasing round-off.
-        if np.isfinite(prev_val) and abs(prev_val - val) <= _RELATIVE_TOLERANCE * max(
-            1e-15, abs(prev_val)
-        ):
-            converged = True
-            break
-        prev_val = val
-        omega, _ = _omega_from_coefs(c, m)
-    return best_c, iters, converged, history
+    return _coef_estimate(decomp, weight, r, "MODE")
 
 
 def puma_iterative(decomp, weight, r):
-    """PUMA: the reweighted c_0 = 1 solve of ``_puma_solve`` at degree r.
+    """PUMA: the reweighted c_0 = 1 solve at degree r, run to its fixed point.
 
-    Returns the best iterate; ``criterion_history`` holds the criterion
-    value of every iterate, and a stop on two rises in a row or on the
-    iteration cap is flagged not converged.
+    Returns the last iterate; ``criterion_history`` holds V_MODE of every
+    iterate, and a stop at the iteration cap is flagged not converged.
     """
-    c, iters, converged, history = _puma_solve(decomp, weight, r)
-    return _as_coef_estimate(c, decomp, weight, iters, converged, history=history)
+    return _coef_estimate(decomp, weight, r, "PUMA")
 
 
 def _check_degree(decomp, q):
-    # The solvers build the Omega = I start (m - q square) and MODE's basis
-    # before their first quadratic form, so they check q up front too.
+    # The solver builds its Omega = I start (m - q square) before the first
+    # quadratic form, so it checks q up front too.
     if not (0 < q < decomp.m):
         raise ValidationError(f"need 0 < q < m, got q={q}, m={decomp.m}")
 
@@ -286,9 +281,7 @@ def modex(cov, decomp, weight, r, config):
         )
 
     def solve(degree):
-        if config.modex_base == "PUMA":
-            return _puma_solve(decomp, weight, degree)[:3]
-        return _mode_solve(decomp, weight, degree)
+        return _reweighted_solve(decomp, weight, degree, *_SOLVERS[config.modex_base])[:3]
 
     c_base, iters, converged = solve(r)
     candidates = angles_from_coefs(_safe_full_degree(c_base))

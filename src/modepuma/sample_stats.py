@@ -33,7 +33,8 @@ class Scenario:
             raise ValidationError("r does not match the number of angles")
         if self.r >= self.m:
             raise ValidationError(f"need r < m, got r={self.r}, m={self.m}")
-        P = np.asarray(self.source_cov, dtype=complex).reshape(self.r, self.r)
+        # A copy, so the frozen Scenario does not change with the caller's array.
+        P = np.array(self.source_cov, dtype=complex).reshape(self.r, self.r)
         if np.linalg.norm(P - P.conj().T) > 1e-12 * max(1.0, np.linalg.norm(P)):
             raise ValidationError("source covariance must be Hermitian")
         w = np.linalg.eigvalsh(0.5 * (P + P.conj().T))

@@ -246,6 +246,20 @@ class TestMcCommand:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        sweep = _sweep_from_text(tmp_path)
+        with pytest.raises(ValidationError, match="jobs"):
+            run_sweep(sweep, jobs=int(jobs))
+        out = tmp_path / "out.csv"
+        code = cli.main([
+            "mc", "--config", str(tmp_path / "sweep.cfg"), "--out", str(out), "--jobs", jobs,
+        ])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"need jobs >= 1, got {jobs}" in err and "Traceback" not in err
+
     def test_unwritable_out_fails_before_any_trial(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_TEXT)

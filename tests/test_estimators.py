@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,10 +27,15 @@ from modepuma import (
     v_mode,
 )
 from modepuma import estimators
-from modepuma.array_model import COND_LIMIT
+from modepuma.array_model import COND_LIMIT, hermitian_gram, toeplitz_annihilator
 from modepuma.bench import _random_instance, noise_power_for_snr, trial_seed
 from modepuma.errors import SingularityError
-from modepuma.estimators import _conjugate_symmetric_basis, _score_subsets
+from modepuma.estimators import (
+    _conjugate_symmetric_basis,
+    _gauge_step,
+    _omega_from_coefs,
+    _score_subsets,
+)
 
 
 def noiseless_decomp(m, angles):
@@ -232,6 +238,93 @@ class TestPumaIterative:
         a = mode_two_step(decomp, weight, 2).angles
         b = puma_iterative(decomp, weight, 2).angles
         assert np.max(np.abs(a - b)) <= 1e-6
+
+
+def _mode_reference(decomp, weight, r):
+    """MODE's two-step written out: Omega = I, then Omega = (T T*)^-1 at c."""
+    m = decomp.m
+    J = _conjugate_symmetric_basis(r + 1)
+    D = np.real(J.conj().T @ J)
+
+    def solve(omega):
+        M = np.real(J.conj().T @ quadratic_form_matrix(decomp, weight, omega, r) @ J)
+        _, vecs = scipy.linalg.eigh(0.5 * (M + M.T), D)
+        c = J @ vecs[:, 0]
+        return c / np.linalg.norm(c)
+
+    c = solve(np.eye(m - r, dtype=complex))
+    return solve(np.linalg.inv(hermitian_gram(toeplitz_annihilator(c, m))))
+
+
+class TestReweightedLoop:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mode_is_the_two_step(self, seed):
+        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 5.0, 50, seed=seed)
+        res = mode_two_step(decomp, weight, 2)
+        ref = _mode_reference(decomp, weight, 2)
+        assert np.array_equal(res.coefs, ref)
+        assert res.criterion_value == v_mode(ref, decomp, weight).value
+        assert res.iterations_used == 2 and res.converged
+        assert len(res.criterion_history) == 2
+        assert res.criterion_history[-1] == res.criterion_value
+
+    def test_puma_stops_at_the_fixed_point(self):
+        # Paper scenario at 10 dB: the coefficient rule ends on the fixed
+        # point, where one more reweighted step leaves c where it is.
+        converged = 0
+        for seed in range(40):
+            _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=seed)
+            res = puma_iterative(decomp, weight, 2)
+            assert len(res.criterion_history) == res.iterations_used
+            assert res.criterion_history[-1] == res.criterion_value
+            if not res.converged:
+                continue
+            converged += 1
+            c = res.coefs
+            omega, ok = _omega_from_coefs(c, decomp.m)
+            assert ok
+            again = _gauge_step(quadratic_form_matrix(decomp, weight, omega, 2))
+            assert np.linalg.norm(again - c) <= 1e-8 * np.linalg.norm(c), seed
+        assert converged >= 38
+
+    def test_history_is_vmode_of_each_iterate(self):
+        # Each history value is read off the next quadratic form, which
+        # equals V_MODE at that iterate.
+        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 0.0, 100, seed=2)
+        omega = np.eye(4, dtype=complex)
+        for value in puma_iterative(decomp, weight, 2).criterion_history:
+            c = _gauge_step(quadratic_form_matrix(decomp, weight, omega, 2))
+            expected = v_mode(c, decomp, weight).value
+            assert abs(value - expected) <= 1e-12 * expected
+            omega, _ = _omega_from_coefs(c, decomp.m)
+
+    def test_gap_to_local_minimum_of_own_feasible_set(self):
+        # Neither solver lands exactly on a stationary point of V_MODE:
+        # MODE stops after one reweight, and PUMA's reweighting fixed point
+        # is not a minimum.  Both sit just above a BFGS local minimum over
+        # their own feasible set, PUMA's (c_0 = 1) being the larger one.
+        J = _conjugate_symmetric_basis(3)
+
+        def symmetric(x):
+            return J @ x
+
+        def gauged(x):
+            return np.concatenate(([1.0], x[:2] + 1j * x[2:]))
+
+        for seed in range(10):
+            _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=seed)
+            mode = mode_two_step(decomp, weight, 2)
+            puma = puma_iterative(decomp, weight, 2)
+            x_mode = np.real(np.linalg.lstsq(J, mode.coefs, rcond=None)[0])
+            x_puma = np.concatenate((puma.coefs[1:].real, puma.coefs[1:].imag))
+            for res, coefs, x0 in ((mode, symmetric, x_mode), (puma, gauged, x_puma)):
+                local = scipy.optimize.minimize(
+                    lambda x: v_mode(coefs(x), decomp, weight).value,
+                    x0, method="BFGS", options={"gtol": 1e-12},
+                ).fun
+                gap = (res.criterion_value - local) / local
+                assert -1e-9 <= gap <= 1e-3, (coefs.__name__, seed, gap)
+            assert puma.criterion_value < mode.criterion_value, seed
 
 
 class TestModex:

@@ -36,6 +36,16 @@ class TestScenario:
                 noise_power=1.0, n_snapshots=10, seed=0,
             )
 
+    def test_source_cov_not_shared_with_caller(self):
+        P = np.eye(2, dtype=complex)
+        sc = Scenario(
+            m=3, r=2, angles=[-0.2, 0.4], source_cov=P,
+            noise_power=1.0, n_snapshots=10, seed=0,
+        )
+        P[0, 0] = -5
+        assert sc.source_cov[0, 0] == 1
+        assert not np.shares_memory(sc.source_cov, P)
+
     @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
     def test_rejects_noise_power_not_finite_non_negative(self, noise):
         with pytest.raises(ValidationError, match="noise power"):
