@@ -36,8 +36,16 @@ EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a bad command line exiting EXIT_VALIDATION instead of 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modepuma",
         description="Subspace-fitting DOA estimation for uniform linear arrays",
     )
@@ -76,7 +84,11 @@ def _build_parser():
     p = sub.add_parser("simulate", help="write a synthetic snapshot file")
     p.add_argument("--out", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--angles", required=True, help="comma-separated radians")
+    p.add_argument(
+        "--angles",
+        required=True,
+        help="comma-separated radians; write a leading minus as --angles=-0.4,0.7",
+    )
     p.add_argument("--snapshots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-power", type=float, default=1.0)

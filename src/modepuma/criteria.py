@@ -16,7 +16,6 @@ V_PUMA = V_MODE can be certified numerically rather than assumed.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .array_model import (
     guarded_gram,
@@ -39,10 +38,9 @@ def vec(matrix):
 
 
 def _trace_gram_inverse(T, inner):
-    """tr{ (T T*)^-1 inner } by Cholesky, after the COND_LIMIT guard on T T*."""
+    """tr{ (T T*)^-1 inner } by a linear solve, after the COND_LIMIT guard on T T*."""
     gram, cond = guarded_gram(T, "T T*")
-    cho = scipy.linalg.cho_factor(gram, lower=True)
-    val = float(np.real(np.trace(scipy.linalg.cho_solve(cho, inner))))
+    val = float(np.real(np.trace(np.linalg.solve(gram, inner))))
     return CriterionValue(value=val, residual_diagnostics={"gram_cond": cond})
 
 

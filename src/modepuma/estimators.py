@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .array_model import (
     COND_LIMIT,
@@ -106,21 +105,26 @@ def _gauge_fixed_solve(Q):
     rhs = -Q[1:, 0]
     if condition_number(Q11) <= COND_LIMIT:
         try:
-            return scipy.linalg.solve(Q11, rhs, assume_a="her")
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            return np.linalg.solve(Q11, rhs)
+        except np.linalg.LinAlgError as exc:
             raise SingularityError(f"gauge-fixed solve failed: {exc}") from exc
     tail, *_ = np.linalg.lstsq(Q11, rhs, rcond=None)
     return tail
 
 
 def _conjugate_symmetric_basis(n):
-    """Columns J_k with c = J @ rho conjugate-symmetric for real rho."""
+    """Orthonormal columns J_k with c = J @ rho conjugate-symmetric for real rho.
+
+    Re(J* J) = I, so c* Q c over unit-norm c is rho^T Re(J* Q J) rho over
+    unit-norm rho: a standard symmetric eigenproblem.
+    """
     cols = []
     half = n // 2
     eye = np.eye(n, dtype=complex)
+    s = np.sqrt(0.5)
     for k in range(half):
-        cols.append(eye[:, k] + eye[:, n - 1 - k])
-        cols.append(1j * (eye[:, k] - eye[:, n - 1 - k]))
+        cols.append(s * (eye[:, k] + eye[:, n - 1 - k]))
+        cols.append(s * 1j * (eye[:, k] - eye[:, n - 1 - k]))
     if n % 2:
         cols.append(eye[:, half])
     return np.column_stack(cols)
@@ -145,9 +149,8 @@ def _omega_from_coefs(c, m):
 def _symmetric_step(Q):
     """MODE's step: the conjugate-symmetric, unit-norm c minimizing c* Q c."""
     J = _conjugate_symmetric_basis(Q.shape[0])
-    D = np.real(J.conj().T @ J)  # diagonal metric of the real parameterization
     M = np.real(J.conj().T @ Q @ J)
-    _, vecs = scipy.linalg.eigh(0.5 * (M + M.T), D)
+    _, vecs = np.linalg.eigh(0.5 * (M + M.T))
     c = J @ vecs[:, 0]
     return c / np.linalg.norm(c)
 

@@ -81,12 +81,6 @@ def _hermitian_sqrt(P):
     return (V * np.sqrt(w)) @ V.conj().T
 
 
-def _snapshot_rng(seed, t):
-    # Counter-based substream per snapshot: results do not depend on how
-    # snapshots are batched or parallelized.
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + t))
-
-
 def simulate_snapshots(scenario):
     """Draw T snapshots y(t) = A s(t) + n(t), deterministic given the seed.
 
@@ -100,8 +94,18 @@ def simulate_snapshots(scenario):
     L = _hermitian_sqrt(scenario.source_cov)
     sigma = np.sqrt(scenario.noise_power)
     Y = np.empty((m, T), dtype=complex)
+    # Counter-based substream per snapshot, so results do not depend on how
+    # snapshots are batched: snapshot t draws from Philox key [t, seed]
+    # (the 128-bit key (seed << 64) + t) at counter 0.  One generator is
+    # re-keyed per snapshot from its fresh state (counter 0, empty buffer);
+    # constructing one per snapshot costs a SeedSequence.
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
     for t in range(T):
-        z = _snapshot_rng(scenario.seed, t).standard_normal(2 * (r + m))
+        fresh["state"]["key"] = np.array([t, int(scenario.seed)], dtype=np.uint64)
+        bitgen.state = fresh
+        z = rng.standard_normal(2 * (r + m))
         w = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
         Y[:, t] = A @ (L @ w[:r]) + sigma * w[r:]
     return Y

@@ -16,13 +16,13 @@ def write_snapshots(path, Y):
     if Y.ndim != 2:
         raise ValidationError("snapshot matrix must be 2-D (m x T)")
     m, T = Y.shape
+    # One %-format per line over the interleaved (re, im) of each snapshot;
+    # "%.17g%+.17gj" writes the bytes of f"{re:.17g}{im:+.17g}j".
+    line = " ".join(["%.17g%+.17gj"] * m) + "\n"
+    rows = np.ascontiguousarray(Y.T).view(float).tolist()
     with open(path, "w") as fh:
         fh.write(f"# m={m} T={T}\n")
-        for t in range(T):
-            tokens = [
-                f"{z.real:.17g}{z.imag:+.17g}j" for z in Y[:, t]
-            ]
-            fh.write(" ".join(tokens) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def read_snapshots(path):

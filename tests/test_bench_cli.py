@@ -106,6 +106,18 @@ class TestSnapshotIO:
         write_snapshots(path, Y)
         assert np.array_equal(read_snapshots(path), Y)
 
+    def test_written_bytes_equal_per_entry_format(self, tmp_path):
+        # Reference: one f"{re:.17g}{im:+.17g}j" per entry, space-joined.
+        parts = [0.0, -0.0, 5e-324, 1e-300, 1e308, np.inf, -np.inf, np.nan]
+        Y = np.array([[complex(a, b) for b in parts] for a in parts])
+        path = tmp_path / "snaps.txt"
+        write_snapshots(path, Y)
+        expected = "# m=8 T=8\n" + "".join(
+            " ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in Y[:, t]) + "\n"
+            for t in range(8)
+        )
+        assert path.read_text() == expected
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1+0j 2+0j\n")
@@ -422,6 +434,29 @@ class TestBadArguments:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("estimate", "f.txt", "--r", "x"), "invalid int value: 'x'"),
+            (("mc", "--config", "c.cfg"), "the following arguments are required: --out"),
+            (
+                ("simulate", "--out", "s.txt", "--m", "4", "--snapshots", "8",
+                 "--angles", "-0.4,0.7"),
+                "argument --angles: expected one argument",
+            ),
+        ],
+        ids=["estimate-r-not-int", "mc-without-out", "simulate-angles-leading-minus"],
+    )
+    def test_usage_error_exits_with_validation_code(self, args, message):
+        proc = run_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: modepuma ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_help_exits_zero(self):
+        proc = run_cli("simulate", "--help")
+        assert proc.returncode == 0 and "--angles=-0.4,0.7" in proc.stdout
 
 
 class TestVerifyProperties:

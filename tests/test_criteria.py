@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from modepuma import (
     Scenario,
@@ -18,6 +17,7 @@ from modepuma import (
     v_puma,
     vec,
 )
+from modepuma import criteria
 from modepuma.array_model import COND_LIMIT
 from modepuma.bench import _random_instance, random_angle_set
 from modepuma.criteria import (
@@ -263,15 +263,27 @@ class TestVmodeCoefficientCheck:
         "coefs", [[0, 1], [1, np.nan], [1]], ids=["c0-zero", "nan", "length-1"]
     )
     def test_rejected_before_factorization(self, coefs, monkeypatch):
-        calls = []
-        original = scipy.linalg.cho_factor
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+        calls = _spy_on_gram(monkeypatch)
         _, _, _, decomp, weight = _random_instance(np.random.default_rng(3), max_m=6, max_r=1)
         with pytest.raises(ValidationError):
             v_mode(coefs, decomp, weight)
         assert calls == []
+
+    def test_spy_sees_a_valid_call(self, monkeypatch):
+        calls = _spy_on_gram(monkeypatch)
+        _, _, _, decomp, weight = _random_instance(np.random.default_rng(3), max_m=6, max_r=1)
+        v_mode([1, -1], decomp, weight)
+        assert calls == [1]
+
+
+def _spy_on_gram(monkeypatch):
+    """Record each guarded T T* Gram that v_mode builds before its solve."""
+    calls = []
+    original = criteria.guarded_gram
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "guarded_gram", counted)
+    return calls

@@ -1,0 +1,51 @@
+"""The runtime needs numpy only: scipy is a test dependency."""
+
+import subprocess
+import sys
+import textwrap
+
+RUN_EVERY_PATH = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    import modepuma
+    import modepuma.bench
+    import modepuma.cli
+    import modepuma.snapshot_io
+    from modepuma import EstimatorConfig, Scenario, estimate
+    from modepuma.bench import SweepSpec, run_sweep, verify_properties
+
+    scenario = Scenario(
+        m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
+        noise_power=0.1, n_snapshots=100, seed=1,
+    )
+    cov = modepuma.sample_covariance(modepuma.simulate_snapshots(scenario))
+    decomp = modepuma.subspace_decomposition(cov, 2)
+    weight = modepuma.signal_weight(decomp)
+    methods = (
+        EstimatorConfig("MODE"),
+        EstimatorConfig("PUMA"),
+        EstimatorConfig("MODEX", p_extra=2),
+        EstimatorConfig("MODEX", p_extra=2, modex_base="PUMA"),
+    )
+    for config in methods:
+        estimate(cov, decomp, weight, 2, config)
+    sweep = SweepSpec(
+        base=scenario, snr_db_list=(10.0,), snapshots_list=(100,),
+        methods=methods, n_trials=1, base_seed=3,
+    )
+    run_sweep(sweep)
+    assert all(report.ok for report in verify_properties(n_instances=5))
+    print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """
+)
+
+
+def test_no_scipy_module_loaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_EVERY_PATH], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,9 +7,11 @@ from modepuma import (
     sample_covariance,
     signal_weight,
     simulate_snapshots,
+    steering_matrix,
     subspace_decomposition,
     true_covariance,
 )
+from modepuma.sample_stats import _hermitian_sqrt
 
 
 def make_scenario(m=3, r=1, angles=(0.5,), power=1.0, noise=1.0, T=100, seed=0):
@@ -84,6 +86,23 @@ class TestSimulateSnapshots:
         short = simulate_snapshots(make_scenario(T=7, **sc))
         long = simulate_snapshots(make_scenario(T=20, **sc))
         assert np.array_equal(short, long[:, :7])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+    def test_draws_equal_a_new_generator_per_snapshot(self, seed):
+        # Reference: one Generator(Philox(key=(seed << 64) + t)) per snapshot.
+        sc = Scenario(
+            m=4, r=2, angles=[-0.3, 0.9], source_cov=[[1.0, 0.3], [0.3, 2.0]],
+            noise_power=0.5, n_snapshots=12, seed=seed,
+        )
+        A = steering_matrix(sc.angles, sc.m)
+        L = _hermitian_sqrt(sc.source_cov)
+        expected = np.empty((sc.m, sc.n_snapshots), dtype=complex)
+        for t in range(sc.n_snapshots):
+            rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
+            z = rng.standard_normal(2 * (sc.r + sc.m))
+            v = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
+            expected[:, t] = A @ (L @ v[: sc.r]) + np.sqrt(sc.noise_power) * v[sc.r :]
+        assert np.array_equal(simulate_snapshots(sc), expected)
 
     def test_large_sample_matches_model(self):
         sc = make_scenario(T=100_000, seed=17)
