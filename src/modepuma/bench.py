@@ -76,12 +76,17 @@ class SweepSpec:
             raise ValidationError("sweep lists must be non-empty")
         if self.n_trials < 1:
             raise ValidationError("need n_trials >= 1")
+        if self.base_seed < 0:
+            raise ValidationError(f"need base_seed >= 0, got {self.base_seed}")
 
 
 def noise_power_for_snr(source_cov, r, snr_db):
-    """sigma^2 = tr(P) / (r * 10^(SNR/10))."""
+    """sigma^2 = tr(P) / (r * 10^(SNR/10)); an SNR past float range is a ValidationError."""
     total = float(np.real(np.trace(np.asarray(source_cov))))
-    return total / (r * 10.0 ** (snr_db / 10.0))
+    try:
+        return total / (r * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(f"SNR {snr_db} dB is out of float range") from exc
 
 
 def trial_seed(base_seed, snr_index, snapshots_index, trial_index):
@@ -223,9 +228,7 @@ _KNOWN_KEYS = {
     "r",
     "angles",
     "source_cov",
-    "noise_power",
     "n_snapshots",
-    "seed",
     "snr_db_list",
     "snapshots_list",
     "methods",
@@ -276,7 +279,7 @@ def parse_sweep_config(path):
                 raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
             raw[key] = value
             lines[key] = lineno
-    missing = _KNOWN_KEYS - {"source_cov", "noise_power", "seed"} - set(raw)
+    missing = _KNOWN_KEYS - {"source_cov"} - set(raw)
     if missing:
         raise ValidationError(f"{path}: missing keys: {sorted(missing)}")
 
@@ -300,14 +303,15 @@ def parse_sweep_config(path):
                 f"{path}:{lines['source_cov']}: source_cov needs {r} diagonal entries"
             )
         P = np.diag(np.asarray(diag, dtype=complex))
+    # run_sweep sets each trial's noise power and seed; these are placeholders.
     base = Scenario(
         m=parsed("m", int),
         r=r,
         angles=parsed("angles", lambda s: as_angles(floats(s))),
         source_cov=P,
-        noise_power=parsed("noise_power", _finite_float, 1.0),
+        noise_power=1.0,
         n_snapshots=parsed("n_snapshots", int),
-        seed=parsed("seed", int, 0),
+        seed=0,
     )
     return SweepSpec(
         base=base,
@@ -334,14 +338,23 @@ class PropertyReport:
         return self.max_deviation <= self.tolerance
 
 
+_MAX_ANGLE_DRAWS = 10_000
+
+
 def random_angle_set(rng, r, min_separation=0.05):
-    """Uniform random ascending angles with a circular minimum separation."""
-    while True:
+    """Uniform random ascending angles with a circular minimum separation.
+
+    Drawn by rejection; ``_MAX_ANGLE_DRAWS`` rejections is a ValidationError.
+    """
+    for _ in range(_MAX_ANGLE_DRAWS):
         phi = np.sort(rng.uniform(-np.pi + 1e-9, np.pi, size=r))
         gaps = np.diff(phi)
         wrap = 2 * np.pi - (phi[-1] - phi[0]) if r > 1 else np.inf
         if r == 1 or (np.all(gaps >= min_separation) and wrap >= min_separation):
             return phi
+    raise ValidationError(
+        f"no set of r={r} angles {min_separation} rad apart in {_MAX_ANGLE_DRAWS} draws"
+    )
 
 
 def _random_instance(rng, max_m=12, max_r=4):
@@ -353,10 +366,7 @@ def _random_instance(rng, max_m=12, max_r=4):
     c = rng.standard_normal(r + 1) + 1j * rng.standard_normal(r + 1)
     while abs(c[0]) < 1e-3:
         c[0] = rng.standard_normal() + 1j * rng.standard_normal()
-    decomp = SubspaceDecomposition(
-        u_signal=U, lambdas=np.sort(g)[::-1] + 1.0, sigma2=0.5,
-        all_eigenvalues=np.full(m, 0.5),
-    )
+    decomp = SubspaceDecomposition(u_signal=U, lambdas=np.sort(g)[::-1] + 1.0, sigma2=0.5)
     return m, r, c, decomp, g
 
 
@@ -364,10 +374,14 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
     """Run all numerical property suites; returns a list of PropertyReport.
 
     Instances draw m from 3 ... max_m and r from 1 ... min(max_r, m - 1).
-    A negative ``n_instances`` is a ValidationError; zero runs no instance.
+    A negative ``n_instances`` or ``seed`` is a ValidationError; zero
+    instances run none.  ``fault_scale`` scales G in the V_PUMA path alone,
+    so a value other than 1 must fail ``criterion_equivalence``.
     """
     if n_instances < 0:
         raise ValidationError(f"need n_instances >= 0, got {n_instances}")
+    if seed < 0:
+        raise ValidationError(f"need seed >= 0, got {seed}")
     if max_m < 3 or max_r < 1:
         raise ValidationError(
             f"need max_m >= 3 and max_r >= 1, got max_m={max_m}, max_r={max_r}"
@@ -379,14 +393,16 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
         m, r, c, decomp, weight = _random_instance(rng, max_m, max_r)
         try:
             vm = v_mode(c, decomp, weight).value
-            vp = v_puma(c, decomp, weight, _fault_scale=fault_scale).value
+            vp = v_puma(c, decomp, weight * fault_scale).value
         except SingularityError:
             continue
         dev_equiv = max(dev_equiv, abs(vp - vm) / max(1.0, vm))
         alpha = (rng.standard_normal() + 1j * rng.standard_normal()) or 1.0
         vm2 = v_mode(alpha * c, decomp, weight).value
-        vp2 = v_puma(alpha * c, decomp, weight, _fault_scale=fault_scale).value
-        cov = np.eye(m)
+        vp2 = v_puma(alpha * c, decomp, weight * fault_scale).value
+        # V_ML is checked at the instance's model covariance: at I it is m - r for every c.
+        U = decomp.u_signal
+        cov = (U * decomp.lambdas) @ U.conj().T + decomp.sigma2 * np.eye(m)
         vl = v_ml_coefs(c, cov).value
         vl2 = v_ml_coefs(alpha * c, cov).value
         dev_gauge = max(

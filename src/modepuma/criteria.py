@@ -68,16 +68,15 @@ def v_mode(coefs, decomp, weight):
     return _trace_gram_inverse(T, (TU * g) @ TU.conj().T)
 
 
-def v_puma(coefs, decomp, weight, _fault_scale=1.0):
+def v_puma(coefs, decomp, weight):
     """e* W e with e = vec(T U) and W = G kron (T T*)^-1, built explicitly.
 
     This path intentionally materializes the Kronecker weighting matrix
     instead of delegating to :func:`v_mode`; the agreement of the two
-    routes is the property under test elsewhere.  ``_fault_scale`` exists
-    only for detector self-tests (it perturbs G in this path alone).
+    routes is the property under test elsewhere.
     """
     U = decomp.u_signal
-    g = np.asarray(weight, dtype=float) * _fault_scale
+    g = np.asarray(weight, dtype=float)
     T = toeplitz_annihilator(coefs, U.shape[0])
     gram, cond = guarded_gram(T, "T T*")
     W = np.kron(np.diag(g), np.linalg.inv(gram))

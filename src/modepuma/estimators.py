@@ -99,19 +99,6 @@ def quadratic_form_matrix(decomp, weight, omega, q):
     return 0.5 * (Q + Q.conj().T)
 
 
-def _gauge_fixed_solve(Q):
-    """Solve Q[1:,1:] tail = -Q[1:,0]; minimum-norm fallback when singular."""
-    Q11 = Q[1:, 1:]
-    rhs = -Q[1:, 0]
-    if condition_number(Q11) <= COND_LIMIT:
-        try:
-            return np.linalg.solve(Q11, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularityError(f"gauge-fixed solve failed: {exc}") from exc
-    tail, *_ = np.linalg.lstsq(Q11, rhs, rcond=None)
-    return tail
-
-
 def _conjugate_symmetric_basis(n):
     """Orthonormal columns J_k with c = J @ rho conjugate-symmetric for real rho.
 
@@ -156,8 +143,16 @@ def _symmetric_step(Q):
 
 
 def _gauge_step(Q):
-    """PUMA's step: the c with c_0 = 1 minimizing c* Q c."""
-    return np.concatenate(([1.0 + 0.0j], _gauge_fixed_solve(Q)))
+    """PUMA's step: c = (1, tail), Q[1:,1:] tail = -Q[1:,0]; minimum-norm tail when singular."""
+    Q11, rhs = Q[1:, 1:], -Q[1:, 0]
+    if condition_number(Q11) <= COND_LIMIT:
+        try:
+            tail = np.linalg.solve(Q11, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError(f"gauge-fixed solve failed: {exc}") from exc
+    else:
+        tail, *_ = np.linalg.lstsq(Q11, rhs, rcond=None)
+    return np.concatenate(([1.0 + 0.0j], tail))
 
 
 def _reweighted_solve(decomp, weight, q, step, tolerance):
@@ -201,33 +196,33 @@ _SOLVERS = {
 }
 
 
+def _solve_and_roots(decomp, weight, q, base):
+    """``base``'s reweighted solve at degree q: (c, root angles, iterations, converged, history).
+
+    The roots are taken with a vanishing end coefficient nudged to 1e-14 max |c|,
+    as ``angles_from_coefs`` needs c_0, c_q != 0; c is returned as solved.
+    """
+    c, iterations, converged, history = _reweighted_solve(decomp, weight, q, *_SOLVERS[base])
+    ends = c.copy()
+    floor = 1e-14 * np.max(np.abs(c))
+    for k in (0, -1):
+        if abs(ends[k]) < floor:
+            ends[k] = floor
+    return c, angles_from_coefs(ends), iterations, converged, history
+
+
 def _coef_estimate(decomp, weight, r, method):
-    """Run ``method``'s reweighted solve at degree r; V_MODE of c computed once."""
-    c, iterations, converged, history = _reweighted_solve(
-        decomp, weight, r, *_SOLVERS[method]
-    )
-    angles = angles_from_coefs(_safe_full_degree(c))
+    """Run ``method``'s solve at degree r; V_MODE of c computed once."""
+    c, angles, iterations, converged, history = _solve_and_roots(decomp, weight, r, method)
     value = v_mode(c, decomp, weight).value
     return EstimationResult(
         angles=angles,
-        coefs=np.asarray(c, dtype=complex),
+        coefs=c,
         criterion_value=value,
         iterations_used=iterations,
         converged=converged,
         criterion_history=history + [value],
     )
-
-
-def _safe_full_degree(c):
-    # Guard against exact zeros at the ends (angles_from_coefs requires
-    # c_0 != 0 and c_q != 0); a vanishing endpoint is nudged off zero.
-    c = np.asarray(c, dtype=complex).copy()
-    floor = 1e-14 * np.max(np.abs(c))
-    if abs(c[0]) < floor:
-        c[0] = floor
-    if abs(c[-1]) < floor:
-        c[-1] = floor
-    return c
 
 
 def mode_two_step(decomp, weight, r):
@@ -283,19 +278,13 @@ def modex(cov, decomp, weight, r, config):
             f"over the limit of {_MAX_SUBSETS}"
         )
 
-    def solve(degree):
-        return _reweighted_solve(decomp, weight, degree, *_SOLVERS[config.modex_base])[:3]
-
-    c_base, iters, converged = solve(r)
-    candidates = angles_from_coefs(_safe_full_degree(c_base))
-    c = c_base
+    base = config.modex_base
+    c, candidates, iters, converged, _ = _solve_and_roots(decomp, weight, r, base)
     if p > 0:
-        c, extra_iters, extra_conv = solve(q)
+        c, extra, extra_iters, extra_conv, _ = _solve_and_roots(decomp, weight, q, base)
         iters += extra_iters
         converged = converged and extra_conv
-        candidates = np.sort(
-            np.concatenate([candidates, angles_from_coefs(_safe_full_degree(c))])
-        )
+        candidates = np.sort(np.concatenate([candidates, extra]))
     subsets, scores = _score_subsets(candidates, cov, r)
     finite = np.isfinite(scores)
     if not np.any(finite):
@@ -304,7 +293,7 @@ def modex(cov, decomp, weight, r, config):
     best = int(np.argmin(np.where(finite, scores, np.inf)))
     return EstimationResult(
         angles=phi[best].copy(),
-        coefs=np.asarray(c, dtype=complex),
+        coefs=c,
         criterion_value=float(scores[best]),
         iterations_used=iters,
         converged=converged,

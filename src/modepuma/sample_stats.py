@@ -56,7 +56,6 @@ class SubspaceDecomposition:
     u_signal: np.ndarray  # m x r orthonormal
     lambdas: np.ndarray  # r descending
     sigma2: float
-    all_eigenvalues: np.ndarray  # m descending, diagnostic
 
     @property
     def m(self):
@@ -143,12 +142,7 @@ def subspace_decomposition(cov, r):
         ph = U[k, i] / abs(U[k, i])
         U[:, i] = U[:, i] / ph
     sigma2 = float(np.mean(w[r:]))
-    return SubspaceDecomposition(
-        u_signal=U,
-        lambdas=w[:r].copy(),
-        sigma2=sigma2,
-        all_eigenvalues=w.copy(),
-    )
+    return SubspaceDecomposition(u_signal=U, lambdas=w[:r].copy(), sigma2=sigma2)
 
 
 def signal_weight(decomp):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modepuma import ValidationError, bench, cli
+from modepuma import CriterionValue, ValidationError, bench, cli
 from modepuma.bench import (
     noise_power_for_snr,
     parse_method_token,
@@ -97,6 +97,34 @@ class TestSweepConfig:
         # tr(P) = 2, r = 2, 10 dB -> sigma^2 = 0.1
         assert abs(noise_power_for_snr(np.eye(2), 2, 10.0) - 0.1) <= 1e-15
 
+    @pytest.mark.parametrize("line", ["noise_power = 0.5", "seed = 3"])
+    def test_keys_the_sweep_sets_per_trial_are_unknown(self, tmp_path, line):
+        # run_sweep derives sigma^2 from snr_db_list and the seed from
+        # base_seed, so these keys would be silently ignored.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT + line + "\n")
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert "sweep.cfg:12: unknown key" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_diagonal_source_cov(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_TEXT.replace("source_cov = identity", "source_cov = 2, 0.5"))
+        assert np.array_equal(parse_sweep_config(path).base.source_cov, np.diag([2.0, 0.5]))
+
+    def test_diagonal_source_cov_needs_r_entries(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_TEXT.replace("source_cov = identity", "source_cov = 2, 0.5, 1"))
+        with pytest.raises(ValidationError, match="sweep.cfg:5: source_cov needs 2 "):
+            parse_sweep_config(path)
+
+    def test_negative_source_cov_entry_exits_with_validation_code(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT.replace("source_cov = identity", "source_cov = 2, -0.5"))
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert "positive semidefinite" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestSnapshotIO:
     def test_round_trip(self, tmp_path):
@@ -166,8 +194,43 @@ class TestVerifyCommand:
         assert proc.returncode == 1
         assert "ok" not in proc.stdout and "Traceback" not in proc.stderr
 
+    def test_negative_seed_rejected(self):
+        proc = run_cli("verify", "--instances", "5", "--seed", "-1")
+        assert proc.returncode == 1
+        assert "need seed >= 0, got -1" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_infeasible_max_r_exits_instead_of_hanging(self):
+        # Seed 2 draws r = 36 for the projector suite: 36 angles 0.05 rad
+        # apart are accepted by roughly one uniform draw in 10^5.
+        proc = subprocess.run(
+            [sys.executable, "-m", "modepuma.cli", "verify", "--max-m", "60",
+             "--max-r", "59", "--instances", "5", "--seed", "2"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "r=36 angles 0.05 rad apart" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestMcCommand:
+    @pytest.mark.parametrize(
+        "old, new, extra, message",
+        [
+            ("", "", ("--seed", "-1"), "need base_seed >= 0, got -1"),
+            ("base_seed = 42", "base_seed = -3", (), "need base_seed >= 0, got -3"),
+            ("snr_db_list = 10", "snr_db_list = 4000", (), "SNR 4000.0 dB"),
+            ("snr_db_list = 10", "snr_db_list = -4000", (), "SNR -4000.0 dB"),
+        ],
+        ids=["seed-override-negative", "base-seed-negative", "snr-4000", "snr-minus-4000"],
+    )
+    def test_out_of_range_value_exits_with_validation_code(self, tmp_path, old, new, extra, message):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT.replace(old, new))
+        out = tmp_path / "out.csv"
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(out), *extra)
+        assert proc.returncode == 1
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_deterministic_across_jobs(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_TEXT)
@@ -454,6 +517,14 @@ class TestBadArguments:
         assert proc.stderr.startswith("usage: modepuma ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_simulate_rejects_snr_past_float_range(self, tmp_path):
+        out = tmp_path / "snaps.txt"
+        proc = run_cli("simulate", "--out", str(out), "--m", "4", "--snapshots", "8",
+                       "--angles", "0.1", "--snr-db", "4000")
+        assert proc.returncode == 1
+        assert "SNR 4000.0 dB" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         proc = run_cli("simulate", "--help")
         assert proc.returncode == 0 and "--angles=-0.4,0.7" in proc.stdout
@@ -472,6 +543,21 @@ class TestVerifyProperties:
             "trace_as_inner_product",
         }
         assert all(r.ok for r in reports)
+
+    def test_gauge_check_sees_covariance_dependent_v_ml(self, monkeypatch):
+        # At cov = I, V_ML(c) = m - q for every c, so a V_ML that breaks the
+        # gauge only through its covariance term would pass unseen there.
+        v_ml_coefs = bench.v_ml_coefs
+
+        def gauge_variant(coefs, cov):
+            v = v_ml_coefs(coefs, cov).value
+            m, q = cov.shape[0], len(coefs) - 1
+            return CriterionValue(value=v + (v - (m - q)) * (abs(coefs[0]) - 1))
+
+        monkeypatch.setattr(bench, "v_ml_coefs", gauge_variant)
+        reports = {r.name: r for r in verify_properties(n_instances=50, seed=1)}
+        assert not reports["gauge_invariance"].ok
+        assert reports["criterion_equivalence"].ok
 
     def test_clustered_projector_seed_passes(self):
         # This seed draws four clustered sources at m=5 for the projector

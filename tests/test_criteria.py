@@ -131,7 +131,6 @@ def _one_source_decomp(m):
         u_signal=np.eye(m, 1, dtype=complex),
         lambdas=np.array([2.0]),
         sigma2=1.0,
-        all_eigenvalues=np.r_[2.0, np.ones(m - 1)],
     )
     return decomp, np.array([0.5])
 
@@ -177,7 +176,6 @@ def scalar_chain_inputs():
         u_signal=np.array([[1.0], [0.0]], dtype=complex),
         lambdas=np.array([2.0]),
         sigma2=0.0,
-        all_eigenvalues=np.array([2.0, 0.0]),
     )
     return decomp, np.array([2.0])
 

@@ -69,7 +69,6 @@ class TestQuadraticFormMatrix:
             U, _ = np.linalg.qr(rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)))
             decomp = SubspaceDecomposition(
                 u_signal=U, lambdas=np.array([3.0, 2.0]), sigma2=1.0,
-                all_eigenvalues=np.ones(m),
             )
             g = rng.uniform(0.1, 5.0, size=2)
             for q in range(1, m):
@@ -106,7 +105,6 @@ class TestQuadraticFormMatrix:
             u_signal=np.eye(m, 1, dtype=complex),
             lambdas=np.array([1.0]),
             sigma2=0.0,
-            all_eigenvalues=np.zeros(m),
         )
         Q = quadratic_form_matrix(
             decomp, np.array([1.0]), np.eye(m - q), q

@@ -1,8 +1,16 @@
-"""The runtime needs numpy only: scipy is a test dependency."""
+"""The runtime needs numpy only; every other package the tests import is
+declared in the ``test`` extra of pyproject.toml."""
 
+import ast
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 RUN_EVERY_PATH = textwrap.dedent(
     """
@@ -49,3 +57,22 @@ def test_no_scipy_module_loaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_test_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = {"modepuma"} | {path.stem for path in tests}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert "numpy" in third_party
+    assert third_party - declared == set()
