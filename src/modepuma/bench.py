@@ -168,15 +168,20 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
         outcomes = [_run_trial(t) for t in tasks]
 
     rows = []
+    # Each repeated column is formatted once, so the rows share its string.
+    labels = [method_label(config) for config in sweep.methods]
+    trial_ids = [str(trial) for trial in range(sweep.n_trials)]
+    flags = ("0", "1")
     # Consecutive runs of n_trials outcomes belong to one cell.
     per_cell = zip(*[iter(outcomes)] * sweep.n_trials)
     for ((_, snr), (_, T)), cell in zip(cells, per_cell):
-        for config, trials in zip(sweep.methods, zip(*cell)):
-            prefix = (method_label(config), str(base.m), str(base.r), _fmt(snr), str(T))
-            for trial, (rmse, crit, conv, succ, wall) in enumerate(trials):
+        cell_columns = (str(base.m), str(base.r), _fmt(snr), str(T))
+        for label, trials in zip(labels, zip(*cell)):
+            prefix = (label,) + cell_columns
+            for trial_id, (rmse, crit, conv, succ, wall) in zip(trial_ids, trials):
                 rows.append(
                     prefix
-                    + (str(trial), _fmt(rmse), _fmt(crit), str(int(conv)), str(int(succ)))
+                    + (trial_id, _fmt(rmse), _fmt(crit), flags[int(conv)], flags[int(succ)])
                     + ("" if wall is None else f"{wall:.3f}",)
                 )
             rows.append(prefix + ("-1",) + _aggregate(trials))
@@ -340,6 +345,10 @@ class PropertyReport:
 
 _MAX_ANGLE_DRAWS = 10_000
 
+# Most entries of the Kronecker weight that ``v_puma`` builds for one
+# ``verify`` instance, (r (m - r))^2 complex numbers: 2**22 is 64 MiB.
+_MAX_KRON_ENTRIES = 2**22
+
 
 def random_angle_set(rng, r, min_separation=0.05):
     """Uniform random ascending angles with a circular minimum separation.
@@ -375,8 +384,11 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
 
     Instances draw m from 3 ... max_m and r from 1 ... min(max_r, m - 1).
     A negative ``n_instances`` or ``seed`` is a ValidationError; zero
-    instances run none.  ``fault_scale`` scales G in the V_PUMA path alone,
-    so a value other than 1 must fail ``criterion_equivalence``.
+    instances run none.  So is a ``max_m`` / ``max_r`` at which an
+    instance's V_PUMA Kronecker weight could exceed ``_MAX_KRON_ENTRIES``
+    entries, checked before any instance.  ``fault_scale`` scales G in the
+    V_PUMA path alone, so a value other than 1 must fail
+    ``criterion_equivalence``.
     """
     if n_instances < 0:
         raise ValidationError(f"need n_instances >= 0, got {n_instances}")
@@ -385,6 +397,14 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
     if max_m < 3 or max_r < 1:
         raise ValidationError(
             f"need max_m >= 3 and max_r >= 1, got max_m={max_m}, max_r={max_r}"
+        )
+    # r (m - r) is largest at m = max_m, r = max_m / 2, within r <= max_r.
+    r = min(max_r, max_m // 2)
+    kron_entries = (r * (max_m - r)) ** 2
+    if kron_entries > _MAX_KRON_ENTRIES:
+        raise ValidationError(
+            f"max_m={max_m}, max_r={max_r} would build a V_PUMA Kronecker weight of "
+            f"{kron_entries} entries, over the limit of {_MAX_KRON_ENTRIES}"
         )
     rng = np.random.default_rng(seed)
     dev_equiv = 0.0

@@ -309,33 +309,45 @@ def _score_subsets(candidates, cov, r):
     row.  A subset scores +inf when two consecutive candidates differ by
     less than 1e-12, or when its Gram A* A fails the COND_LIMIT guard of
     ``v_ml_angles``.  The rest score tr R - tr(Q* R Q), with Q from a
-    stacked QR of their steering columns.  The steering matrix and Gram of
-    all K candidates are built once; subsets are walked in blocks of
+    stacked QR of their steering columns.  The guard is read off the same
+    QR first: with A = Q R_A, cond(A* A) <= ||R_A||_F^(2r) / prod |R_A,kk|^2,
+    so a subset whose bound is within COND_LIMIT / 100 passes.  Only the
+    undecided rest go through ``eigvalsh`` of their Gram, gathered from the
+    Gram of all K candidates.  Subsets are walked in blocks of
     ``_SUBSET_BLOCK`` so the stacked temporaries stay small.
     """
     R = np.asarray(cov)
     m = R.shape[0]
     A = np.exp(1j * np.outer(np.arange(m), candidates))
     G = A.conj().T @ A
-    subsets = np.array(
-        list(itertools.combinations(range(len(candidates)), r)), dtype=np.intp
-    ).reshape(-1, r)
+    n = math.comb(len(candidates), r)
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(len(candidates)), r)),
+        dtype=np.intp,
+        count=n * r,
+    ).reshape(n, r)
     live = np.all(np.diff(candidates[subsets], axis=1) >= 1e-12, axis=1)
-    scores = np.full(len(subsets), np.inf)
+    scores = np.full(n, np.inf)
     trace_r = np.real(np.trace(R))
-    for start in range(0, len(subsets), _SUBSET_BLOCK):
-        block = slice(start, start + _SUBSET_BLOCK)
-        idx = subsets[block]
-        gram = G[idx[:, :, None], idx[:, None, :]]
-        w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().transpose(0, 2, 1)))
-        lo, hi = w[:, 0], w[:, -1]
-        ok = live[block] & (lo > 0) & (hi > 0)
-        ok[ok] = hi[ok] / lo[ok] <= COND_LIMIT
-        if not np.any(ok):
-            continue
-        Q, _ = np.linalg.qr(A.T[idx[ok]].transpose(0, 2, 1))
+    for start in range(0, n, _SUBSET_BLOCK):
+        rows = start + np.flatnonzero(live[start : start + _SUBSET_BLOCK])
+        idx = subsets[rows]
+        Q, R_A = np.linalg.qr(A.T[idx].transpose(0, 2, 1))
+        frob2 = np.sum(np.abs(R_A) ** 2, axis=(1, 2))
+        diag2 = np.abs(np.diagonal(R_A, axis1=1, axis2=2)) ** 2
+        with np.errstate(divide="ignore", over="ignore"):
+            bound = np.prod(frob2[:, None] / diag2, axis=1)
+        ok = bound <= COND_LIMIT / 100
+        if not np.all(ok):
+            gram = G[idx[~ok, :, None], idx[~ok, None, :]]
+            w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().transpose(0, 2, 1)))
+            lo, hi = w[:, 0], w[:, -1]
+            passed = (lo > 0) & (hi > 0)
+            passed[passed] = hi[passed] / lo[passed] <= COND_LIMIT
+            ok[~ok] = passed
+        Q = Q[ok]
         fit = np.real(np.sum(Q.conj() * (R @ Q), axis=(1, 2)))
-        scores[block][ok] = trace_r - fit
+        scores[rows[ok]] = trace_r - fit
     return subsets, scores
 
 

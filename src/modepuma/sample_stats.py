@@ -86,13 +86,14 @@ def simulate_snapshots(scenario):
     Returns the m x T matrix whose column t is y(t).  Sources and noise
     are circular complex Gaussian: real and imaginary parts are independent
     zero-mean Gaussians with half the target variance; sources are colored
-    by the Hermitian square root of P.
+    by the Hermitian square root of P.  Each snapshot draws from its own
+    stream; all snapshots are then combined in one stacked product.
     """
     m, r, T = scenario.m, scenario.r, scenario.n_snapshots
     A = steering_matrix(scenario.angles, scenario.m)
     L = _hermitian_sqrt(scenario.source_cov)
     sigma = np.sqrt(scenario.noise_power)
-    Y = np.empty((m, T), dtype=complex)
+    Z = np.empty((T, 2 * (r + m)))
     # Counter-based substream per snapshot, so results do not depend on how
     # snapshots are batched: snapshot t draws from Philox key [t, seed]
     # (the 128-bit key (seed << 64) + t) at counter 0.  One generator is
@@ -104,10 +105,12 @@ def simulate_snapshots(scenario):
     for t in range(T):
         fresh["state"]["key"] = np.array([t, int(scenario.seed)], dtype=np.uint64)
         bitgen.state = fresh
-        z = rng.standard_normal(2 * (r + m))
-        w = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
-        Y[:, t] = A @ (L @ w[:r]) + sigma * w[r:]
-    return Y
+        rng.standard_normal(out=Z[t])
+    W = (Z[:, 0::2] + 1j * Z[:, 1::2]) / np.sqrt(2.0)
+    # The stacked (T, m, r) @ (T, r, 1) products give the bits of the
+    # per-snapshot A @ (L @ w); a 2-D A @ (L @ W.T) would not.
+    Y = (A @ (L @ W[:, :r, None]))[:, :, 0] + sigma * W[:, r:]
+    return np.ascontiguousarray(Y.T)
 
 
 def sample_covariance(snapshots):

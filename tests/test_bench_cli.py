@@ -210,6 +210,16 @@ class TestVerifyCommand:
         assert proc.returncode == 1
         assert "r=36 angles 0.05 rad apart" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_oversized_kronecker_weight_rejected_before_any_instance(self):
+        # At m=200, r=100 one V_PUMA Kronecker weight would hold 10^8 entries
+        # (1.6 GB); the check runs before the first instance is drawn.
+        with pytest.raises(ValidationError, match="100000000 entries"):
+            verify_properties(n_instances=1, max_m=200, max_r=150)
+        proc = run_cli("verify", "--max-m", "200", "--max-r", "150")
+        assert proc.returncode == 1
+        assert "Kronecker" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestMcCommand:
     @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from modepuma.array_model import COND_LIMIT, hermitian_gram, toeplitz_annihilato
 from modepuma.bench import _random_instance, noise_power_for_snr, trial_seed
 from modepuma.errors import SingularityError
 from modepuma.estimators import (
+    _SUBSET_BLOCK,
     _conjugate_symmetric_basis,
     _gauge_step,
     _omega_from_coefs,
@@ -470,6 +471,83 @@ class TestScoreSubsets:
         assert res.criterion_value == values[best]
         assert tuple(res.angles.tolist()) == res.candidate_log[best][0]
 
+
+def _reference_score_subsets(candidates, cov, r):
+    """The eigvalsh-guarded scoring that the QR-bound guard replaced, kept verbatim."""
+    R = np.asarray(cov)
+    m = R.shape[0]
+    A = np.exp(1j * np.outer(np.arange(m), candidates))
+    G = A.conj().T @ A
+    subsets = np.array(
+        list(itertools.combinations(range(len(candidates)), r)), dtype=np.intp
+    ).reshape(-1, r)
+    live = np.all(np.diff(candidates[subsets], axis=1) >= 1e-12, axis=1)
+    scores = np.full(len(subsets), np.inf)
+    trace_r = np.real(np.trace(R))
+    for start in range(0, len(subsets), _SUBSET_BLOCK):
+        block = slice(start, start + _SUBSET_BLOCK)
+        idx = subsets[block]
+        gram = G[idx[:, :, None], idx[:, None, :]]
+        w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().transpose(0, 2, 1)))
+        lo, hi = w[:, 0], w[:, -1]
+        ok = live[block] & (lo > 0) & (hi > 0)
+        ok[ok] = hi[ok] / lo[ok] <= COND_LIMIT
+        if not np.any(ok):
+            continue
+        Q, _ = np.linalg.qr(A.T[idx[ok]].transpose(0, 2, 1))
+        fit = np.real(np.sum(Q.conj() * (R @ Q), axis=(1, 2)))
+        scores[block][ok] = trace_r - fit
+    return subsets, scores
+
+
+@st.composite
+def near_limit_candidates(draw):
+    """m, a covariance, and candidates whose close pairs and triples put some
+    subsets' Gram condition numbers in (1e10, 1e12], beyond it, or at +inf."""
+    m = draw(st.sampled_from([6, 8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
+    cov = X @ X.conj().T / (m + 2)
+    base = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
+    gaps = st.sampled_from([0.0, 1e-13, 1e-7, 1e-6, 2e-6, 3e-6, 1e-5, 3e-4, 1e-3, 3e-2])
+    partners = []
+    for a in draw(st.lists(st.sampled_from(base), max_size=3)):
+        partners.append(a + draw(gaps))
+        if draw(st.booleans()):
+            partners.append(a + 2 * draw(gaps))
+    candidates = np.sort(_wrap((base + partners)[:9]))
+    r = draw(st.integers(1, min(4, candidates.size)))
+    return candidates, cov, r
+
+
+class TestScoreSubsetsGuard:
+    @settings(max_examples=300, deadline=None)
+    @given(near_limit_candidates())
+    def test_equals_eigvalsh_guarded_reference(self, drawn):
+        candidates, cov, r = drawn
+        subsets, scores = _score_subsets(candidates, cov, r)
+        ref_subsets, ref_scores = _reference_score_subsets(candidates, cov, r)
+        assert np.array_equal(subsets, ref_subsets)
+        assert np.array_equal(scores, ref_scores)
+
+    def test_bound_certifies_some_subsets_and_eigvalsh_decides_the_rest(self, monkeypatch):
+        # Gaps 2e-6 and 1e-7 at m=8: Gram condition numbers of about 2e11
+        # (passes COND_LIMIT, past the bound's margin) and 8e13 (fails).
+        candidates = np.array([-1.0, 0.2, 0.2 + 2e-6, 1.1, 2.0, 2.0 + 1e-7])
+        cov = _CLUSTERED_COVS[0]
+        eigvalsh = np.linalg.eigvalsh
+        checked = []
+
+        def spy(a):
+            checked.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        subsets, scores = _score_subsets(candidates, cov, 2)
+        monkeypatch.undo()
+        assert sum(checked) == 2
+        assert np.sum(np.isfinite(scores)) == len(subsets) - 1
+        assert np.array_equal(scores, _reference_score_subsets(candidates, cov, 2)[1])
 
 class TestMatchAngles:
     def test_identical(self):

@@ -104,6 +104,37 @@ class TestSimulateSnapshots:
             expected[:, t] = A @ (L @ v[: sc.r]) + np.sqrt(sc.noise_power) * v[sc.r :]
         assert np.array_equal(simulate_snapshots(sc), expected)
 
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_stacked_product_equals_per_snapshot_formula(self, m):
+        # The reference formula of test_draws_equal_a_new_generator_per_snapshot,
+        # over every r < m, snapshot counts from 1 to 200, identity and
+        # correlated source covariances, and noise power 0 among others.
+        seeds = [0, 3, 2**63 + 5, 2**64 - 1]
+        noises = [0.0, 0.5, 2.0]
+        case = 0
+        for r in range(1, m):
+            k = np.arange(r)
+            correlated = 0.9 ** np.abs(k[:, None] - k) * np.exp(0.3j * (k[:, None] - k))
+            for T in (1, 7, 100, 200):
+                for P in (np.eye(r), correlated):
+                    seed, noise = seeds[case % 4], noises[case % 3]
+                    case += 1
+                    sc = Scenario(
+                        m=m, r=r, angles=np.linspace(-2.5, 2.5, r) + 0.01 * m,
+                        source_cov=P, noise_power=noise, n_snapshots=T, seed=seed,
+                    )
+                    A = steering_matrix(sc.angles, m)
+                    L = _hermitian_sqrt(sc.source_cov)
+                    expected = np.empty((m, T), dtype=complex)
+                    for t in range(T):
+                        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
+                        z = rng.standard_normal(2 * (r + m))
+                        v = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
+                        expected[:, t] = A @ (L @ v[:r]) + np.sqrt(noise) * v[r:]
+                    Y = simulate_snapshots(sc)
+                    assert Y.flags.c_contiguous
+                    assert np.array_equal(Y, expected), (m, r, T, seed, noise)
+
     def test_large_sample_matches_model(self):
         sc = make_scenario(T=100_000, seed=17)
         R_hat = sample_covariance(simulate_snapshots(sc))
