@@ -24,11 +24,12 @@ def hermitian_gram(X):
 
 
 def condition_number(gram):
-    """2-norm condition number of a Hermitian Gram; inf unless positive definite."""
+    """2-norm condition of a Hermitian Gram, or each of a stack; inf unless positive definite."""
     w = np.linalg.eigvalsh(gram)
-    if w[0] <= 0:
-        return np.inf
-    return float(w[-1] / w[0])
+    if w.ndim == 1:
+        return float(w[-1] / w[0]) if w[0] > 0 else np.inf
+    lo = w[..., 0]
+    return np.divide(w[..., -1], lo, out=np.full(lo.shape, np.inf), where=lo > 0)
 
 
 def guarded_gram(X, what):

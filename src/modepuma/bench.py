@@ -106,20 +106,21 @@ def _run_trial(args):
     """Simulate one trial and run every method on it.
 
     Returns one ``(rmse, criterion, converged, success, wall_ms)`` outcome
-    per method; ``wall_ms`` is the shared simulate-to-weight time plus
-    that method's own estimate, or None without timing.
+    per method; ``wall_ms`` is the shared simulate-and-decompose time plus
+    that method's own weight and estimate, or None without timing.  Each
+    method computes the weight in its own ``try``, so weights past float
+    range fail the trial's rows, not the sweep.
     """
     scenario, methods, threshold, timing = args
     t0 = time.perf_counter()
     cov = sample_covariance(simulate_snapshots(scenario))
     decomp = subspace_decomposition(cov, scenario.r)
-    weight = signal_weight(decomp)
     shared = time.perf_counter() - t0
     outcomes = []
     for config in methods:
         t1 = time.perf_counter()
         try:
-            result = estimate(cov, decomp, weight, scenario.r, config)
+            result = estimate(cov, decomp, signal_weight(decomp), scenario.r, config)
             errors, rmse = match_angles(result.angles, scenario.angles)
             success = bool(np.all(np.abs(errors) <= threshold))
             row = (rmse, result.criterion_value, result.converged, success)

@@ -91,8 +91,9 @@ def _build_parser():
     )
     p.add_argument("--snapshots", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise-power", type=float, default=1.0)
-    p.add_argument("--snr-db", type=float, default=None, help="overrides --noise-power (P = I)")
+    noise = p.add_mutually_exclusive_group()
+    noise.add_argument("--noise-power", type=float, default=1.0, help="sigma^2 (default 1.0)")
+    noise.add_argument("--snr-db", type=float, default=None, help="SNR in dB with P = I")
     return parser
 
 

@@ -14,6 +14,9 @@ Omega at c.  They differ only in the constraint step and the tolerance:
 * ``modex`` — solves at degree r + p, then picks the best r of the r + p
   candidate directions by the ML criterion over all subsets; with the
   PUMA base (Enhanced PUMA) both solves run PUMA's step and tolerance.
+
+Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
+reweight ends at the current c on a T T* past it, and nothing is regularized.
 """
 
 import itertools
@@ -26,6 +29,7 @@ from .array_model import (
     COND_LIMIT,
     angles_from_coefs,
     condition_number,
+    guarded_gram,
     hermitian_gram,
     toeplitz_annihilator,
 )
@@ -118,19 +122,8 @@ def _conjugate_symmetric_basis(n):
 
 
 def _omega_from_coefs(c, m):
-    """(T T*)^-1 at c, and whether T T* passed COND_LIMIT.
-
-    A Gram past COND_LIMIT is regularized by 1e-12 of its mean eigenvalue
-    before the inverse; one still singular after that is a SingularityError.
-    """
-    gram = hermitian_gram(toeplitz_annihilator(c, m))
-    ok = condition_number(gram) <= COND_LIMIT
-    if not ok:
-        eps = 1e-12 * np.trace(gram).real / gram.shape[0]
-        gram = gram + eps * np.eye(gram.shape[0])
-        if condition_number(gram) == np.inf:
-            raise SingularityError("T T* singular even after regularization")
-    return np.linalg.inv(gram), ok
+    """(T T*)^-1 at c, through ``guarded_gram``: a T T* past COND_LIMIT is a SingularityError."""
+    return np.linalg.inv(guarded_gram(toeplitz_annihilator(c, m), "T T*")[0])
 
 
 def _symmetric_step(Q):
@@ -161,30 +154,28 @@ def _reweighted_solve(decomp, weight, q, step, tolerance):
     Starts from Omega = I.  After each solve past the first it stops when
     c / c_0 changed by at most ``tolerance`` (relative): the coefficients
     are at the reweighting fixed point, and that last iterate is returned.
-    Otherwise it reweights at the new c through ``_omega_from_coefs``.  A
-    regularized Gram, or a stop at ``_MAX_ITERATIONS`` solves, flags the
-    result not converged; a Gram singular even after regularization
-    returns the current c, also not converged.  Returns
-    ``(c, iterations, converged, history)``; ``history`` holds V_MODE of
-    every iterate before the last, read as c* Q c off the next solve's
-    quadratic form.
+    Otherwise it reweights at the new c.  A T T* past COND_LIMIT there
+    (``guarded_gram``, the criteria's guard) returns the current c, and a
+    stop at ``_MAX_ITERATIONS`` solves the last one, both not converged.
+    Returns ``(c, iterations, converged, history)``; ``history`` holds
+    V_MODE of every iterate before the last, read as c* Q c off the next
+    solve's quadratic form.
     """
     _check_degree(decomp, q)
     m = decomp.m
     c = step(quadratic_form_matrix(decomp, weight, np.eye(m - q, dtype=complex), q))
-    converged, history = True, []
+    history = []
     for iters in range(2, _MAX_ITERATIONS + 1):
         try:
-            omega, ok = _omega_from_coefs(c, m)
+            omega = _omega_from_coefs(c, m)
         except SingularityError:
             return c, iters - 1, False, history
-        converged = converged and ok
         Q = quadratic_form_matrix(decomp, weight, omega, q)
         history.append(float(np.real(c.conj() @ Q @ c)))
         prev, c = c, step(Q)
         a = c / c[0]  # drops the scale and sign MODE's unit eigenvector leaves free
         if np.linalg.norm(a - prev / prev[0]) <= tolerance * np.linalg.norm(a):
-            return c, iters, converged, history
+            return c, iters, True, history
     return c, _MAX_ITERATIONS, False, history
 
 
@@ -312,14 +303,14 @@ def _score_subsets(candidates, cov, r):
     stacked QR of their steering columns.  The guard is read off the same
     QR first: with A = Q R_A, cond(A* A) <= ||R_A||_F^(2r) / prod |R_A,kk|^2,
     so a subset whose bound is within COND_LIMIT / 100 passes.  Only the
-    undecided rest go through ``eigvalsh`` of their Gram, gathered from the
-    Gram of all K candidates.  Subsets are walked in blocks of
+    undecided rest go through ``condition_number`` of their Gram, gathered
+    from the Gram of all K candidates.  Subsets are walked in blocks of
     ``_SUBSET_BLOCK`` so the stacked temporaries stay small.
     """
     R = np.asarray(cov)
     m = R.shape[0]
     A = np.exp(1j * np.outer(np.arange(m), candidates))
-    G = A.conj().T @ A
+    G = hermitian_gram(A.conj().T)
     n = math.comb(len(candidates), r)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(len(candidates)), r)),
@@ -340,11 +331,7 @@ def _score_subsets(candidates, cov, r):
         ok = bound <= COND_LIMIT / 100
         if not np.all(ok):
             gram = G[idx[~ok, :, None], idx[~ok, None, :]]
-            w = np.linalg.eigvalsh(0.5 * (gram + gram.conj().transpose(0, 2, 1)))
-            lo, hi = w[:, 0], w[:, -1]
-            passed = (lo > 0) & (hi > 0)
-            passed[passed] = hi[passed] / lo[passed] <= COND_LIMIT
-            ok[~ok] = passed
+            ok[~ok] = condition_number(gram) <= COND_LIMIT
         Q = Q[ok]
         fit = np.real(np.sum(Q.conj() * (R @ Q), axis=(1, 2)))
         scores[rows[ok]] = trace_r - fit

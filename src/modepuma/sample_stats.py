@@ -149,8 +149,12 @@ def subspace_decomposition(cov, r):
 
 
 def signal_weight(decomp):
-    """Weights g_i = (lambda_i - sigma^2)^2 / lambda_i from a decomposition."""
+    """Weights g_i = (lambda_i - sigma^2)^2 / lambda_i; NumericalError past float range."""
     lam = np.asarray(decomp.lambdas, dtype=float)
     if np.any(lam <= 0):
         raise ValidationError("signal eigenvalues must be positive")
-    return (lam - decomp.sigma2) ** 2 / lam
+    with np.errstate(over="ignore"):
+        g = (lam - decomp.sigma2) ** 2 / lam
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("signal weights overflow float range")
+    return g

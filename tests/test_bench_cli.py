@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from modepuma import CriterionValue, ValidationError, bench, cli
+from modepuma import CriterionValue, Scenario, ValidationError, bench, cli, simulate_snapshots
 from modepuma.bench import (
     noise_power_for_snr,
     parse_method_token,
@@ -299,6 +299,43 @@ class TestMcCommand:
         # One simulation and one decomposition per (cell, trial).
         assert calls == {"simulate_snapshots": 6, "subspace_decomposition": 6}
 
+    def test_failed_trials_write_nan_rows(self, tmp_path):
+        # Three sources 0.05 rad apart on m = 4 at -10 dB, T = 5: on 8 of 20
+        # trials the MODEX candidates give no valid subset, and only those
+        # rows fail.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "m = 4\nr = 3\nangles = -0.05, 0, 0.05\nn_snapshots = 5\n"
+            "snr_db_list = -10\nsnapshots_list = 5\n"
+            "methods = mode, puma, modex:0, epuma:0\nn_trials = 20\nbase_seed = 3\n"
+        )
+        rows = run_sweep(parse_sweep_config(cfg))
+        failed = {label: [] for label in ("mode", "puma", "modex:0", "epuma:0")}
+        for row in rows:
+            if row[5] != "-1" and row[6] == "nan":
+                assert row[7:10] == ("nan", "0", "0")
+                failed[row[0]].append(int(row[5]))
+            elif row[5] != "-1":
+                assert np.isfinite(float(row[6])) and np.isfinite(float(row[7]))
+        assert failed == {
+            "mode": [], "puma": [], "modex:0": [1, 4, 5, 8, 9, 11, 15, 17], "epuma:0": [],
+        }
+        aggregate = {row[0]: row for row in rows if row[5] == "-1"}
+        assert np.isfinite(float(aggregate["modex:0"][6]))
+
+    def test_weights_past_float_range_give_nan_rows(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            SWEEP_TEXT.replace("source_cov = identity", "source_cov = 1e160, 1e160")
+            .replace("methods = mode, puma", "methods = mode, puma, modex:2, epuma:2")
+        )
+        out = tmp_path / "out.csv"
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
+        assert len(rows) == 4 * (4 + 1)
+        assert all(row[6] == row[7] == "nan" for row in rows)
+
     def test_timing_fills_only_trial_rows(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_TEXT)
@@ -430,6 +467,20 @@ class TestEstimateCommand:
         assert proc.returncode == 1
         assert "125970" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("scale", [1e80, 1e150])
+    @pytest.mark.parametrize("method", ["puma", "epuma"])
+    def test_weights_past_float_range_exit_numerical(self, tmp_path, scale, method):
+        sc = Scenario(
+            m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
+            noise_power=0.1, n_snapshots=50, seed=1,
+        )
+        snaps = tmp_path / "snaps.txt"
+        write_snapshots(snaps, simulate_snapshots(sc) * scale)
+        proc = run_cli("estimate", str(snaps), "--r", "2", "--method", method, "--p-extra",
+                       "2" if method == "epuma" else "0")
+        assert proc.returncode == 2
+        assert "float range" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("# m=2 T=1\n1+0j wat\n")
@@ -518,8 +569,16 @@ class TestBadArguments:
                  "--angles", "-0.4,0.7"),
                 "argument --angles: expected one argument",
             ),
+            (
+                ("simulate", "--out", "s.txt", "--m", "4", "--snapshots", "8",
+                 "--angles", "0.1", "--noise-power", "1", "--snr-db", "10"),
+                "argument --snr-db: not allowed with argument --noise-power",
+            ),
         ],
-        ids=["estimate-r-not-int", "mc-without-out", "simulate-angles-leading-minus"],
+        ids=[
+            "estimate-r-not-int", "mc-without-out", "simulate-angles-leading-minus",
+            "simulate-noise-power-and-snr-db",
+        ],
     )
     def test_usage_error_exits_with_validation_code(self, args, message):
         proc = run_cli(*args)

@@ -26,8 +26,13 @@ from modepuma import (
     v_ml_angles,
     v_mode,
 )
-from modepuma import estimators
-from modepuma.array_model import COND_LIMIT, hermitian_gram, toeplitz_annihilator
+from modepuma import array_model, estimators
+from modepuma.array_model import (
+    COND_LIMIT,
+    condition_number,
+    hermitian_gram,
+    toeplitz_annihilator,
+)
 from modepuma.bench import _random_instance, noise_power_for_snr, trial_seed
 from modepuma.errors import SingularityError
 from modepuma.estimators import (
@@ -36,6 +41,7 @@ from modepuma.estimators import (
     _gauge_step,
     _omega_from_coefs,
     _score_subsets,
+    _symmetric_step,
 )
 
 
@@ -280,8 +286,7 @@ class TestReweightedLoop:
                 continue
             converged += 1
             c = res.coefs
-            omega, ok = _omega_from_coefs(c, decomp.m)
-            assert ok
+            omega = _omega_from_coefs(c, decomp.m)  # raises past COND_LIMIT
             again = _gauge_step(quadratic_form_matrix(decomp, weight, omega, 2))
             assert np.linalg.norm(again - c) <= 1e-8 * np.linalg.norm(c), seed
         assert converged >= 38
@@ -295,7 +300,43 @@ class TestReweightedLoop:
             c = _gauge_step(quadratic_form_matrix(decomp, weight, omega, 2))
             expected = v_mode(c, decomp, weight).value
             assert abs(value - expected) <= 1e-12 * expected
-            omega, _ = _omega_from_coefs(c, decomp.m)
+            omega = _omega_from_coefs(c, decomp.m)
+
+    def test_gram_past_cond_limit_ends_the_loop(self, monkeypatch):
+        # With COND_LIMIT below every first reweight's cond(T T*), each
+        # reweighted solve ends at its first iterate, flagged not converged:
+        # nothing regularizes the Gram and carries on.
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        first = min(
+            condition_number(hermitian_gram(toeplitz_annihilator(c, 6)))
+            for q in (2, 4)
+            for step in (_gauge_step, _symmetric_step)
+            for c in [step(quadratic_form_matrix(decomp, weight, np.eye(6 - q), q))]
+        )
+        monkeypatch.setattr(array_model, "COND_LIMIT", first / 2)
+        solves = []
+
+        def counted(*args):
+            solves.append(args[-1])
+            return quadratic_form_matrix(*args)
+
+        monkeypatch.setattr(estimators, "quadratic_form_matrix", counted)
+        for base in ("MODE", "PUMA"):
+            solves.clear()
+            cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base=base)
+            res = modex(cov, decomp, weight, 2, cfg)
+            assert solves == [2, 4], base
+            assert res.iterations_used == 2 and not res.converged
+        # PUMA's returned c then fails the same guard in v_mode.
+        with pytest.raises(SingularityError, match="T T"):
+            puma_iterative(decomp, weight, 2)
+
+    def test_clustered_puma_stops_at_the_iteration_cap(self):
+        _, decomp, weight = noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 10.0, 50, seed=0)
+        res = puma_iterative(decomp, weight, 3)
+        assert res.iterations_used == 20 == len(res.criterion_history)
+        assert not res.converged
+        assert res.criterion_history[-1] == res.criterion_value
 
     def test_gap_to_local_minimum_of_own_feasible_set(self):
         # Neither solver lands exactly on a stationary point of V_MODE:
@@ -343,6 +384,25 @@ class TestModex:
         )
         assert min(abs(candidates - truth[0])) <= 1e-6
         assert min(abs(candidates - truth[1])) <= 1e-6
+        assert np.max(np.abs(res.angles - truth)) <= 1e-6
+
+    def test_epuma_recovers_through_minimum_norm_step(self, monkeypatch):
+        # m = 5, q = r + p = 4: r (m - q) = 2 < q, so the gauge-fixed block
+        # Q11 of the extended solve is rank-deficient and its step is lstsq.
+        truth = [-0.4, 0.7]
+        cov, decomp, weight = noiseless_decomp(5, truth)
+        lstsq = np.linalg.lstsq
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base="PUMA")
+        res = modex(cov, decomp, weight, 2, cfg)
+        monkeypatch.undo()
+        assert calls and set(calls) == {(4, 4)}
         assert np.max(np.abs(res.angles - truth)) <= 1e-6
 
     def test_exhaustive_subset_log(self):

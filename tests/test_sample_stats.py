@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modepuma import (
+    NumericalError,
     Scenario,
     ValidationError,
     sample_covariance,
@@ -241,3 +242,10 @@ class TestSignalWeight:
     def test_boundary_zero_weight(self):
         d = subspace_decomposition(sample_covariance_like(np.eye(3)), 1)
         assert np.allclose(signal_weight(d), [0.0])
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_weight_past_float_range_is_numerical_error(self, scale):
+        # (lambda - sigma^2)^2 overflows; no RuntimeWarning escapes either.
+        d = subspace_decomposition(sample_covariance_like(np.diag([scale, 1.0, 1.0])), 1)
+        with pytest.raises(NumericalError, match="float range"):
+            signal_weight(d)
