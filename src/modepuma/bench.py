@@ -82,7 +82,8 @@ class SweepSpec:
 
 def noise_power_for_snr(source_cov, r, snr_db):
     """sigma^2 = tr(P) / (r * 10^(SNR/10)); an SNR past float range is a ValidationError."""
-    total = float(np.real(np.trace(np.asarray(source_cov))))
+    with np.errstate(over="ignore"):  # an infinite tr(P) gives an infinite sigma^2
+        total = float(np.real(np.trace(np.asarray(source_cov))))
     try:
         return total / (r * 10.0 ** (snr_db / 10.0))
     except (OverflowError, ZeroDivisionError) as exc:
@@ -102,19 +103,29 @@ def method_label(config):
     return config.method.lower()
 
 
+# The errors that fail one trial's rows rather than the whole sweep.
+_TRIAL_ERRORS = (SingularityError, NumericalError, ValidationError)
+
+
 def _run_trial(args):
     """Simulate one trial and run every method on it.
 
     Returns one ``(rmse, criterion, converged, success, wall_ms)`` outcome
-    per method; ``wall_ms`` is the shared simulate-and-decompose time plus
-    that method's own weight and estimate, or None without timing.  Each
-    method computes the weight in its own ``try``, so weights past float
-    range fail the trial's rows, not the sweep.
+    per method; ``wall_ms`` is the shared simulate, covariance and
+    decomposition time plus that method's own weight, estimate and angle
+    matching, or None without timing.  A typed error in the shared step
+    fails every method's row of the trial; one in a method's weight or
+    estimate fails that method's row.  Neither stops the sweep.
     """
     scenario, methods, threshold, timing = args
+    failed = (float("nan"), float("nan"), False, False)
     t0 = time.perf_counter()
-    cov = sample_covariance(simulate_snapshots(scenario))
-    decomp = subspace_decomposition(cov, scenario.r)
+    try:
+        cov = sample_covariance(simulate_snapshots(scenario))
+        decomp = subspace_decomposition(cov, scenario.r)
+    except _TRIAL_ERRORS:
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        return [failed + ((wall_ms if timing else None),)] * len(methods)
     shared = time.perf_counter() - t0
     outcomes = []
     for config in methods:
@@ -124,8 +135,8 @@ def _run_trial(args):
             errors, rmse = match_angles(result.angles, scenario.angles)
             success = bool(np.all(np.abs(errors) <= threshold))
             row = (rmse, result.criterion_value, result.converged, success)
-        except (SingularityError, NumericalError, ValidationError):
-            row = (float("nan"), float("nan"), False, False)
+        except _TRIAL_ERRORS:
+            row = failed
         wall_ms = (shared + time.perf_counter() - t1) * 1e3
         outcomes.append(row + ((wall_ms if timing else None),))
     return outcomes
@@ -300,6 +311,8 @@ def parse_sweep_config(path):
     floats = lambda s: tuple(_finite_float(v) for v in s.split(","))
     ints = lambda s: tuple(int(v) for v in s.split(","))
     r = parsed("r", int)
+    if r < 1:
+        raise ValidationError(f"{path}:{lines['r']}: need r >= 1, got {r}")
     if raw.get("source_cov", "identity").strip().lower() == "identity":
         P = np.eye(r, dtype=complex)
     else:

@@ -35,9 +35,16 @@ class Scenario:
             raise ValidationError(f"need r < m, got r={self.r}, m={self.m}")
         # A copy, so the frozen Scenario does not change with the caller's array.
         P = np.array(self.source_cov, dtype=complex).reshape(self.r, self.r)
-        if np.linalg.norm(P - P.conj().T) > 1e-12 * max(1.0, np.linalg.norm(P)):
+        if not np.all(np.isfinite(P)):
+            raise ValidationError("source covariance must be finite")
+        # Norms of P scaled by its largest entry (at least 1), so they cannot overflow.
+        s = max(1.0, float(np.max(np.abs(P), initial=0.0)))
+        Q = P / s
+        if np.linalg.norm(Q - Q.conj().T) > 1e-12 * max(1.0 / s, np.linalg.norm(Q)):
             raise ValidationError("source covariance must be Hermitian")
-        w = np.linalg.eigvalsh(0.5 * (P + P.conj().T))
+        # Halved before the sum so it cannot overflow; in normal range the bits
+        # equal those of 0.5 * (P + P*).
+        w = np.linalg.eigvalsh(0.5 * P + 0.5 * P.conj().T)
         if w.size and w[0] < -1e-10 * max(w[-1], 1.0):
             raise ValidationError("source covariance must be positive semidefinite")
         object.__setattr__(self, "source_cov", P)
@@ -86,41 +93,36 @@ def simulate_snapshots(scenario):
     Returns the m x T matrix whose column t is y(t).  Sources and noise
     are circular complex Gaussian: real and imaginary parts are independent
     zero-mean Gaussians with half the target variance; sources are colored
-    by the Hermitian square root of P.  Each snapshot draws from its own
-    stream; all snapshots are then combined in one stacked product.
+    by the Hermitian square root of P.  One Philox generator keyed on the
+    seed draws a T x 2(r + m) block row by row; snapshot t uses row t.
     """
     m, r, T = scenario.m, scenario.r, scenario.n_snapshots
     A = steering_matrix(scenario.angles, scenario.m)
     L = _hermitian_sqrt(scenario.source_cov)
     sigma = np.sqrt(scenario.noise_power)
-    Z = np.empty((T, 2 * (r + m)))
-    # Counter-based substream per snapshot, so results do not depend on how
-    # snapshots are batched: snapshot t draws from Philox key [t, seed]
-    # (the 128-bit key (seed << 64) + t) at counter 0.  One generator is
-    # re-keyed per snapshot from its fresh state (counter 0, empty buffer);
-    # constructing one per snapshot costs a SeedSequence.
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    for t in range(T):
-        fresh["state"]["key"] = np.array([t, int(scenario.seed)], dtype=np.uint64)
-        bitgen.state = fresh
-        rng.standard_normal(out=Z[t])
+    rng = np.random.Generator(np.random.Philox(key=scenario.seed))
+    Z = rng.standard_normal((T, 2 * (r + m)))
     W = (Z[:, 0::2] + 1j * Z[:, 1::2]) / np.sqrt(2.0)
-    # The stacked (T, m, r) @ (T, r, 1) products give the bits of the
-    # per-snapshot A @ (L @ w); a 2-D A @ (L @ W.T) would not.
+    # Row t of Z is snapshot t's draws, so a shorter run is a prefix of a
+    # longer one.  The stacked (T, m, r) @ (T, r, 1) product keeps that
+    # bit-exact: each snapshot gets the same per-column arithmetic whatever
+    # T is, which a 2-D A @ (L @ W.T) does not guarantee.
     Y = (A @ (L @ W[:, :r, None]))[:, :, 0] + sigma * W[:, r:]
     return np.ascontiguousarray(Y.T)
 
 
 def sample_covariance(snapshots):
-    """(1/T) sum_t y(t) y*(t), symmetrized to be exactly Hermitian."""
+    """(1/T) sum_t y(t) y*(t), exactly Hermitian; NumericalError past float range."""
     Y = np.asarray(snapshots)
     if Y.ndim != 2 or Y.shape[1] < 1:
         raise ValidationError("need an m x T snapshot matrix with T >= 1")
     T = Y.shape[1]
-    R = (Y @ Y.conj().T) / T
-    return 0.5 * (R + R.conj().T)
+    with np.errstate(all="ignore"):
+        R = (Y @ Y.conj().T) / T
+        R = 0.5 * (R + R.conj().T)
+    if not np.all(np.isfinite(R)):
+        raise NumericalError("sample covariance is past float range")
+    return R
 
 
 def subspace_decomposition(cov, r):

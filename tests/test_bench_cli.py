@@ -33,7 +33,7 @@ base_seed = 42
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "modepuma.cli", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "modepuma.cli", *args],
         capture_output=True,
         text=True,
     )
@@ -117,6 +117,18 @@ class TestSweepConfig:
         path.write_text(SWEEP_TEXT.replace("source_cov = identity", "source_cov = 2, 0.5, 1"))
         with pytest.raises(ValidationError, match="sweep.cfg:5: source_cov needs 2 "):
             parse_sweep_config(path)
+
+    @pytest.mark.parametrize("source_cov", ["identity", "2, 0.5"])
+    def test_negative_r_exits_with_validation_code(self, tmp_path, source_cov):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            SWEEP_TEXT.replace("r = 2", "r = -2")
+            .replace("source_cov = identity", f"source_cov = {source_cov}")
+        )
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert "sweep.cfg:3: need r >= 1, got -2" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_negative_source_cov_entry_exits_with_validation_code(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -300,7 +312,7 @@ class TestMcCommand:
         assert calls == {"simulate_snapshots": 6, "subspace_decomposition": 6}
 
     def test_failed_trials_write_nan_rows(self, tmp_path):
-        # Three sources 0.05 rad apart on m = 4 at -10 dB, T = 5: on 8 of 20
+        # Three sources 0.05 rad apart on m = 4 at -10 dB, T = 5: on 5 of 20
         # trials the MODEX candidates give no valid subset, and only those
         # rows fail.
         cfg = tmp_path / "sweep.cfg"
@@ -318,7 +330,7 @@ class TestMcCommand:
             elif row[5] != "-1":
                 assert np.isfinite(float(row[6])) and np.isfinite(float(row[7]))
         assert failed == {
-            "mode": [], "puma": [], "modex:0": [1, 4, 5, 8, 9, 11, 15, 17], "epuma:0": [],
+            "mode": [], "puma": [], "modex:0": [5, 7, 9, 11, 17], "epuma:0": [],
         }
         aggregate = {row[0]: row for row in rows if row[5] == "-1"}
         assert np.isfinite(float(aggregate["modex:0"][6]))
@@ -335,6 +347,23 @@ class TestMcCommand:
         rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
         assert len(rows) == 4 * (4 + 1)
         assert all(row[6] == row[7] == "nan" for row in rows)
+
+    def test_covariance_past_float_range_gives_nan_rows(self, tmp_path):
+        # The sample covariance overflows, so every method of every trial fails.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            SWEEP_TEXT.replace("source_cov = identity", "source_cov = 1e306, 1e306")
+            .replace("snr_db_list = 10", "snr_db_list = 0")
+            .replace("snapshots_list = 50", "snapshots_list = 100")
+            .replace("methods = mode, puma", "methods = mode, puma, modex:2, epuma:2")
+        )
+        out = tmp_path / "out.csv"
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
+        assert len(rows) == 4 * (4 + 1)
+        assert all(row[6:10] == ["nan", "nan", "0", "0"] for row in rows if row[5] != "-1")
 
     def test_timing_fills_only_trial_rows(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -480,6 +509,17 @@ class TestEstimateCommand:
                        "2" if method == "epuma" else "0")
         assert proc.returncode == 2
         assert "float range" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_covariance_past_float_range_exits_numerical(self, tmp_path):
+        sc = Scenario(
+            m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
+            noise_power=0.1, n_snapshots=50, seed=1,
+        )
+        snaps = tmp_path / "snaps.txt"
+        write_snapshots(snaps, simulate_snapshots(sc) * 1e160)
+        proc = run_cli("estimate", str(snaps), "--r", "2")
+        assert proc.returncode == 2
+        assert "float range" in proc.stderr and "RuntimeWarning" not in proc.stderr
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.txt"

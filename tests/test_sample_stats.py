@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,24 @@ class TestScenario:
             make_scenario(noise=noise)
 
 
+    @pytest.mark.parametrize("power", [1e160, 1e300])
+    def test_huge_diagonal_source_cov_accepted_without_warning(self, power):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sc = Scenario(
+                m=4, r=2, angles=[-0.3, 0.9], source_cov=np.diag([power, power]),
+                noise_power=1.0, n_snapshots=10, seed=0,
+            )
+        assert np.array_equal(sc.source_cov, np.diag([power, power]))
+
+    def test_non_hermitian_source_cov_rejected_at_huge_scale(self):
+        with pytest.raises(ValidationError, match="Hermitian"):
+            Scenario(
+                m=4, r=2, angles=[-0.3, 0.9], source_cov=1e160 * np.array([[1.0, 0.5], [0.0, 1.0]]),
+                noise_power=1.0, n_snapshots=10, seed=0,
+            )
+
+
 class TestTrueCovariance:
     def test_rank_one_noiseless(self):
         R = true_covariance(make_scenario(m=2, angles=(0.0,), noise=0.0))
@@ -90,7 +110,8 @@ class TestSimulateSnapshots:
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
     def test_draws_equal_a_new_generator_per_snapshot(self, seed):
-        # Reference: one Generator(Philox(key=(seed << 64) + t)) per snapshot.
+        # Reference: snapshot t uses row t of one block drawn from
+        # Generator(Philox(key=seed)).
         sc = Scenario(
             m=4, r=2, angles=[-0.3, 0.9], source_cov=[[1.0, 0.3], [0.3, 2.0]],
             noise_power=0.5, n_snapshots=12, seed=seed,
@@ -98,9 +119,9 @@ class TestSimulateSnapshots:
         A = steering_matrix(sc.angles, sc.m)
         L = _hermitian_sqrt(sc.source_cov)
         expected = np.empty((sc.m, sc.n_snapshots), dtype=complex)
-        for t in range(sc.n_snapshots):
-            rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
-            z = rng.standard_normal(2 * (sc.r + sc.m))
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        Z = rng.standard_normal((sc.n_snapshots, 2 * (sc.r + sc.m)))
+        for t, z in enumerate(Z):
             v = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
             expected[:, t] = A @ (L @ v[: sc.r]) + np.sqrt(sc.noise_power) * v[sc.r :]
         assert np.array_equal(simulate_snapshots(sc), expected)
@@ -127,9 +148,9 @@ class TestSimulateSnapshots:
                     A = steering_matrix(sc.angles, m)
                     L = _hermitian_sqrt(sc.source_cov)
                     expected = np.empty((m, T), dtype=complex)
-                    for t in range(T):
-                        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + t))
-                        z = rng.standard_normal(2 * (r + m))
+                    rng = np.random.Generator(np.random.Philox(key=seed))
+                    Z = rng.standard_normal((T, 2 * (r + m)))
+                    for t, z in enumerate(Z):
                         v = (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
                         expected[:, t] = A @ (L @ v[:r]) + np.sqrt(noise) * v[r:]
                     Y = simulate_snapshots(sc)
@@ -183,6 +204,14 @@ class TestSampleCovariance:
             direct += y @ y.conj().T
         direct /= 30
         assert np.max(np.abs(R - direct)) <= 1e-14
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_past_float_range_is_numerical_error_without_warning(self, scale):
+        Y = scale * np.ones((3, 4), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="float range"):
+                sample_covariance(Y)
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(6)
