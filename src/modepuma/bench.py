@@ -81,13 +81,23 @@ class SweepSpec:
 
 
 def noise_power_for_snr(source_cov, r, snr_db):
-    """sigma^2 = tr(P) / (r * 10^(SNR/10)); an SNR past float range is a ValidationError."""
+    """sigma^2 = tr(P) / (r * 10^(SNR/10)).
+
+    An SNR past float range, or a sigma^2 that overflows (a huge tr(P) at a
+    low SNR), is a ValidationError naming the SNR.
+    """
     with np.errstate(over="ignore"):  # an infinite tr(P) gives an infinite sigma^2
         total = float(np.real(np.trace(np.asarray(source_cov))))
     try:
-        return total / (r * 10.0 ** (snr_db / 10.0))
+        sigma2 = total / (r * 10.0 ** (snr_db / 10.0))
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValidationError(f"SNR {snr_db} dB is out of float range") from exc
+    if not np.isfinite(sigma2):
+        raise ValidationError(
+            f"SNR {snr_db} dB with source_cov trace {total:g} gives a noise power "
+            "out of float range"
+        )
+    return sigma2
 
 
 def trial_seed(base_seed, snr_index, snapshots_index, trial_index):

@@ -38,9 +38,21 @@ from .errors import SingularityError, ValidationError
 
 _METHODS = ("MODE", "PUMA", "MODEX")
 
-# Subsets per stacked block in ``_score_subsets``.  Fixed, so the stacked
-# temporaries (block x m x r) stay small whatever the subset count.
+# Live subsets per stacked block of ``_score_subsets``'s QR and Gram routes.
+# Fixed, so the stacked temporaries (block x m x r, block x r x r) stay
+# small whatever the subset count.
 _SUBSET_BLOCK = 64
+_GRAM_BLOCK = 256
+
+# ``_score_subsets`` keeps a subset's score from its r x r Grams only where
+# its certified bound on cond(A* A), times tr R / score, is within this.
+# In randomized trials the Gram score's relative error stayed under eps
+# times that product, so under about 4e-13 here.
+_GRAM_BOUND = 2e3
+
+# Fewest live subsets for the Gram route: its fixed cost, some 40 array
+# operations per block, outweighs the QR work it saves on fewer.
+_GRAM_MIN_LIVE = 32
 
 # Most candidate subsets ``modex`` will score; the count grows as
 # C(2r + p, r), so a larger request is rejected before any solve.
@@ -299,13 +311,27 @@ def _score_subsets(candidates, cov, r):
     ``itertools.combinations(range(K), r)`` in its order, and one score per
     row.  A subset scores +inf when two consecutive candidates differ by
     less than 1e-12, or when its Gram A* A fails the COND_LIMIT guard of
-    ``v_ml_angles``.  The rest score tr R - tr(Q* R Q), with Q from a
-    stacked QR of their steering columns.  The guard is read off the same
-    QR first: with A = Q R_A, cond(A* A) <= ||R_A||_F^(2r) / prod |R_A,kk|^2,
-    so a subset whose bound is within COND_LIMIT / 100 passes.  Only the
-    undecided rest go through ``condition_number`` of their Gram, gathered
-    from the Gram of all K candidates.  Subsets are walked in blocks of
-    ``_SUBSET_BLOCK`` so the stacked temporaries stay small.
+    ``v_ml_angles``.  The rest score tr R - tr{ (A* A)^-1 A* R A } by one of
+    two routes.
+
+    * Gram route (``_gram_scores``): each subset's r x r blocks G_S and M_S
+      are gathered from G = A* A and M = A* R A, both built once over all K
+      candidates, and G_S = L L* is factored.  L* is the R factor of a QR
+      of A_S up to phases, so cond(G_S) <= bound = prod(tr G_S / |L_kk|^2).
+      The score tr R - tr(L^-1 M_S L^-*) loses about eps * cond(G_S) * tr R
+      to rounding, so it is kept only where bound * tr R <= _GRAM_BOUND *
+      score: there it is good to a few eps * _GRAM_BOUND relative.  Every
+      pivot is at most tr G_S / r, so the bound is at least r^r, and for
+      r >= 5 no subset can pass: the route is skipped, as it is when fewer
+      than ``_GRAM_MIN_LIVE`` subsets are live.
+    * QR route (``_qr_scores``): every other live subset.  Forming G_S
+      squares the condition number of A_S, so the ill-conditioned subsets
+      are scored from a stacked QR of their steering columns, A_S = Q R_A,
+      as tr R - tr(Q* R Q).
+
+    The live subsets are walked in blocks of ``_GRAM_BLOCK`` on the Gram
+    route and ``_SUBSET_BLOCK`` on the QR route, so the stacked temporaries
+    stay small whatever the subset count.
     """
     R = np.asarray(cov)
     m = R.shape[0]
@@ -320,22 +346,86 @@ def _score_subsets(candidates, cov, r):
     live = np.all(np.diff(candidates[subsets], axis=1) >= 1e-12, axis=1)
     scores = np.full(n, np.inf)
     trace_r = np.real(np.trace(R))
-    for start in range(0, n, _SUBSET_BLOCK):
-        rows = start + np.flatnonzero(live[start : start + _SUBSET_BLOCK])
-        idx = subsets[rows]
-        Q, R_A = np.linalg.qr(A.T[idx].transpose(0, 2, 1))
-        frob2 = np.sum(np.abs(R_A) ** 2, axis=(1, 2))
-        diag2 = np.abs(np.diagonal(R_A, axis1=1, axis2=2)) ** 2
-        with np.errstate(divide="ignore", over="ignore"):
-            bound = np.prod(frob2[:, None] / diag2, axis=1)
-        ok = bound <= COND_LIMIT / 100
-        if not np.all(ok):
-            gram = G[idx[~ok, :, None], idx[~ok, None, :]]
-            ok[~ok] = condition_number(gram) <= COND_LIMIT
-        Q = Q[ok]
-        fit = np.real(np.sum(Q.conj() * (R @ Q), axis=(1, 2)))
-        scores[rows[ok]] = trace_r - fit
+    rest = np.flatnonzero(live)
+    if r**r <= _GRAM_BOUND and rest.size >= _GRAM_MIN_LIVE:
+        M = A.conj().T @ (R @ A)
+        uncertified = []
+        for start in range(0, rest.size, _GRAM_BLOCK):
+            rows = rest[start : start + _GRAM_BLOCK]
+            # Flat positions laid out (r, r, n), so each gathered entry is
+            # one contiguous length-n array.
+            ix = np.ascontiguousarray(subsets[rows].T)
+            at = len(candidates) * ix[:, None] + ix[None, :]
+            score, certified = _gram_scores(G.ravel()[at], M.ravel()[at], trace_r)
+            scores[rows[certified]] = score[certified]
+            uncertified.append(rows[~certified])
+        rest = np.concatenate(uncertified)
+    for start in range(0, rest.size, _SUBSET_BLOCK):
+        rows = rest[start : start + _SUBSET_BLOCK]
+        scores[rows] = _qr_scores(A, G, R, subsets[rows], trace_r)
     return subsets, scores
+
+
+def _gram_scores(g, M, trace_r):
+    """Gram-route scores of a stack of subsets, and which of them are certified.
+
+    ``g`` and ``M`` are laid out (r, r, n): entry [i, j] of every subset's
+    G_S and M_S.  The Cholesky g = L L* and W = L^-1 are unrolled over the
+    r x r entries, each a length-n array: a stacked LAPACK Cholesky raises
+    for the whole stack on one Gram that is not positive definite.  A
+    non-positive pivot gives NaN here instead, which leaves that subset
+    uncertified.
+    """
+    r = len(g)
+    L = [[None] * r for _ in range(r)]  # L[i][j] for j < i; L[j][j] holds 1 / L_jj
+    W = np.zeros_like(g)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(r):
+            pivot = g[j, j].real
+            for k in range(j):
+                pivot = pivot - (L[j][k].real ** 2 + L[j][k].imag ** 2)
+            L[j][j] = 1 / np.sqrt(np.where(pivot > 0, pivot, np.nan))
+            for i in range(j + 1, r):
+                entry = g[i, j]
+                for k in range(j):
+                    entry = entry - L[i][k] * L[j][k].conj()
+                L[i][j] = entry * L[j][j]
+        for i in range(r):
+            W[i, i] = L[i][i]
+            for j in range(i):
+                entry = L[i][j] * W[j, j]
+                for k in range(j + 1, i):
+                    entry = entry + L[i][k] * W[k, j]
+                W[i, j] = -entry * L[i][i]
+        trace_g = np.real(np.trace(g))
+        bound = np.prod([trace_g * L[k][k] ** 2 for k in range(r)], axis=0)
+        score = trace_r - np.einsum("kan,abn,kbn->n", W, M, W.conj()).real
+        certified = bound * trace_r <= _GRAM_BOUND * score
+    return score, certified
+
+
+def _qr_scores(A, G, R, idx, trace_r):
+    """QR-route scores of the subsets ``idx``, +inf where the guard fails.
+
+    The COND_LIMIT guard is read off the QR first: with A_S = Q R_A,
+    cond(A* A) <= ||R_A||_F^(2r) / prod |R_A,kk|^2, so a subset whose bound
+    is within COND_LIMIT / 100 passes.  Only the undecided rest go through
+    ``condition_number`` of their Gram, gathered from G.
+    """
+    scores = np.full(len(idx), np.inf)
+    Q, R_A = np.linalg.qr(A.T[idx].transpose(0, 2, 1))
+    frob2 = np.sum(np.abs(R_A) ** 2, axis=(1, 2))
+    diag2 = np.abs(np.diagonal(R_A, axis1=1, axis2=2)) ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        bound = np.prod(frob2[:, None] / diag2, axis=1)
+    ok = bound <= COND_LIMIT / 100
+    if not np.all(ok):
+        gram = G[idx[~ok, :, None], idx[~ok, None, :]]
+        ok[~ok] = condition_number(gram) <= COND_LIMIT
+    Q = Q[ok]
+    fit = np.real(np.sum(Q.conj() * (R @ Q), axis=(1, 2)))
+    scores[ok] = trace_r - fit
+    return scores
 
 
 def estimate(cov, decomp, weight, r, config):

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -252,6 +253,31 @@ class TestMcCommand:
         assert proc.returncode == 1
         assert message in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source_cov, snr_db, message",
+        [
+            ("1e308, 1e308", "10", "SNR 10.0 dB with source_cov trace inf"),
+            ("1e306, 1e306", "-300", "SNR -300.0 dB with source_cov trace 2e+306"),
+        ],
+    )
+    def test_noise_power_past_float_range_names_snr_and_source_cov(
+        self, tmp_path, source_cov, snr_db, message
+    ):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            SWEEP_TEXT.replace("source_cov = identity", f"source_cov = {source_cov}").replace(
+                "snr_db_list = 10", f"snr_db_list = {snr_db}"
+            )
+        )
+        out = tmp_path / "out.csv"
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert "noise power must be finite" not in proc.stderr
+        assert not out.exists()
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            noise_power_for_snr(np.diag([float(v) for v in source_cov.split(",")]), 2, float(snr_db))
 
     def test_deterministic_across_jobs(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -1,5 +1,9 @@
 import itertools
+import math
+import tracemalloc
+import warnings
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from modepuma.estimators import (
     _SUBSET_BLOCK,
     _conjugate_symmetric_basis,
     _gauge_step,
+    _gram_scores,
     _omega_from_coefs,
     _score_subsets,
     _symmetric_step,
@@ -580,15 +585,166 @@ def near_limit_candidates(draw):
     return candidates, cov, r
 
 
+def _all_qr_score_subsets(candidates, cov, r):
+    """The scoring that the Gram route sped up, every live subset by stacked QR, kept verbatim."""
+    R = np.asarray(cov)
+    m = R.shape[0]
+    A = np.exp(1j * np.outer(np.arange(m), candidates))
+    G = hermitian_gram(A.conj().T)
+    n = math.comb(len(candidates), r)
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(len(candidates)), r)),
+        dtype=np.intp,
+        count=n * r,
+    ).reshape(n, r)
+    live = np.all(np.diff(candidates[subsets], axis=1) >= 1e-12, axis=1)
+    scores = np.full(n, np.inf)
+    trace_r = np.real(np.trace(R))
+    for start in range(0, n, _SUBSET_BLOCK):
+        rows = start + np.flatnonzero(live[start : start + _SUBSET_BLOCK])
+        idx = subsets[rows]
+        Q, R_A = np.linalg.qr(A.T[idx].transpose(0, 2, 1))
+        frob2 = np.sum(np.abs(R_A) ** 2, axis=(1, 2))
+        diag2 = np.abs(np.diagonal(R_A, axis1=1, axis2=2)) ** 2
+        with np.errstate(divide="ignore", over="ignore"):
+            bound = np.prod(frob2[:, None] / diag2, axis=1)
+        ok = bound <= COND_LIMIT / 100
+        if not np.all(ok):
+            gram = G[idx[~ok, :, None], idx[~ok, None, :]]
+            ok[~ok] = condition_number(gram) <= COND_LIMIT
+        Q = Q[ok]
+        fit = np.real(np.sum(Q.conj() * (R @ Q), axis=(1, 2)))
+        scores[rows[ok]] = trace_r - fit
+    return subsets, scores
+
+
+def _score_subsets_and_route(candidates, cov, r, min_live=1):
+    """``_score_subsets`` and a mask of the subsets it sent down the QR route.
+
+    ``min_live`` stands in for ``_GRAM_MIN_LIVE``; the default 1 sends even
+    the small candidate sets drawn here through the Gram route.
+    """
+    routed = set()
+    qr_scores = estimators._qr_scores
+
+    def spy(A, G, R, idx, trace_r):
+        routed.update(map(tuple, idx.tolist()))
+        return qr_scores(A, G, R, idx, trace_r)
+
+    with mock.patch.object(estimators, "_qr_scores", spy), mock.patch.object(
+        estimators, "_GRAM_MIN_LIVE", min_live
+    ):
+        subsets, scores = _score_subsets(candidates, cov, r)
+    return subsets, scores, np.array([tuple(S) in routed for S in subsets.tolist()], dtype=bool)
+
+
+def _assert_matches_reference(routed, reference, cov):
+    """The same subsets and +inf set as the reference; bit-equal scores on the
+    subsets sent down the QR route, and within 1e-12 tr R on those scored from
+    the Grams: about eps times 1e4, a tolerance fixed before any run."""
+    subsets, scores, qr = routed
+    ref_subsets, ref_scores = reference
+    assert np.array_equal(subsets, ref_subsets)
+    assert np.array_equal(np.isinf(scores), np.isinf(ref_scores))
+    assert np.array_equal(scores[qr], ref_scores[qr])
+    gram = np.isfinite(scores) & ~qr
+    delta = np.abs(scores[gram] - ref_scores[gram])
+    assert np.all(delta <= 1e-12 * np.real(np.trace(cov)))
+
+
+def _qr_bound(candidates, m, subset):
+    """The COND_LIMIT certificate of one subset, from a QR of its steering columns."""
+    R_A = np.linalg.qr(np.exp(1j * np.outer(np.arange(m), candidates[list(subset)])))[1]
+    return np.sum(np.abs(R_A) ** 2) ** len(subset) / np.prod(np.abs(np.diag(R_A)) ** 2)
+
+
+@st.composite
+def clustered_candidates(draw):
+    """``candidate_sets`` scored on one of the clustered covariances (m=8)."""
+    candidates, r = draw(candidate_sets())
+    return candidates, _CLUSTERED_COVS[draw(st.integers(0, len(_CLUSTERED_COVS) - 1))], r
+
+
+class TestGramRoute:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(near_limit_candidates(), clustered_candidates()))
+    def test_matches_the_all_qr_scoring(self, drawn):
+        candidates, cov, r = drawn
+        _assert_matches_reference(
+            _score_subsets_and_route(candidates, cov, r),
+            _all_qr_score_subsets(candidates, cov, r),
+            cov,
+        )
+
+    @pytest.mark.parametrize("which", range(len(_CLUSTERED_COVS)))
+    def test_clustered_subsets_past_the_certificate_take_the_qr_route(self, which):
+        # The sources sit at 0.1, 0.18, 0.26 (m=8): subsets of that cluster
+        # have bounds far past 1e4, the scattered ones well within it.
+        candidates = np.array([-2.0, -0.9, 0.1, 0.18, 0.26, 1.2, 2.6])
+        cov = _CLUSTERED_COVS[which]
+        subsets, _, qr = _score_subsets_and_route(candidates, cov, 3)
+        bounds = np.array([_qr_bound(candidates, 8, S) for S in subsets])
+        assert np.any(bounds > 1e4) and not np.all(qr)
+        assert np.all(qr[bounds > 1e4])
+
+    def test_a_call_with_few_live_subsets_takes_the_qr_route_whole(self):
+        # The paper geometry: 6 candidates, r = 2, 15 subsets.
+        candidates = np.array([-0.41, -0.4, 0.69, 0.7, 1.9, 2.8])
+        cov = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)[0]
+        assert estimators._GRAM_MIN_LIVE > 15
+        subsets, scores, qr = _score_subsets_and_route(
+            candidates, cov, 2, min_live=estimators._GRAM_MIN_LIVE
+        )
+        assert np.all(qr)
+        assert np.array_equal(scores, _all_qr_score_subsets(candidates, cov, 2)[1])
+        assert not np.all(_score_subsets_and_route(candidates, cov, 2)[2])
+
+    def test_a_gram_that_is_not_positive_definite_neither_raises_nor_warns(self):
+        A = np.exp(1j * np.outer(np.arange(8), [-1.0, 0.3, 1.7]))
+        cov = _CLUSTERED_COVS[0]
+        good = A.conj().T @ A
+        bad = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
+        M = A.conj().T @ cov @ A
+        g = np.stack([good, bad, good], axis=-1)
+        trace_r = np.real(np.trace(cov))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score, certified = _gram_scores(g, np.stack([M] * 3, axis=-1), trace_r)
+            alone, _ = _gram_scores(good[:, :, None], M[:, :, None], trace_r)
+        assert certified.tolist() == [True, False, True]
+        assert score[0] == score[2] == alone[0]
+
+
+@pytest.mark.parametrize("r, K, m", [(8, 19, 24), (4, 38, 36)])
+def test_scoring_near_the_subset_limit_stays_small(r, K, m):
+    # 75 582 and 73 815 subsets: the first takes the QR route alone, the
+    # second mostly the Gram route.  16 MB is the all-QR scoring's measured
+    # 14.05 MB peak at (8, 19, 24), rounded up.
+    assert math.comb(K, r) <= estimators._MAX_SUBSETS
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
+    cov = X @ X.conj().T / (2 * m)
+    candidates = np.sort(rng.uniform(-3.0, 3.0, K))
+    tracemalloc.start()
+    try:
+        _, scores = _score_subsets(candidates, cov, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(scores))
+    assert peak <= 16e6
+
+
 class TestScoreSubsetsGuard:
     @settings(max_examples=300, deadline=None)
     @given(near_limit_candidates())
     def test_equals_eigvalsh_guarded_reference(self, drawn):
         candidates, cov, r = drawn
-        subsets, scores = _score_subsets(candidates, cov, r)
-        ref_subsets, ref_scores = _reference_score_subsets(candidates, cov, r)
-        assert np.array_equal(subsets, ref_subsets)
-        assert np.array_equal(scores, ref_scores)
+        _assert_matches_reference(
+            _score_subsets_and_route(candidates, cov, r),
+            _reference_score_subsets(candidates, cov, r),
+            cov,
+        )
 
     def test_bound_certifies_some_subsets_and_eigvalsh_decides_the_rest(self, monkeypatch):
         # Gaps 2e-6 and 1e-7 at m=8: Gram condition numbers of about 2e11
@@ -603,11 +759,13 @@ class TestScoreSubsetsGuard:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        subsets, scores = _score_subsets(candidates, cov, 2)
+        routed = _score_subsets_and_route(candidates, cov, 2)
         monkeypatch.undo()
+        subsets, scores, _ = routed
         assert sum(checked) == 2
         assert np.sum(np.isfinite(scores)) == len(subsets) - 1
-        assert np.array_equal(scores, _reference_score_subsets(candidates, cov, 2)[1])
+        _assert_matches_reference(routed, _reference_score_subsets(candidates, cov, 2), cov)
+
 
 class TestMatchAngles:
     def test_identical(self):

@@ -109,7 +109,7 @@ class TestSimulateSnapshots:
         assert np.array_equal(short, long[:, :7])
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
-    def test_draws_equal_a_new_generator_per_snapshot(self, seed):
+    def test_draws_come_from_one_keyed_generator_per_trial(self, seed):
         # Reference: snapshot t uses row t of one block drawn from
         # Generator(Philox(key=seed)).
         sc = Scenario(
@@ -128,7 +128,7 @@ class TestSimulateSnapshots:
 
     @pytest.mark.parametrize("m", range(2, 21))
     def test_stacked_product_equals_per_snapshot_formula(self, m):
-        # The reference formula of test_draws_equal_a_new_generator_per_snapshot,
+        # The reference formula of test_draws_come_from_one_keyed_generator_per_trial,
         # over every r < m, snapshot counts from 1 to 200, identity and
         # correlated source covariances, and noise power 0 among others.
         seeds = [0, 3, 2**63 + 5, 2**64 - 1]
