@@ -45,10 +45,14 @@ _SUBSET_BLOCK = 64
 _GRAM_BLOCK = 256
 
 # ``_score_subsets`` keeps a subset's score from its r x r Grams only where
-# its certified bound on cond(A* A), times tr R / score, is within this.
-# In randomized trials the Gram score's relative error stayed under eps
-# times that product, so under about 4e-13 here.
+# its certified bound on cond(G_S), times tr R / score, is within
+# _GRAM_BOUND: the score's relative error is then about eps * _GRAM_BOUND,
+# under 4.5e-13.  And only where its bound on cond(A_S* A_S) of the plain
+# steering columns is within _GRAM_GUARD: far inside COND_LIMIT, so the
+# +inf rule cannot flip, and low enough that the QR route's own error,
+# about eps * cond(A_S) * tr R, would stay near 1e-12 tr R.
 _GRAM_BOUND = 2e3
+_GRAM_GUARD = 1e8
 
 # Fewest live subsets for the Gram route: its fixed cost, some 40 array
 # operations per block, outweighs the QR work it saves on fewer.
@@ -314,16 +318,20 @@ def _score_subsets(candidates, cov, r):
     ``v_ml_angles``.  The rest score tr R - tr{ (A* A)^-1 A* R A } by one of
     two routes.
 
-    * Gram route (``_gram_scores``): each subset's r x r blocks G_S and M_S
-      are gathered from G = A* A and M = A* R A, both built once over all K
-      candidates, and G_S = L L* is factored.  L* is the R factor of a QR
-      of A_S up to phases, so cond(G_S) <= bound = prod(tr G_S / |L_kk|^2).
-      The score tr R - tr(L^-1 M_S L^-*) loses about eps * cond(G_S) * tr R
-      to rounding, so it is kept only where bound * tr R <= _GRAM_BOUND *
-      score: there it is good to a few eps * _GRAM_BOUND relative.  Every
-      pivot is at most tr G_S / r, so the bound is at least r^r, and for
-      r >= 5 no subset can pass: the route is skipped, as it is when fewer
-      than ``_GRAM_MIN_LIVE`` subsets are live.
+    * Gram route (``_gram_scores``): the steering columns A are joined by
+      the divided differences d_i of each consecutive candidate pair
+      (``_divided_differences``), B = [A | D], and G = B* B, M = B* R B are
+      built once.  A subset that holds candidates i and i + 1 takes d_i in
+      place of a_(i+1): the span, so the score, is the same, but a pair of
+      near twins is well conditioned in B.  Each subset gathers its r x r
+      blocks G_S and M_S and scores tr R - tr(G_S^-1 M_S).  Rounding costs
+      that about eps * cond(G_S) * tr R, and cond(G_S) <= bound =
+      tr G_S * tr G_S^-1, so the score is kept only where bound * tr R <=
+      _GRAM_BOUND * score.  The +inf rule stays on the plain columns: with
+      A_S = B_S T, cond(A_S* A_S) <= bound * ||T||_F^2 * ||T^-1||_F^2, in
+      closed form, and the score is kept only where that is within
+      _GRAM_GUARD.  The route is skipped when fewer than ``_GRAM_MIN_LIVE``
+      subsets are live.
     * QR route (``_qr_scores``): every other live subset.  Forming G_S
       squares the condition number of A_S, so the ill-conditioned subsets
       are scored from a stacked QR of their steering columns, A_S = Q R_A,
@@ -335,28 +343,39 @@ def _score_subsets(candidates, cov, r):
     """
     R = np.asarray(cov)
     m = R.shape[0]
+    K = len(candidates)
     A = np.exp(1j * np.outer(np.arange(m), candidates))
     G = hermitian_gram(A.conj().T)
-    n = math.comb(len(candidates), r)
+    n = math.comb(K, r)
     subsets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(len(candidates)), r)),
+        itertools.chain.from_iterable(itertools.combinations(range(K), r)),
         dtype=np.intp,
         count=n * r,
     ).reshape(n, r)
-    live = np.all(np.diff(candidates[subsets], axis=1) >= 1e-12, axis=1)
+    # apart[i, j]: c_j - c_i >= 1e-12, the live test of each consecutive
+    # pair in a subset, read off a K x K table instead of n x r float copies.
+    apart = candidates[None, :] - candidates[:, None] >= 1e-12
+    live = np.all(apart[subsets[:, :-1], subsets[:, 1:]], axis=1)
     scores = np.full(n, np.inf)
     trace_r = np.real(np.trace(R))
     rest = np.flatnonzero(live)
-    if r**r <= _GRAM_BOUND and rest.size >= _GRAM_MIN_LIVE:
-        M = A.conj().T @ (R @ A)
+    if rest.size >= _GRAM_MIN_LIVE:
+        D, spread2 = _divided_differences(candidates, m)
+        B = np.concatenate([A, D], axis=1)
+        G_B = hermitian_gram(B.conj().T)
+        M_B = B.conj().T @ (R @ B)
         uncertified = []
         for start in range(0, rest.size, _GRAM_BLOCK):
             rows = rest[start : start + _GRAM_BLOCK]
-            # Flat positions laid out (r, r, n), so each gathered entry is
-            # one contiguous length-n array.
+            # Columns of B laid out (r, n), so each gathered entry of the
+            # (r, r, n) blocks is one contiguous length-n array.
             ix = np.ascontiguousarray(subsets[rows].T)
-            at = len(candidates) * ix[:, None] + ix[None, :]
-            score, certified = _gram_scores(G.ravel()[at], M.ravel()[at], trace_r)
+            twin = ix[1:] == ix[:-1] + 1
+            col = np.concatenate([ix[:1], np.where(twin, K + ix[:-1], ix[1:])])
+            at = (2 * K - 1) * col[:, None] + col[None, :]
+            score, certified = _gram_scores(
+                G_B.ravel()[at], M_B.ravel()[at], trace_r, _basis_cond(twin, spread2[ix[:-1]])
+            )
             scores[rows[certified]] = score[certified]
             uncertified.append(rows[~certified])
         rest = np.concatenate(uncertified)
@@ -366,15 +385,51 @@ def _score_subsets(candidates, cov, r):
     return subsets, scores
 
 
-def _gram_scores(g, M, trace_r):
+def _divided_differences(candidates, m):
+    """Divided differences of consecutive steering columns, and their squared spreads.
+
+    Column i of D is (a_(i+1) - a_i) / delta at delta = c_(i+1) - c_i,
+    formed without cancellation as exp(jk (c_i + c_(i+1)) / 2) * 2j
+    sin(k delta / 2) / delta and scaled to the columns' norm sqrt(m).  So
+    a_(i+1) = a_i + s_i d_i with s_i = ||a_(i+1) - a_i|| / sqrt(m), the
+    spread, and s_i^2 is returned.  Pairs closer than 1e-12 are never
+    scored; their column is formed at delta = 1 so that it stays finite.
+    """
+    k = np.arange(m)[:, None]
+    gap = np.diff(candidates)
+    half = np.sin(k * np.where(gap >= 1e-12, gap, 1.0) / 2)
+    half2 = np.sum(half**2, axis=0)
+    mid = np.exp(0.5j * k * (candidates[:-1] + candidates[1:]))
+    return 1j * mid * (half * np.sqrt(m / half2)), 4 * half2 / m
+
+
+def _basis_cond(twin, spread2):
+    """A closed-form bound on cond(T)^2 for each subset's A_S = B_S T: ||T||_F^2 ||T^-1||_F^2.
+
+    ``twin`` (r - 1, n) marks the positions j >= 1 that took a divided
+    difference, and ``spread2`` holds s_j^2 of the pair ending there.
+    Column j of T^-1 is (e_j - e_(j-1)) / s_j at such a position and e_j
+    elsewhere.  Column j of T is column j - 1 plus s_j e_j there and e_j
+    elsewhere, so its squared norm is at most 1 + the s^2 of the positions
+    up to j, and exactly that for a lone pair.
+    """
+    s2 = np.where(twin, spread2, 0.0)
+    frob2 = len(twin) + 1 + np.sum(np.where(twin, np.cumsum(s2, axis=0), 0.0), axis=0)
+    inv_frob2 = 1 + np.sum(np.where(twin, 2 / spread2, 1.0), axis=0)
+    return frob2 * inv_frob2
+
+
+def _gram_scores(g, M, trace_r, basis_cond=1.0):
     """Gram-route scores of a stack of subsets, and which of them are certified.
 
     ``g`` and ``M`` are laid out (r, r, n): entry [i, j] of every subset's
-    G_S and M_S.  The Cholesky g = L L* and W = L^-1 are unrolled over the
-    r x r entries, each a length-n array: a stacked LAPACK Cholesky raises
-    for the whole stack on one Gram that is not positive definite.  A
-    non-positive pivot gives NaN here instead, which leaves that subset
-    uncertified.
+    G_S and M_S.  ``basis_cond`` bounds cond(T)^2 of each subset's change
+    of basis A_S = B_S T; the default 1 is T = I, the plain columns.  The
+    Cholesky g = L L* and W = L^-1 are unrolled over the r x r entries,
+    each a length-n array: a stacked LAPACK Cholesky raises for the whole
+    stack on one Gram that is not positive definite.  A non-positive pivot
+    gives NaN here instead, which leaves that subset uncertified.  The
+    bound on cond(G_S) is tr G_S * tr G_S^-1 = tr G_S * ||W||_F^2.
     """
     r = len(g)
     L = [[None] * r for _ in range(r)]  # L[i][j] for j < i; L[j][j] holds 1 / L_jj
@@ -397,10 +452,11 @@ def _gram_scores(g, M, trace_r):
                 for k in range(j + 1, i):
                     entry = entry + L[i][k] * W[k, j]
                 W[i, j] = -entry * L[i][i]
-        trace_g = np.real(np.trace(g))
-        bound = np.prod([trace_g * L[k][k] ** 2 for k in range(r)], axis=0)
+        bound = np.real(np.trace(g)) * np.sum(W.real**2 + W.imag**2, axis=(0, 1))
         score = trace_r - np.einsum("kan,abn,kbn->n", W, M, W.conj()).real
-        certified = bound * trace_r <= _GRAM_BOUND * score
+        certified = (bound * trace_r <= _GRAM_BOUND * score) & (
+            bound * basis_cond <= _GRAM_GUARD
+        )
     return score, certified
 
 

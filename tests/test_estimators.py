@@ -5,6 +5,7 @@ import warnings
 from math import comb
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,6 +41,7 @@ from modepuma.array_model import (
 from modepuma.bench import _random_instance, noise_power_for_snr, trial_seed
 from modepuma.errors import SingularityError
 from modepuma.estimators import (
+    _GRAM_BOUND,
     _SUBSET_BLOCK,
     _conjugate_symmetric_basis,
     _gauge_step,
@@ -715,6 +717,87 @@ class TestGramRoute:
         assert score[0] == score[2] == alone[0]
 
 
+def _twin_candidates(base, gaps):
+    """The sorted ``base`` angles, each with a near twin ``gap`` above it."""
+    return np.sort(np.concatenate([base, np.asarray(base) + np.asarray(gaps)]))
+
+
+def _extended_precision_scores(candidates, cov, subsets, digits=40):
+    """tr R - tr{ (A* A)^-1 A* R A } of each subset, exact to about ``digits``
+    less the log10 of its Gram's condition number, on the same float inputs."""
+    m = cov.shape[0]
+    with mpmath.workdps(digits):
+        A = mpmath.matrix([[mpmath.expj(k * mpmath.mpf(c)) for c in candidates] for k in range(m)])
+        R = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in cov])
+        AH = A.transpose_conj()
+        G = AH * A
+        M = AH * (R * A)
+        trace_r = sum(R[k, k].real for k in range(m))
+        scores = []
+        for S in subsets.tolist():
+            G_S = mpmath.matrix([[G[i, j] for j in S] for i in S])
+            M_S = mpmath.matrix([[M[i, j] for j in S] for i in S])
+            fit = G_S**-1 * M_S
+            scores.append(float(trace_r - sum(fit[k, k].real for k in range(len(S)))))
+    return np.array(scores)
+
+
+class TestDividedDifferenceRoute:
+    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("gap", [1e-5, 1e-4, 1e-3, 1e-2])
+    def test_gram_scores_match_an_extended_precision_reference(self, gap, m):
+        # Three sources at 10 dB and a spurious root, each with a near twin:
+        # 56 live subsets, so the Gram route runs.  The tolerance,
+        # eps * _GRAM_BOUND * tr R (about 4.4e-13 tr R), was fixed before
+        # any run from the certificate the route keeps a score under.
+        base = [-1.0, 0.2, 1.3]
+        cov = noisy_pipeline(m, 3, base, 10.0, 100, seed=0)[0]
+        candidates = _twin_candidates(base + [2.4], gap)
+        subsets, scores, qr = _score_subsets_and_route(
+            candidates, cov, 3, min_live=estimators._GRAM_MIN_LIVE
+        )
+        gram = ~qr
+        assert np.sum(gram) >= estimators._GRAM_MIN_LIVE
+        reference = _extended_precision_scores(candidates, cov, subsets[gram])
+        error = np.abs(scores[gram] - reference)
+        trace_r = np.real(np.trace(cov))
+        assert np.all(error <= np.finfo(float).eps * _GRAM_BOUND * trace_r)
+
+    def test_twin_pairs_of_the_wide_geometry_take_the_gram_route(self):
+        # m=16, r=4: the four sources, each with a twin 3e-4 to 1e-2 above
+        # it, and six spurious roots, so 1001 subsets, 258 of them holding
+        # a twin pair: before the divided differences all of those 258
+        # took the QR route.
+        angles = [-1.2, -0.3, 0.5, 1.4]
+        cov = noisy_pipeline(16, 4, angles, 10.0, 200, seed=0)[0]
+        candidates = np.sort(
+            np.concatenate(
+                [_twin_candidates(angles, [1e-3, 3e-3, 1e-2, 3e-4]), [-2.6, -0.8, 0.1, 0.9, 2.0, 2.9]]
+            )
+        )
+        subsets, scores, qr = _score_subsets_and_route(
+            candidates, cov, 4, min_live=estimators._GRAM_MIN_LIVE
+        )
+        holds_twins = np.any(np.diff(candidates[subsets], axis=1) < 0.02, axis=1)
+        assert len(subsets) == 1001 and np.sum(holds_twins) == 258
+        assert np.all(np.isfinite(scores))
+        assert np.mean(~qr) >= 0.9
+        assert np.mean(~qr[holds_twins]) >= 0.9
+
+    def test_pairs_past_the_guard_limit_stay_on_the_qr_route(self):
+        # m=8: the pair 2e-6 apart has cond(A* A) of about 2e11, within
+        # COND_LIMIT but far past _GRAM_GUARD, so it is scored by QR and
+        # stays finite; the pair 1e-7 apart (about 8e13) scores +inf.
+        candidates = np.array([-1.0, 0.2, 0.2 + 2e-6, 1.1, 2.0, 2.0 + 1e-7])
+        cov = _CLUSTERED_COVS[0]
+        subsets, scores, qr = _score_subsets_and_route(candidates, cov, 2)
+        close = subsets.tolist().index([1, 2])
+        coincident = subsets.tolist().index([4, 5])
+        assert qr[close] and np.isfinite(scores[close])
+        assert qr[coincident] and scores[coincident] == np.inf
+        assert not np.all(qr)
+
+
 @pytest.mark.parametrize("r, K, m", [(8, 19, 24), (4, 38, 36)])
 def test_scoring_near_the_subset_limit_stays_small(r, K, m):
     # 75 582 and 73 815 subsets: the first takes the QR route alone, the
@@ -733,6 +816,25 @@ def test_scoring_near_the_subset_limit_stays_small(r, K, m):
         tracemalloc.stop()
     assert np.all(np.isfinite(scores))
     assert peak <= 16e6
+
+
+def test_the_live_mask_copies_no_subset_sized_floats():
+    # At r=8, K=19 (75 582 subsets) the live mask is read off a K x K table
+    # of candidate gaps, not n x r float copies of the candidates.  8 MB is
+    # this scoring's measured 7.83 MB whole-call peak, rounded up; the n x r
+    # index array alone is 4.84 MB.
+    r, K, m = 8, 19, 24
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
+    cov = X @ X.conj().T / (2 * m)
+    candidates = np.sort(rng.uniform(-3.0, 3.0, K))
+    tracemalloc.start()
+    try:
+        _score_subsets(candidates, cov, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 class TestScoreSubsetsGuard:
