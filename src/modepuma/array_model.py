@@ -128,16 +128,17 @@ def toeplitz_annihilator(coefs, m):
     """(m-q) x m banded Toeplitz annihilator T, with T @ steering_matrix = 0.
 
     q is the polynomial degree; row i carries the coefficients c_0 ... c_q
-    starting at column i.
+    starting at column i.  Built with one strided write: rows of length
+    m + 1 that start with c, read back m at a time, shift c one column
+    further in each row.
     """
     c = as_coefs(coefs)
     q = c.size - 1
     if m <= q:
         raise DimensionError(f"need m > q, got m={m}, q={q}")
-    T = np.zeros((m - q, m), dtype=complex)
-    for i in range(m - q):
-        T[i, i : i + q + 1] = c
-    return T
+    T = np.zeros((m - q) * (m + 1), dtype=complex)
+    T.reshape(m - q, m + 1)[:, : q + 1] = c
+    return T[: (m - q) * m].reshape(m - q, m)
 
 
 def projector_from_annihilator(T):

@@ -121,10 +121,10 @@ def _run_trial(args):
     """Simulate one trial and run every method on it.
 
     Returns one ``(rmse, criterion, converged, success, wall_ms)`` outcome
-    per method; ``wall_ms`` is the shared simulate, covariance and
-    decomposition time plus that method's own weight, estimate and angle
-    matching, or None without timing.  A typed error in the shared step
-    fails every method's row of the trial; one in a method's weight or
+    per method; ``wall_ms`` is the shared simulate, covariance,
+    decomposition and signal-weight time plus that method's own estimate
+    and angle matching, or None without timing.  A typed error in the
+    shared step fails every method's row of the trial; one in a method's
     estimate fails that method's row.  Neither stops the sweep.
     """
     scenario, methods, threshold, timing = args
@@ -133,6 +133,7 @@ def _run_trial(args):
     try:
         cov = sample_covariance(simulate_snapshots(scenario))
         decomp = subspace_decomposition(cov, scenario.r)
+        weight = signal_weight(decomp)
     except _TRIAL_ERRORS:
         wall_ms = (time.perf_counter() - t0) * 1e3
         return [failed + ((wall_ms if timing else None),)] * len(methods)
@@ -141,7 +142,7 @@ def _run_trial(args):
     for config in methods:
         t1 = time.perf_counter()
         try:
-            result = estimate(cov, decomp, signal_weight(decomp), scenario.r, config)
+            result = estimate(cov, decomp, weight, scenario.r, config)
             errors, rmse = match_angles(result.angles, scenario.angles)
             success = bool(np.all(np.abs(errors) <= threshold))
             row = (rmse, result.criterion_value, result.converged, success)

@@ -19,6 +19,7 @@ Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -92,8 +93,17 @@ class EstimationResult:
     criterion_value: float
     iterations_used: int
     converged: bool
-    candidate_log: list | None = field(default=None, compare=False)
     criterion_history: list | None = field(default=None, compare=False)
+    # MODEX's (phi, scores): every candidate subset's angles and its score.
+    _candidates: tuple | None = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def candidate_log(self):
+        """MODEX's ``[(subset angles, score), ...]``, or None; built on first read."""
+        if self._candidates is None:
+            return None
+        phi, scores = self._candidates
+        return list(zip(map(tuple, phi.tolist()), scores.tolist()))
 
 
 def quadratic_form_matrix(decomp, weight, omega, q):
@@ -101,29 +111,45 @@ def quadratic_form_matrix(decomp, weight, omega, q):
 
     The map c -> vec(T U) is linear: vec(T U) = Phi c with
     Phi[l*(m-q) + i, k] = U[i + k, l].  Then Q = Phi* (G kron Omega) Phi,
-    accumulated column-block by column-block.
+    summed over the (m-q) x (q+1) Hankel slices Phi_l of ``_hankel_slices``
+    by ``_quadratic_form``.
     """
     _check_degree(decomp, q)
-    U = decomp.u_signal
-    g = np.asarray(weight, dtype=float)
-    m, r = U.shape
     omega = np.asarray(omega, dtype=complex)
+    m = decomp.m
     if omega.shape != (m - q, m - q):
         raise ValidationError("omega must be (m-q) x (m-q)")
-    Q = np.zeros((q + 1, q + 1), dtype=complex)
-    # Hankel slices Phi_l[i, k] = U[i + k, l], gathered through one index array.
+    Phi, PhiH = _hankel_slices(decomp, q)
+    return _quadratic_form(Phi, PhiH, np.asarray(weight, dtype=float), omega)
+
+
+def _hankel_slices(decomp, q):
+    """The r Hankel slices Phi_l[i, k] = U[i + k, l], stacked (r, m-q, q+1), and their adjoints."""
+    m = decomp.m
     hankel = np.arange(m - q)[:, None] + np.arange(q + 1)
-    for l in range(r):
-        Phi_l = U[hankel, l]
-        Q += g[l] * (Phi_l.conj().T @ omega @ Phi_l)
+    Phi = decomp.u_signal.T[:, hankel]
+    return Phi, Phi.conj().transpose(0, 2, 1)
+
+
+def _quadratic_form(Phi, PhiH, g, omega):
+    """Q = sum_l g_l Phi_l* Omega Phi_l over the stacked slices, symmetrized.
+
+    The products are two stacked matmuls; the sum runs in slice order.
+    """
+    Z = (PhiH @ omega) @ Phi
+    Q = np.zeros(Z.shape[1:], dtype=complex)
+    for l in range(len(Z)):
+        Q += g[l] * Z[l]
     return 0.5 * (Q + Q.conj().T)
 
 
+@functools.lru_cache(maxsize=16)
 def _conjugate_symmetric_basis(n):
     """Orthonormal columns J_k with c = J @ rho conjugate-symmetric for real rho.
 
     Re(J* J) = I, so c* Q c over unit-norm c is rho^T Re(J* Q J) rho over
-    unit-norm rho: a standard symmetric eigenproblem.
+    unit-norm rho: a standard symmetric eigenproblem.  Cached per n, and
+    read-only.
     """
     cols = []
     half = n // 2
@@ -134,7 +160,9 @@ def _conjugate_symmetric_basis(n):
         cols.append(s * 1j * (eye[:, k] - eye[:, n - 1 - k]))
     if n % 2:
         cols.append(eye[:, half])
-    return np.column_stack(cols)
+    J = np.column_stack(cols)
+    J.flags.writeable = False
+    return J
 
 
 def _omega_from_coefs(c, m):
@@ -179,14 +207,16 @@ def _reweighted_solve(decomp, weight, q, step, tolerance):
     """
     _check_degree(decomp, q)
     m = decomp.m
-    c = step(quadratic_form_matrix(decomp, weight, np.eye(m - q, dtype=complex), q))
+    g = np.asarray(weight, dtype=float)
+    Phi, PhiH = _hankel_slices(decomp, q)
+    c = step(_quadratic_form(Phi, PhiH, g, np.eye(m - q, dtype=complex)))
     history = []
     for iters in range(2, _MAX_ITERATIONS + 1):
         try:
             omega = _omega_from_coefs(c, m)
         except SingularityError:
             return c, iters - 1, False, history
-        Q = quadratic_form_matrix(decomp, weight, omega, q)
+        Q = _quadratic_form(Phi, PhiH, g, omega)
         history.append(float(np.real(c.conj() @ Q @ c)))
         prev, c = c, step(Q)
         a = c / c[0]  # drops the scale and sign MODE's unit eigenvector leaves free
@@ -269,7 +299,8 @@ def modex(cov, decomp, weight, r, config):
     subspace swap corrupts the plain fit.  Subsets with near-coincident
     candidates or a numerically singular steering Gram score +inf; the
     first minimum wins ties.  ``candidate_log`` lists every subset with
-    its score in ``itertools.combinations`` order.  More than
+    its score in ``itertools.combinations`` order; it is built from the
+    kept angle and score arrays on first read.  More than
     ``_MAX_SUBSETS`` subsets is a ``ValidationError``.
     """
     p = config.p_extra
@@ -304,7 +335,7 @@ def modex(cov, decomp, weight, r, config):
         criterion_value=float(scores[best]),
         iterations_used=iters,
         converged=converged,
-        candidate_log=list(zip(map(tuple, phi.tolist()), scores.tolist())),
+        _candidates=(phi, scores),
     )
 
 
@@ -312,11 +343,11 @@ def _score_subsets(candidates, cov, r):
     """ML criterion tr{ P_A_perp R } of every r-subset of the candidates.
 
     Returns ``(subsets, scores)``: the index rows of
-    ``itertools.combinations(range(K), r)`` in its order, and one score per
-    row.  A subset scores +inf when two consecutive candidates differ by
-    less than 1e-12, or when its Gram A* A fails the COND_LIMIT guard of
-    ``v_ml_angles``.  The rest score tr R - tr{ (A* A)^-1 A* R A } by one of
-    two routes.
+    ``itertools.combinations(range(K), r)`` in its order (the shared,
+    read-only ``_subset_table``), and one score per row.  A subset scores
+    +inf when two consecutive candidates differ by less than 1e-12, or
+    when its Gram A* A fails the COND_LIMIT guard of ``v_ml_angles``.  The
+    rest score tr R - tr{ (A* A)^-1 A* R A } by one of two routes.
 
     * Gram route (``_gram_scores``): the steering columns A are joined by
       the divided differences d_i of each consecutive candidate pair
@@ -346,12 +377,8 @@ def _score_subsets(candidates, cov, r):
     K = len(candidates)
     A = np.exp(1j * np.outer(np.arange(m), candidates))
     G = hermitian_gram(A.conj().T)
-    n = math.comb(K, r)
-    subsets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(K), r)),
-        dtype=np.intp,
-        count=n * r,
-    ).reshape(n, r)
+    subsets = _subset_table(K, r)
+    n = len(subsets)
     # apart[i, j]: c_j - c_i >= 1e-12, the live test of each consecutive
     # pair in a subset, read off a K x K table instead of n x r float copies.
     apart = candidates[None, :] - candidates[:, None] >= 1e-12
@@ -383,6 +410,22 @@ def _score_subsets(candidates, cov, r):
         rows = rest[start : start + _SUBSET_BLOCK]
         scores[rows] = _qr_scores(A, G, R, subsets[rows], trace_r)
     return subsets, scores
+
+
+@functools.lru_cache(maxsize=4)
+def _subset_table(K, r):
+    """Read-only (C(K, r), r) index rows of ``itertools.combinations(range(K), r)``, cached.
+
+    One table at ``_MAX_SUBSETS`` rows of r = 8 is 6.4 MB, so the cache is bounded.
+    """
+    n = math.comb(K, r)
+    table = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(K), r)),
+        dtype=np.intp,
+        count=n * r,
+    ).reshape(n, r)
+    table.flags.writeable = False
+    return table
 
 
 def _divided_differences(candidates, m):

@@ -156,6 +156,18 @@ class TestAnnihilator:
         with pytest.raises(DimensionError):
             toeplitz_annihilator([1, 0, -1], 2)
 
+    def test_equals_row_loop_reference(self):
+        # The strided build writes the same entries as one row at a time.
+        rng = np.random.default_rng(3)
+        for m in range(2, 30):
+            for q in range(1, m):
+                c = rng.standard_normal(q + 1) + 1j * rng.standard_normal(q + 1)
+                ref = np.zeros((m - q, m), dtype=complex)
+                for i in range(m - q):
+                    ref[i, i : i + q + 1] = c
+                T = toeplitz_annihilator(c, m)
+                assert T.shape == ref.shape and T.tobytes() == ref.tobytes(), (m, q)
+
     def test_annihilates_steering(self):
         rng = np.random.default_rng(5)
         for _ in range(100):

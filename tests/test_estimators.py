@@ -31,7 +31,7 @@ from modepuma import (
     v_ml_angles,
     v_mode,
 )
-from modepuma import array_model, estimators
+from modepuma import array_model, bench, estimators
 from modepuma.array_model import (
     COND_LIMIT,
     condition_number,
@@ -48,6 +48,7 @@ from modepuma.estimators import (
     _gram_scores,
     _omega_from_coefs,
     _score_subsets,
+    _subset_table,
     _symmetric_step,
 )
 
@@ -94,6 +95,30 @@ class TestQuadraticFormMatrix:
                     ref += g[l] * (Phi_l.conj().T @ omega @ Phi_l)
                 ref = 0.5 * (ref + ref.conj().T)
                 assert np.array_equal(quadratic_form_matrix(decomp, g, omega, q), ref)
+
+    def test_stacked_form_equals_per_column_loop(self):
+        # The stacked kernel forms every Phi_l* Omega Phi_l in two matmuls and
+        # sums them in slice order: the same bits as one column at a time.
+        rng = np.random.default_rng(11)
+        for m in range(3, 25):
+            for r in range(1, min(m, 7)):
+                X = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+                U, _ = np.linalg.qr(X)
+                decomp = SubspaceDecomposition(
+                    u_signal=U, lambdas=np.arange(r, 0, -1) + 1.0, sigma2=1.0,
+                )
+                g = rng.uniform(0.1, 5.0, size=r)
+                for q in range(1, m):
+                    X = rng.standard_normal((m - q, m - q)) + 1j * rng.standard_normal((m - q, m - q))
+                    omega = X @ X.conj().T
+                    hankel = np.arange(m - q)[:, None] + np.arange(q + 1)
+                    ref = np.zeros((q + 1, q + 1), dtype=complex)
+                    for l in range(r):
+                        Phi_l = U[hankel, l]
+                        ref += g[l] * (Phi_l.conj().T @ omega @ Phi_l)
+                    ref = 0.5 * (ref + ref.conj().T)
+                    Q = quadratic_form_matrix(decomp, g, omega, q)
+                    assert Q.tobytes() == ref.tobytes(), (m, r, q)
 
     def test_matches_vmode_at_omega_point(self):
         rng = np.random.default_rng(1)
@@ -149,6 +174,30 @@ class TestConjugateSymmetricBasis:
         rho = np.random.default_rng(n).standard_normal(n)
         c = J @ rho
         assert np.max(np.abs(c - np.conj(c[::-1]))) <= 1e-14
+
+
+class TestCachedTables:
+    @pytest.mark.parametrize(
+        "cached, args",
+        [
+            (_conjugate_symmetric_basis, (5,)),
+            (_conjugate_symmetric_basis, (8,)),
+            (_subset_table, (14, 4)),
+            (_subset_table, (6, 2)),
+        ],
+    )
+    def test_read_only_and_equal_to_a_fresh_build(self, cached, args):
+        table = cached(*args)
+        assert cached(*args) is table
+        assert table.tobytes() == cached.__wrapped__(*args).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+        assert cached.cache_info().maxsize is not None
+
+    def test_subset_table_is_combinations_order(self):
+        assert _subset_table(6, 3).tolist() == [
+            list(s) for s in itertools.combinations(range(6), 3)
+        ]
 
 
 class TestModeTwoStep:
@@ -322,12 +371,13 @@ class TestReweightedLoop:
         )
         monkeypatch.setattr(array_model, "COND_LIMIT", first / 2)
         solves = []
+        hankel_slices = estimators._hankel_slices
 
         def counted(*args):
             solves.append(args[-1])
-            return quadratic_form_matrix(*args)
+            return hankel_slices(*args)
 
-        monkeypatch.setattr(estimators, "quadratic_form_matrix", counted)
+        monkeypatch.setattr(estimators, "_hankel_slices", counted)
         for base in ("MODE", "PUMA"):
             solves.clear()
             cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base=base)
@@ -420,6 +470,40 @@ class TestModex:
         # pooled candidates: 2 from the plain fit, 4 from the extended fit
         assert len(res.candidate_log) == comb(6, 2)
         assert res.criterion_value == min(v for _, v in res.candidate_log)
+
+    @pytest.mark.parametrize("base", ["MODE", "PUMA"])
+    def test_candidate_log_is_built_on_first_read(self, base):
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=4)
+        cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base=base)
+        res = estimators.estimate(cov, decomp, weight, 2, cfg)
+        assert "candidate_log" not in vars(res)
+        _, plain, *_ = estimators._solve_and_roots(decomp, weight, 2, base)
+        _, extra, *_ = estimators._solve_and_roots(decomp, weight, 4, base)
+        candidates = np.sort(np.concatenate([plain, extra]))
+        subsets, scores = _score_subsets(candidates, cov, 2)
+        eager = list(zip(map(tuple, candidates[subsets].tolist()), scores.tolist()))
+        log = res.candidate_log
+        assert log == eager
+        assert all(type(s) is tuple and type(v) is float for s, v in log)
+        assert res.candidate_log is log
+
+    def test_sweep_never_builds_the_candidate_log(self, monkeypatch):
+        results = []
+
+        def kept(*args):
+            results.append(estimators.estimate(*args))
+            return results[-1]
+
+        monkeypatch.setattr(bench, "estimate", kept)
+        base = Scenario(
+            m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
+            noise_power=1.0, n_snapshots=100, seed=0,
+        )
+        methods = tuple(bench.parse_method_token(t) for t in ("mode", "modex:2", "epuma:2"))
+        bench.run_sweep(bench.SweepSpec(base, (10.0,), (100,), methods, 2, 0))
+        assert len(results) == 6
+        assert all("candidate_log" not in vars(res) for res in results)
+        assert [res.candidate_log is None for res in results] == [True, False, False] * 2
 
     def test_p_bound_enforced(self):
         cov, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
