@@ -9,6 +9,8 @@ Angles are electrical angles phi in (-pi, pi]; no wavelength or element
 spacing enters anywhere.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, SingularityError, ValidationError
@@ -43,6 +45,30 @@ def guarded_gram(X, what):
     if cond > COND_LIMIT:
         raise SingularityError(f"{what} is numerically singular")
     return gram, cond
+
+
+def guarded_inverse(X, what):
+    """The inverse of ``hermitian_gram(X)``, under the rule and with the bits of ``guarded_gram``.
+
+    Returns ``np.linalg.inv`` of the Gram, and raises SingularityError
+    naming ``what`` exactly where ``guarded_gram`` does.  The Gram passes
+    without an eigenvalue solve when ||G||_F ||G^-1||_F, a bound on its
+    condition number, is within COND_LIMIT / 100; only the undecided rest
+    go through ``condition_number``.  A Gram that ``inv`` cannot invert
+    is singular too.
+    """
+    gram = hermitian_gram(X)
+    try:
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        inv = None
+    else:
+        bound = math.sqrt(np.vdot(gram, gram).real) * math.sqrt(np.vdot(inv, inv).real)
+        if bound <= COND_LIMIT / 100:
+            return inv
+    if inv is None or condition_number(gram) > COND_LIMIT:
+        raise SingularityError(f"{what} is numerically singular")
+    return inv
 
 
 def as_angles(angles):
@@ -115,8 +141,12 @@ def angles_from_coefs(coefs):
     c = as_coefs(coefs)
     if c[-1] == 0:
         raise ValidationError("trailing coefficient c_q is zero; degree collapsed")
-    # np.roots builds the companion matrix of the monic polynomial.
-    roots = np.roots(c[::-1])
+    # The companion matrix np.roots(c[::-1]) builds, so the same roots to
+    # the bit; it has no zero end coefficients to strip, as c_0, c_q != 0.
+    q = c.size - 1
+    companion = np.eye(q, k=-1, dtype=complex)
+    companion[0] = -c[-2::-1] / c[-1]
+    roots = np.linalg.eigvals(companion)
     if not np.all(np.isfinite(roots.view(float))):
         raise ValidationError("root finding produced non-finite roots")
     phi = np.angle(roots)
@@ -128,14 +158,22 @@ def toeplitz_annihilator(coefs, m):
     """(m-q) x m banded Toeplitz annihilator T, with T @ steering_matrix = 0.
 
     q is the polynomial degree; row i carries the coefficients c_0 ... c_q
-    starting at column i.  Built with one strided write: rows of length
-    m + 1 that start with c, read back m at a time, shift c one column
-    further in each row.
+    starting at column i.
     """
     c = as_coefs(coefs)
     q = c.size - 1
     if m <= q:
         raise DimensionError(f"need m > q, got m={m}, q={q}")
+    return _toeplitz(c, m)
+
+
+def _toeplitz(c, m):
+    """``toeplitz_annihilator`` of a checked complex c, unvalidated.
+
+    One strided write: rows of length m + 1 that start with c, read back
+    m at a time, shift c one column further in each row.
+    """
+    q = c.size - 1
     T = np.zeros((m - q) * (m + 1), dtype=complex)
     T.reshape(m - q, m + 1)[:, : q + 1] = c
     return T[: (m - q) * m].reshape(m - q, m)

@@ -156,8 +156,11 @@ def _method_config(method, p_extra):
 
 
 def _cmd_estimate(args):
-    Y = snapshot_io.read_snapshots(args.input)
+    # The arguments are checked before the file is read.
     config = _method_config(args.method, args.p_extra)
+    if args.r < 1:
+        raise ValidationError(f"need 0 < r < m, got r={args.r}")
+    Y = snapshot_io.read_snapshots(args.input)
     cov = sample_covariance(Y)
     decomp = subspace_decomposition(cov, args.r)
     weight = signal_weight(decomp)

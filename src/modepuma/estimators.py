@@ -17,6 +17,10 @@ Omega at c.  They differ only in the constraint step and the tolerance:
 
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
+The reweight and the QR-route subsets decide that rule from a certified
+bound first, ||G||_F ||G^-1||_F or its QR analogue within COND_LIMIT / 100,
+and solve for eigenvalues only where the bound leaves it open; the limit
+and every decision are the same.
 """
 
 import functools
@@ -28,11 +32,11 @@ import numpy as np
 
 from .array_model import (
     COND_LIMIT,
+    _toeplitz,
     angles_from_coefs,
     condition_number,
-    guarded_gram,
+    guarded_inverse,
     hermitian_gram,
-    toeplitz_annihilator,
 )
 from .criteria import v_mode
 from .errors import SingularityError, ValidationError
@@ -166,8 +170,14 @@ def _conjugate_symmetric_basis(n):
 
 
 def _omega_from_coefs(c, m):
-    """(T T*)^-1 at c, through ``guarded_gram``: a T T* past COND_LIMIT is a SingularityError."""
-    return np.linalg.inv(guarded_gram(toeplitz_annihilator(c, m), "T T*")[0])
+    """(T T*)^-1 at c, through ``guarded_inverse``: a T T* past COND_LIMIT is a SingularityError.
+
+    c is a step's solution, complex and of degree q < m, so only c_0 != 0
+    is checked before T is written.
+    """
+    if c[0] == 0:
+        raise ValidationError("leading coefficient c_0 must be nonzero")
+    return guarded_inverse(_toeplitz(c, m), "T T*")
 
 
 def _symmetric_step(Q):
@@ -192,35 +202,39 @@ def _gauge_step(Q):
     return np.concatenate(([1.0 + 0.0j], tail))
 
 
-def _reweighted_solve(decomp, weight, q, step, tolerance):
+def _reweighted_solve(decomp, weight, q, step, tolerance, *, keep_history=True):
     """Minimize c* Q(Omega) c by ``step``, reweighting Omega = (T T*)^-1 at c.
 
     Starts from Omega = I.  After each solve past the first it stops when
     c / c_0 changed by at most ``tolerance`` (relative): the coefficients
     are at the reweighting fixed point, and that last iterate is returned.
     Otherwise it reweights at the new c.  A T T* past COND_LIMIT there
-    (``guarded_gram``, the criteria's guard) returns the current c, and a
+    (``guarded_inverse``, the criteria's rule) returns the current c, and a
     stop at ``_MAX_ITERATIONS`` solves the last one, both not converged.
     Returns ``(c, iterations, converged, history)``; ``history`` holds
     V_MODE of every iterate before the last, read as c* Q c off the next
-    solve's quadratic form.
+    solve's quadratic form, or is None unless ``keep_history``.
     """
     _check_degree(decomp, q)
     m = decomp.m
     g = np.asarray(weight, dtype=float)
     Phi, PhiH = _hankel_slices(decomp, q)
     c = step(_quadratic_form(Phi, PhiH, g, np.eye(m - q, dtype=complex)))
-    history = []
+    history = [] if keep_history else None
     for iters in range(2, _MAX_ITERATIONS + 1):
         try:
             omega = _omega_from_coefs(c, m)
         except SingularityError:
             return c, iters - 1, False, history
         Q = _quadratic_form(Phi, PhiH, g, omega)
-        history.append(float(np.real(c.conj() @ Q @ c)))
-        prev, c = c, step(Q)
-        a = c / c[0]  # drops the scale and sign MODE's unit eigenvector leaves free
-        if np.linalg.norm(a - prev / prev[0]) <= tolerance * np.linalg.norm(a):
+        if keep_history:
+            history.append(float(np.real(c.conj() @ Q @ c)))
+        # c / c_0 drops the scale and sign MODE's unit eigenvector leaves
+        # free; each iterate's is formed once, after its c_0 check.
+        prev = c / c[0] if iters == 2 else a
+        c = step(Q)
+        a = c / c[0]
+        if np.linalg.norm(a - prev) <= tolerance * np.linalg.norm(a):
             return c, iters, True, history
     return c, _MAX_ITERATIONS, False, history
 
@@ -233,13 +247,16 @@ _SOLVERS = {
 }
 
 
-def _solve_and_roots(decomp, weight, q, base):
+def _solve_and_roots(decomp, weight, q, base, *, keep_history=True):
     """``base``'s reweighted solve at degree q: (c, root angles, iterations, converged, history).
 
     The roots are taken with a vanishing end coefficient nudged to 1e-14 max |c|,
     as ``angles_from_coefs`` needs c_0, c_q != 0; c is returned as solved.
+    ``history`` is None unless ``keep_history``.
     """
-    c, iterations, converged, history = _reweighted_solve(decomp, weight, q, *_SOLVERS[base])
+    c, iterations, converged, history = _reweighted_solve(
+        decomp, weight, q, *_SOLVERS[base], keep_history=keep_history
+    )
     ends = c.copy()
     floor = 1e-14 * np.max(np.abs(c))
     for k in (0, -1):
@@ -317,9 +334,13 @@ def modex(cov, decomp, weight, r, config):
         )
 
     base = config.modex_base
-    c, candidates, iters, converged, _ = _solve_and_roots(decomp, weight, r, base)
+    c, candidates, iters, converged, _ = _solve_and_roots(
+        decomp, weight, r, base, keep_history=False
+    )
     if p > 0:
-        c, extra, extra_iters, extra_conv, _ = _solve_and_roots(decomp, weight, q, base)
+        c, extra, extra_iters, extra_conv, _ = _solve_and_roots(
+            decomp, weight, q, base, keep_history=False
+        )
         iters += extra_iters
         converged = converged and extra_conv
         candidates = np.sort(np.concatenate([candidates, extra]))

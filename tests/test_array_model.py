@@ -13,7 +13,8 @@ from modepuma import (
     steering_matrix,
     toeplitz_annihilator,
 )
-from modepuma.array_model import as_angles, as_coefs
+from modepuma import array_model
+from modepuma.array_model import as_angles, as_coefs, guarded_gram, guarded_inverse
 from modepuma.bench import random_angle_set
 
 
@@ -229,3 +230,116 @@ class TestProjectors:
         alpha = 0.3 - 2.1j
         P2 = projector_from_annihilator(toeplitz_annihilator(alpha * c, 6))
         assert np.max(np.abs(P1 - P2)) <= 1e-12
+
+
+def _gram_factor(cond, seed, n=4, k=6):
+    """An n x k X whose Gram X X* has condition number about ``cond``."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    s = np.logspace(0, -0.5 * np.log10(cond), n)
+    return (U * s) @ V.conj().T
+
+
+def _inverse_or_error(guard, X):
+    try:
+        return guard(X)
+    except modepuma.SingularityError as exc:
+        return str(exc)
+
+
+class TestGuardedInverse:
+    """``guarded_inverse`` is ``inv(guarded_gram(X)[0])``: the same bits, the same raises."""
+
+    @staticmethod
+    def reference(X):
+        return np.linalg.inv(guarded_gram(X, "T T*")[0])
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_annihilator_bits(self, m):
+        rng = np.random.default_rng(m)
+        for q in range(1, m):
+            c = rng.standard_normal(q + 1) + 1j * rng.standard_normal(q + 1)
+            T = toeplitz_annihilator(c, m)
+            assert np.array_equal(guarded_inverse(T, "T T*"), self.reference(T))
+
+    @pytest.mark.parametrize("limit", [None, 1e8, 1e14])
+    def test_raises_exactly_where_guarded_gram_raises(self, monkeypatch, limit):
+        if limit is not None:
+            monkeypatch.setattr(array_model, "COND_LIMIT", limit)
+        cond_limit = array_model.COND_LIMIT
+        undecided = []
+        condition_number = array_model.condition_number
+
+        def counted(gram):
+            cond = condition_number(gram)
+            undecided.append(cond)
+            return cond
+
+        passed = raised = 0
+        for seed, cond in enumerate(np.logspace(6, 15, 73)):
+            X = _gram_factor(cond, seed)
+            expected = _inverse_or_error(self.reference, X)
+            monkeypatch.setattr(array_model, "condition_number", counted)
+            got = _inverse_or_error(lambda X: guarded_inverse(X, "T T*"), X)
+            monkeypatch.setattr(array_model, "condition_number", condition_number)
+            if isinstance(expected, str):
+                assert got == expected == "T T* is numerically singular", cond
+                raised += 1
+            else:
+                assert np.array_equal(got, expected), cond
+                passed += 1
+        assert passed and raised
+        # Grams between COND_LIMIT / 100 and COND_LIMIT are left open by the
+        # certificate and pass on their eigenvalues.
+        assert any(cond_limit / 100 < cond <= cond_limit for cond in undecided)
+
+    def test_singular_gram_is_a_singularity_error(self):
+        X = np.zeros((3, 5), dtype=complex)
+        with pytest.raises(modepuma.SingularityError, match="T T"):
+            guarded_inverse(X, "T T*")
+        with pytest.raises(modepuma.SingularityError, match="T T"):
+            guarded_gram(X, "T T*")
+
+
+def _roots_reference(coefs):
+    """``angles_from_coefs`` as written over ``np.roots``."""
+    roots = np.roots(as_coefs(coefs)[::-1])
+    phi = np.angle(roots)
+    phi[phi <= -np.pi] = np.pi
+    return np.sort(phi)
+
+
+class TestAnglesFromCoefsBits:
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_random_coefficients(self, q):
+        rng = np.random.default_rng(q)
+        for _ in range(20):
+            c = rng.standard_normal(q + 1) + 1j * rng.standard_normal(q + 1)
+            assert np.array_equal(angles_from_coefs(c), _roots_reference(c))
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_unit_circle_roots(self, q):
+        rng = np.random.default_rng(100 + q)
+        phi = np.sort(rng.uniform(-np.pi, np.pi, q))
+        c = coefs_from_angles(phi)
+        assert np.array_equal(angles_from_coefs(c), _roots_reference(c))
+
+    @pytest.mark.parametrize("q", range(2, 13))
+    def test_interior_zeros(self, q):
+        rng = np.random.default_rng(200 + q)
+        c = rng.standard_normal(q + 1) + 1j * rng.standard_normal(q + 1)
+        c[1:-1:2] = 0
+        assert np.array_equal(angles_from_coefs(c), _roots_reference(c))
+        real = [1.0] + [0.0] * (q - 1) + [-2.0]
+        assert np.array_equal(angles_from_coefs(real), _roots_reference(real))
+
+    @pytest.mark.parametrize("q", range(1, 13))
+    def test_end_coefficients_at_the_nudge(self, q):
+        rng = np.random.default_rng(300 + q)
+        c = rng.standard_normal(q + 1) + 1j * rng.standard_normal(q + 1)
+        floor = 1e-14 * np.max(np.abs(c))
+        for ends in ((0,), (-1,), (0, -1)):
+            nudged = c.copy()
+            nudged[list(ends)] = floor
+            assert np.array_equal(angles_from_coefs(nudged), _roots_reference(nudged))

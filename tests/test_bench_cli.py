@@ -565,6 +565,28 @@ class TestEstimateCommand:
         assert proc.returncode == 3
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--r", "1", "--method", "nope"), "unknown method 'nope'"),
+            (("--r", "1", "--p-extra", "2"), "--p-extra requires"),
+            (("--r", "0"), "need 0 < r < m, got r=0"),
+        ],
+        ids=["method", "p-extra", "r"],
+    )
+    def test_bad_arguments_exit_before_the_file_is_read(self, tmp_path, monkeypatch, capsys,
+                                                        args, message):
+        proc = run_cli("estimate", str(tmp_path / "nope.txt"), *args)
+        assert proc.returncode == 1
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+        def unread(path):
+            raise AssertionError(f"read {path} before checking the arguments")
+
+        monkeypatch.setattr(cli.snapshot_io, "read_snapshots", unread)
+        assert cli.main(["estimate", str(tmp_path / "nope.txt"), *args]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             (

@@ -388,6 +388,36 @@ class TestReweightedLoop:
         with pytest.raises(SingularityError, match="T T"):
             puma_iterative(decomp, weight, 2)
 
+    def test_reweight_runs_no_eigenvalue_check_on_t_grams(self, monkeypatch):
+        # The reweight certifies each T T* from the inverse it forms anyway;
+        # a certified Gram never reaches condition_number.  Only V_MODE's
+        # check of the returned c is left.
+        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        checked = []
+        in_criterion = []
+        condition_number = array_model.condition_number
+        criterion = estimators.v_mode
+
+        def counted(gram):
+            if not in_criterion:
+                checked.append(np.shape(gram))
+            return condition_number(gram)
+
+        def v_mode_outside(*args):
+            in_criterion.append(True)
+            try:
+                return criterion(*args)
+            finally:
+                in_criterion.pop()
+
+        monkeypatch.setattr(array_model, "condition_number", counted)
+        monkeypatch.setattr(estimators, "condition_number", counted)
+        monkeypatch.setattr(estimators, "v_mode", v_mode_outside)
+        res = puma_iterative(decomp, weight, 2)
+        assert res.iterations_used >= 3
+        # PUMA's Q_11 (2 x 2) is checked once per solve; no T T* (4 x 4) is.
+        assert checked == [(2, 2)] * res.iterations_used
+
     def test_clustered_puma_stops_at_the_iteration_cap(self):
         _, decomp, weight = noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 10.0, 50, seed=0)
         res = puma_iterative(decomp, weight, 3)
