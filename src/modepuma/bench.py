@@ -12,8 +12,8 @@ SNR convention: SNR_dB = 10 log10( tr(P) / (r sigma^2) ), i.e. average
 per-source power over noise power.
 """
 
-import concurrent.futures
 import itertools
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -116,6 +116,9 @@ def method_label(config):
 # The errors that fail one trial's rows rather than the whole sweep.
 _TRIAL_ERRORS = (SingularityError, NumericalError, ValidationError)
 
+# Tasks a worker takes per hand-out under ``run_sweep(jobs > 1)``.
+_TASKS_PER_CHUNK = 8
+
 
 def _run_trial(args):
     """Simulate one trial and run every method on it.
@@ -161,8 +164,10 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
     ordered by (snr, snapshot count, method, trial); each (cell, method)
     is followed by one aggregate row with trial_index = -1 carrying the
     RMSE, mean criterion value, convergence rate, and success rate.
-    A NaN or negative ``success_threshold``, or ``jobs < 1``, is a
-    ValidationError.
+    ``jobs > 1`` runs the tasks in a pool of at most ``jobs`` processes,
+    and no more than there are chunks of 8 tasks or usable CPUs; the rows
+    are the same whatever ``jobs``.  A NaN or negative
+    ``success_threshold``, or ``jobs < 1``, is a ValidationError.
     """
     if not success_threshold >= 0:
         raise ValidationError(f"success threshold must be >= 0, got {success_threshold}")
@@ -184,9 +189,17 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
             )
             tasks.append((scenario, sweep.methods, success_threshold, timing))
 
+    # A process pool starts all of its workers at once, so it is sized to the
+    # chunks there are and the CPUs this process may run on; with one worker
+    # the sweep runs here, and concurrent.futures is never imported.
+    workers = 1
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_trial, tasks, chunksize=8))
+        workers = min(jobs, -(-len(tasks) // _TASKS_PER_CHUNK), _usable_cpus())
+    if workers > 1:
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_run_trial, tasks, chunksize=_TASKS_PER_CHUNK))
     else:
         outcomes = [_run_trial(t) for t in tasks]
 
@@ -209,6 +222,14 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
                 )
             rows.append(prefix + ("-1",) + _aggregate(trials))
     return rows
+
+
+def _usable_cpus():
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _aggregate(trials):

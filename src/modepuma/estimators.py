@@ -11,9 +11,11 @@ Omega at c.  They differ only in the constraint step and the tolerance:
   classic two-step scheme).
 * ``puma_iterative`` — ``_gauge_step``, the linear solve under the
   c_0 = 1 gauge, run until c / c_0 stops changing.
-* ``modex`` — solves at degree r + p, then picks the best r of the r + p
-  candidate directions by the ML criterion over all subsets; with the
-  PUMA base (Enhanced PUMA) both solves run PUMA's step and tolerance.
+* ``modex`` — solves at degrees r and r + p, then picks the best r of the
+  2r + p pooled roots by the ML criterion over all subsets
+  (``_score_subsets``: subsets that share a prefix share its Cholesky
+  factor, so each adds one row to it); with the PUMA base (Enhanced PUMA)
+  both solves run PUMA's step and tolerance.
 
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
@@ -43,11 +45,12 @@ from .errors import SingularityError, ValidationError
 
 _METHODS = ("MODE", "PUMA", "MODEX")
 
-# Live subsets per stacked block of ``_score_subsets``'s QR and Gram routes.
-# Fixed, so the stacked temporaries (block x m x r, block x r x r) stay
+# Live subsets per stacked block of ``_score_subsets``'s QR route, and W and
+# N entries per block of leaves of its Gram route (r * r per leaf: 2048
+# leaves at r = 4, 512 at r = 8).  Fixed, so the stacked temporaries stay
 # small whatever the subset count.
 _SUBSET_BLOCK = 64
-_GRAM_BLOCK = 256
+_TREE_BLOCK = 32768
 
 # ``_score_subsets`` keeps a subset's score from its r x r Grams only where
 # its certified bound on cond(G_S), times tr R / score, is within
@@ -59,8 +62,11 @@ _GRAM_BLOCK = 256
 _GRAM_BOUND = 2e3
 _GRAM_GUARD = 1e8
 
-# Fewest live subsets for the Gram route: its fixed cost, some 40 array
-# operations per block, outweighs the QR work it saves on fewer.
+# Fewest live subsets for the Gram route.  Its fixed cost, r levels of 20
+# to 80 array operations, measured about 0.2 ms at r = 2 and 0.35 ms at
+# r = 3 on one core, and outweighs the QR work it saves on fewer.  The two
+# routes measured even near 100 live subsets (80 to 120 over r = 2 to 4);
+# moving the limit there would change which route scores those calls.
 _GRAM_MIN_LIVE = 32
 
 # Most candidate subsets ``modex`` will score; the count grows as
@@ -370,14 +376,17 @@ def _score_subsets(candidates, cov, r):
     when its Gram A* A fails the COND_LIMIT guard of ``v_ml_angles``.  The
     rest score tr R - tr{ (A* A)^-1 A* R A } by one of two routes.
 
-    * Gram route (``_gram_scores``): the steering columns A are joined by
+    * Gram route (``_tree_scores``): the steering columns A are joined by
       the divided differences d_i of each consecutive candidate pair
       (``_divided_differences``), B = [A | D], and G = B* B, M = B* R B are
-      built once.  A subset that holds candidates i and i + 1 takes d_i in
-      place of a_(i+1): the span, so the score, is the same, but a pair of
-      near twins is well conditioned in B.  Each subset gathers its r x r
-      blocks G_S and M_S and scores tr R - tr(G_S^-1 M_S).  Rounding costs
-      that about eps * cond(G_S) * tr R, and cond(G_S) <= bound =
+      built once (``_gram_basis``).  A subset that holds candidates i and
+      i + 1 takes d_i in place of a_(i+1): the span, so the score, is the
+      same, but a pair of near twins is well conditioned in B.  The score
+      is tr R - tr(G_S^-1 M_S), from the Cholesky factor G_S = L L* of the
+      subset's columns of B.  Subsets that share a prefix share its
+      factor, so the rows are walked down their prefix tree and each
+      subset adds one Cholesky row to its prefix's.  Rounding costs the
+      score about eps * cond(G_S) * tr R, and cond(G_S) <= bound =
       tr G_S * tr G_S^-1, so the score is kept only where bound * tr R <=
       _GRAM_BOUND * score.  The +inf rule stays on the plain columns: with
       A_S = B_S T, cond(A_S* A_S) <= bound * ||T||_F^2 * ||T^-1||_F^2, in
@@ -389,9 +398,11 @@ def _score_subsets(candidates, cov, r):
       are scored from a stacked QR of their steering columns, A_S = Q R_A,
       as tr R - tr(Q* R Q).
 
-    The live subsets are walked in blocks of ``_GRAM_BLOCK`` on the Gram
-    route and ``_SUBSET_BLOCK`` on the QR route, so the stacked temporaries
-    stay small whatever the subset count.
+    The live subsets are walked in blocks of contiguous rows, of
+    ``_TREE_BLOCK`` W and N entries (r * r per subset) on the Gram route
+    and ``_SUBSET_BLOCK`` subsets on the QR route, so the stacked
+    temporaries stay small whatever the subset count.  A Gram-route
+    score does not depend on the block size.
     """
     R = np.asarray(cov)
     m = R.shape[0]
@@ -408,22 +419,12 @@ def _score_subsets(candidates, cov, r):
     trace_r = np.real(np.trace(R))
     rest = np.flatnonzero(live)
     if rest.size >= _GRAM_MIN_LIVE:
-        D, spread2 = _divided_differences(candidates, m)
-        B = np.concatenate([A, D], axis=1)
-        G_B = hermitian_gram(B.conj().T)
-        M_B = B.conj().T @ (R @ B)
+        G_B, M_B, columns = _gram_basis(A, candidates, R)
+        block = max(1, _TREE_BLOCK // (r * r))
         uncertified = []
-        for start in range(0, rest.size, _GRAM_BLOCK):
-            rows = rest[start : start + _GRAM_BLOCK]
-            # Columns of B laid out (r, n), so each gathered entry of the
-            # (r, r, n) blocks is one contiguous length-n array.
-            ix = np.ascontiguousarray(subsets[rows].T)
-            twin = ix[1:] == ix[:-1] + 1
-            col = np.concatenate([ix[:1], np.where(twin, K + ix[:-1], ix[1:])])
-            at = (2 * K - 1) * col[:, None] + col[None, :]
-            score, certified = _gram_scores(
-                G_B.ravel()[at], M_B.ravel()[at], trace_r, _basis_cond(twin, spread2[ix[:-1]])
-            )
+        for start in range(0, rest.size, block):
+            rows = rest[start : start + block]
+            score, certified = _tree_scores(G_B, M_B, columns, subsets[rows], trace_r)
             scores[rows[certified]] = score[certified]
             uncertified.append(rows[~certified])
         rest = np.concatenate(uncertified)
@@ -467,61 +468,149 @@ def _divided_differences(candidates, m):
     return 1j * mid * (half * np.sqrt(m / half2)), 4 * half2 / m
 
 
-def _basis_cond(twin, spread2):
-    """A closed-form bound on cond(T)^2 for each subset's A_S = B_S T: ||T||_F^2 ||T^-1||_F^2.
+def _gram_basis(A, candidates, R):
+    """G_B = B* B and M_B = B* R B of B = [A | D], and the column table of ``_tree_scores``.
 
-    ``twin`` (r - 1, n) marks the positions j >= 1 that took a divided
-    difference, and ``spread2`` holds s_j^2 of the pair ending there.
-    Column j of T^-1 is (e_j - e_(j-1)) / s_j at such a position and e_j
-    elsewhere.  Column j of T is column j - 1 plus s_j e_j there and e_j
-    elsewhere, so its squared norm is at most 1 + the s^2 of the positions
-    up to j, and exactly that for a lone pair.
+    D holds the divided differences of ``_divided_differences``.  Row by
+    row, the table holds what a subset's running sums add for each column
+    of B: its diagonal of G_B, and for a divided difference its spread
+    s^2, 2 / s^2 and a twin flag (0, 1 and 0 for a steering column).
     """
-    s2 = np.where(twin, spread2, 0.0)
-    frob2 = len(twin) + 1 + np.sum(np.where(twin, np.cumsum(s2, axis=0), 0.0), axis=0)
-    inv_frob2 = 1 + np.sum(np.where(twin, 2 / spread2, 1.0), axis=0)
-    return frob2 * inv_frob2
+    D, spread2 = _divided_differences(candidates, len(R))
+    B = np.concatenate([A, D], axis=1)
+    G_B = hermitian_gram(B.conj().T)
+    M_B = B.conj().T @ (R @ B)
+    steering = np.zeros(len(candidates))
+    columns = np.stack(
+        [
+            np.real(np.diagonal(G_B)),
+            np.concatenate([steering, spread2]),
+            np.concatenate([steering + 1, 2 / spread2]),
+            np.concatenate([steering, np.ones(len(spread2))]),
+        ]
+    )
+    return G_B, M_B, columns
 
 
-def _gram_scores(g, M, trace_r, basis_cond=1.0):
-    """Gram-route scores of a stack of subsets, and which of them are certified.
+def _tree_scores(G_B, M_B, columns, idx, trace_r):
+    """Gram-route scores of the sorted subset rows ``idx``, and which of them are certified.
 
-    ``g`` and ``M`` are laid out (r, r, n): entry [i, j] of every subset's
-    G_S and M_S.  ``basis_cond`` bounds cond(T)^2 of each subset's change
-    of basis A_S = B_S T; the default 1 is T = I, the plain columns.  The
-    Cholesky g = L L* and W = L^-1 are unrolled over the r x r entries,
-    each a length-n array: a stacked LAPACK Cholesky raises for the whole
-    stack on one Gram that is not positive definite.  A non-positive pivot
-    gives NaN here instead, which leaves that subset uncertified.  The
-    bound on cond(G_S) is tr G_S * tr G_S^-1 = tr G_S * ||W||_F^2.
+    The rows are the leaves of their prefix tree.  It is walked one
+    position at a time, and each distinct prefix is extended once, from its
+    parent's state, by one Cholesky row of its new column of B
+    (``_extend``).  Each prefix is rebuilt from the rows themselves, and a
+    prefix's bits do not depend on which rows share the call: every entry
+    is an elementwise array operation, summed in a fixed order.  A leaf's
+    score is tr R - fit, and it is certified as in ``_score_subsets``, with
+    bound = tr G_S * ||W||_F^2 and the basis change bounded by the
+    closed-form ||T||_F^2 ||T^-1||_F^2 of the running sums.
     """
-    r = len(g)
-    L = [[None] * r for _ in range(r)]  # L[i][j] for j < i; L[j][j] holds 1 / L_jj
-    W = np.zeros_like(g)
+    n, r = idx.shape
+    size = len(G_B)
+    ix = np.ascontiguousarray(idx.T)
+    # The column of B at each position: d_i in place of a_(i+1) after candidate i.
+    twin = ix[1:] == ix[:-1] + 1
+    col = np.concatenate([ix[:1], np.where(twin, (size + 1) // 2 + ix[:-1], ix[1:])])
+    # new[j, i]: row i starts a prefix of length j + 1.
+    new = np.ones((r, n), dtype=bool)
+    np.not_equal(ix[:, 1:], ix[:, :-1], out=new[:, 1:])
+    for j in range(1, r):
+        new[j] |= new[j - 1]
+    Gf, Mf = G_B.ravel(), M_B.ravel()
+    empty = np.zeros((0, 1), dtype=complex)
+    state = empty, empty, np.zeros((6, 1))
+    heads = np.zeros(1, dtype=np.intp)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(r):
-            pivot = g[j, j].real
-            for k in range(j):
-                pivot = pivot - (L[j][k].real ** 2 + L[j][k].imag ** 2)
-            L[j][j] = 1 / np.sqrt(np.where(pivot > 0, pivot, np.nan))
-            for i in range(j + 1, r):
-                entry = g[i, j]
-                for k in range(j):
-                    entry = entry - L[i][k] * L[j][k].conj()
-                L[i][j] = entry * L[j][j]
-        for i in range(r):
-            W[i, i] = L[i][i]
-            for j in range(i):
-                entry = L[i][j] * W[j, j]
-                for k in range(j + 1, i):
-                    entry = entry + L[i][k] * W[k, j]
-                W[i, j] = -entry * L[i][i]
-        bound = np.real(np.trace(g)) * np.sum(W.real**2 + W.imag**2, axis=(0, 1))
-        score = trace_r - np.einsum("kan,abn,kbn->n", W, M, W.conj()).real
+            prev, heads = heads, np.flatnonzero(new[j])
+            parent = np.searchsorted(prev, heads, side="right") - 1
+            c = col[j, heads]
+            at = np.take(col[: j + 1], heads, axis=1) * size + c
+            state = _extend(state, parent, Gf[at], Mf[at], np.take(columns, c, axis=1), j < r - 1)
+        trace_g, _, inv_frob2, frob2, fit, inv_trace = state[2]
+        bound = trace_g * inv_trace
+        score = trace_r - fit
         certified = (bound * trace_r <= _GRAM_BOUND * score) & (
-            bound * basis_cond <= _GRAM_GUARD
+            bound * (frob2 + r) * inv_frob2 <= _GRAM_GUARD
         )
     return score, certified
+
+
+def _extend(state, parent, b, m, tab, internal):
+    """Extend each prefix of length j by one column c of B; the children's state.
+
+    ``state`` holds per prefix W = L^-1 of its Gram G_S = L L* and
+    N = W M_S W*, lower triangles packed row by row (entry [i, k] in row
+    i (i + 1) / 2 + k; N is Hermitian), and six running sums: tr G_S, the
+    twin spreads s^2 so far, ||T^-1||_F^2, ||T||_F^2 less the length, the
+    fit tr(G_S^-1 M_S) and ||W||_F^2.  ``parent`` maps each child to its
+    prefix, ``b`` and ``m`` (j + 1, n) hold G_B and M_B at the prefix's
+    columns and c, then at (c, c), and ``tab`` the child's rows of the
+    column table.  With l = W b, y = W* l and pivot lambda^2 = G_cc - ||l||^2,
+    the child adds (M_cc - 2 Re y* m + l* N l) / lambda^2 to the fit and
+    (||y||^2 + 1) / lambda^2 to ||W||_F^2; W gains the row (-y*, 1) / lambda
+    and N the column (W m - N l) / lambda.  A non-positive pivot gives NaN,
+    which leaves every subset under it uncertified.  Only the running sums
+    are returned unless ``internal``.
+    """
+    W_rows, N_rows, run = state
+    j = len(b) - 1
+    l, yc, W = [], [None] * j, []  # yc holds conj(y)
+    pivot = b[j].real
+    for i in range(j):
+        Wi = np.take(W_rows[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2], parent, axis=1)
+        li = Wi[0] * b[0]
+        for k in range(1, i + 1):
+            li = li + Wi[k] * b[k]
+        lci = li.conj()
+        pivot = pivot - (lci * li).real
+        for k in range(i + 1):
+            t = Wi[k] * lci
+            yc[k] = t if yc[k] is None else yc[k] + t
+        l.append(li)
+        if internal:
+            W.append(Wi)
+    inv2 = 1 / np.where(pivot > 0, pivot, np.nan)
+    w2 = 1.0
+    gain = m[j].real
+    for k in range(j):
+        w2 = w2 + (yc[k].real ** 2 + yc[k].imag ** 2)
+        gain = gain - 2 * (yc[k] * m[k]).real
+    Nl = [None] * j
+    for i in range(j):
+        Ni = np.take(N_rows[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2], parent, axis=1)
+        for k in range(i + 1):
+            t = Ni[k] * l[k]
+            Nl[i] = t if Nl[i] is None else Nl[i] + t
+            if k < i:
+                t = Ni[k].conj() * l[i]
+                Nl[k] = t if Nl[k] is None else Nl[k] + t
+    for i in range(j):
+        gain = gain + (l[i].conj() * Nl[i]).real
+    gain = gain * inv2
+    run = np.take(run, parent, axis=1)
+    run[:3] += tab[:3]
+    run[3] += tab[3] * run[1]
+    run[4] += gain
+    run[5] += w2 * inv2
+    if not internal:
+        return None, None, run
+    inv = np.sqrt(inv2)
+    tri = j * (j + 1) // 2
+    W_next = np.empty((tri + j + 1, len(parent)), dtype=complex)
+    N_next = np.empty_like(W_next)
+    for i in range(j):
+        W_next[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] = W[i]
+    N_next[:tri] = np.take(N_rows, parent, axis=1)
+    for k in range(j):
+        hk = W[k][0] * m[0]
+        for i in range(1, k + 1):
+            hk = hk + W[k][i] * m[i]
+        W_next[tri + k] = -inv * yc[k]
+        N_next[tri + k] = ((hk - Nl[k]) * inv).conj()
+    W_next[-1] = inv
+    N_next[-1] = gain
+    return W_next, N_next, run
 
 
 def _qr_scores(A, G, R, idx, trace_r):

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import re
 import subprocess
 import sys
@@ -289,6 +291,38 @@ class TestMcCommand:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize(
+        "trials, jobs, cpus, workers",
+        [(2, 8, 4, None), (20, 8, 4, 3), (20, 8, 2, 2), (20, 2, 4, 2), (40, 16, 64, 5), (40, 8, 1, None)],
+    )
+    def test_pool_is_sized_to_its_chunks_and_cpus(
+        self, tmp_path, monkeypatch, trials, jobs, cpus, workers
+    ):
+        # A pool starts every worker at once, so it gets no more than the
+        # chunks of 8 tasks and the usable CPUs; with one worker the sweep
+        # runs in process.  The fake pool records its size and starts nothing.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        sweep = replace(_sweep_from_text(tmp_path), n_trials=trials)
+        rows = run_sweep(sweep, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert rows == run_sweep(sweep)
 
     def test_noiseless_cell_recovers_truth(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -34,6 +34,7 @@ from modepuma import (
 from modepuma import array_model, bench, estimators
 from modepuma.array_model import (
     COND_LIMIT,
+    angles_from_coefs,
     condition_number,
     hermitian_gram,
     toeplitz_annihilator,
@@ -45,11 +46,12 @@ from modepuma.estimators import (
     _SUBSET_BLOCK,
     _conjugate_symmetric_basis,
     _gauge_step,
-    _gram_scores,
+    _gram_basis,
     _omega_from_coefs,
     _score_subsets,
     _subset_table,
     _symmetric_step,
+    _tree_scores,
 )
 
 
@@ -454,6 +456,39 @@ class TestReweightedLoop:
             assert puma.criterion_value < mode.criterion_value, seed
 
 
+class TestPumaFixedPointAgainstTheModeMinimum:
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0])
+    def test_the_gap_shrinks_faster_than_the_error(self, snr_db):
+        # PUMA's reweighting fixed point is not V_MODE's minimizer over its
+        # c_0 = 1 set at finite T: the two differ by O(1/T), while the
+        # estimate's error is O(1/sqrt(T)).  So the angle gap between PUMA
+        # and a BFGS minimum started from it, over the RMSE of that minimum,
+        # falls as 1/sqrt(T): by sqrt(8) from T = 50 to 400.  Half of that,
+        # sqrt(8) / 2, was fixed as the bound before any run.
+        truth = np.array([-0.4, 0.7])
+
+        def gauged(x):
+            return np.concatenate(([1.0], x[:2] + 1j * x[2:]))
+
+        ratio = {}
+        for T in (50, 400):
+            gaps, errors = [], []
+            for seed in range(20):
+                _, decomp, weight = noisy_pipeline(6, 2, truth, snr_db, T, seed)
+                puma = puma_iterative(decomp, weight, 2)
+                x0 = np.concatenate((puma.coefs[1:].real, puma.coefs[1:].imag))
+                found = scipy.optimize.minimize(
+                    lambda x: v_mode(gauged(x), decomp, weight).value,
+                    x0, method="BFGS", options={"gtol": 1e-10},
+                )
+                assert found.fun <= puma.criterion_value
+                angles = angles_from_coefs(gauged(found.x))
+                gaps.append(np.max(np.abs(match_angles(angles, puma.angles)[0])))
+                errors.append(match_angles(angles, truth)[1])
+            ratio[T] = np.median(gaps) / np.sqrt(np.mean(np.square(errors)))
+        assert ratio[50] / ratio[400] >= np.sqrt(8) / 2, ratio
+
+
 class TestModex:
     def test_p_zero_reduces_to_base(self):
         cov, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
@@ -816,19 +851,22 @@ class TestGramRoute:
         assert not np.all(_score_subsets_and_route(candidates, cov, 2)[2])
 
     def test_a_gram_that_is_not_positive_definite_neither_raises_nor_warns(self):
-        A = np.exp(1j * np.outer(np.arange(8), [-1.0, 0.3, 1.7]))
+        # A synthetic G_B in which candidates 0 and 2 overlap more than a
+        # Gram allows: the prefix (0, 2) has a negative pivot, and the
+        # subset under it is left uncertified.
+        candidates = np.array([-2.0, -1.0, 0.3, 1.2, 2.5])
         cov = _CLUSTERED_COVS[0]
-        good = A.conj().T @ A
-        bad = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-        M = A.conj().T @ cov @ A
-        g = np.stack([good, bad, good], axis=-1)
+        A = np.exp(1j * np.outer(np.arange(8), candidates))
+        G_B, M_B, columns = _gram_basis(A, candidates, cov)
+        G_B[0, 2] = G_B[2, 0] = 2 * G_B[0, 0]
+        rows = np.array([[0, 1, 3], [0, 2, 4], [1, 3, 4]])
         trace_r = np.real(np.trace(cov))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            score, certified = _gram_scores(g, np.stack([M] * 3, axis=-1), trace_r)
-            alone, _ = _gram_scores(good[:, :, None], M[:, :, None], trace_r)
+            score, certified = _tree_scores(G_B, M_B, columns, rows, trace_r)
+            alone = [_tree_scores(G_B, M_B, columns, rows[[k]], trace_r)[0][0] for k in (0, 2)]
         assert certified.tolist() == [True, False, True]
-        assert score[0] == score[2] == alone[0]
+        assert score[0] == alone[0] and score[2] == alone[1]
 
 
 def _twin_candidates(base, gaps):
@@ -912,11 +950,48 @@ class TestDividedDifferenceRoute:
         assert not np.all(qr)
 
 
+def _assert_same_bits(routed, blocked):
+    """The same subsets, QR routes and score bits (so the same +inf set)."""
+    assert np.array_equal(routed[0], blocked[0])
+    assert np.array_equal(routed[1].view(np.uint64), blocked[1].view(np.uint64))
+    assert np.array_equal(routed[2], blocked[2])
+
+
+class TestPrefixTree:
+    # Each prefix is rebuilt inside every block of leaves that holds it, so
+    # a score must not depend on how the leaves are split into blocks:
+    # one leaf per block, 7, and the default.
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(near_limit_candidates(), clustered_candidates()))
+    def test_scores_do_not_depend_on_the_leaf_block(self, drawn):
+        candidates, cov, r = drawn
+        routed = _score_subsets_and_route(candidates, cov, r)
+        for leaves in (1, 7):
+            with mock.patch.object(estimators, "_TREE_BLOCK", leaves * r * r):
+                _assert_same_bits(routed, _score_subsets_and_route(candidates, cov, r))
+
+    def test_wide_scores_do_not_depend_on_the_leaf_block(self):
+        # The wide geometry of TestDividedDifferenceRoute: m=16, r=4, 1001
+        # subsets in one default block, a quarter of them holding a twin pair.
+        angles = [-1.2, -0.3, 0.5, 1.4]
+        cov = noisy_pipeline(16, 4, angles, 10.0, 200, seed=0)[0]
+        candidates = np.sort(
+            np.concatenate(
+                [_twin_candidates(angles, [1e-3, 3e-3, 1e-2, 3e-4]), [-2.6, -0.8, 0.1, 0.9, 2.0, 2.9]]
+            )
+        )
+        routed = _score_subsets_and_route(candidates, cov, 4)
+        assert estimators._TREE_BLOCK // 16 >= 1001
+        for leaves in (1, 7):
+            with mock.patch.object(estimators, "_TREE_BLOCK", leaves * 16):
+                _assert_same_bits(routed, _score_subsets_and_route(candidates, cov, 4))
+
+
 @pytest.mark.parametrize("r, K, m", [(8, 19, 24), (4, 38, 36)])
 def test_scoring_near_the_subset_limit_stays_small(r, K, m):
-    # 75 582 and 73 815 subsets: the first takes the QR route alone, the
-    # second mostly the Gram route.  16 MB is the all-QR scoring's measured
-    # 14.05 MB peak at (8, 19, 24), rounded up.
+    # 75 582 and 73 815 subsets, most of them on the Gram route (64 888 of
+    # the first, 73 809 of the second).  16 MB is the all-QR scoring's
+    # measured 14.05 MB peak at (8, 19, 24), rounded up.
     assert math.comb(K, r) <= estimators._MAX_SUBSETS
     rng = np.random.default_rng(7)
     X = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))

@@ -59,6 +59,20 @@ def test_no_scipy_module_loaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_a_one_job_run_loads_no_process_pool():
+    # run_sweep imports concurrent.futures only when it starts a pool, so the
+    # jobs = 1 path loads neither it nor multiprocessing.
+    script = RUN_EVERY_PATH + textwrap.dedent(
+        """
+        pools = ("concurrent", "multiprocessing")
+        print(sorted(name for name in sys.modules if name.split(".")[0] in pools))
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]
+
+
 def test_test_imports_are_declared():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
