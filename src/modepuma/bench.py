@@ -35,7 +35,7 @@ from .criteria import (
     vec_matrix_identity_residual,
 )
 from .errors import NumericalError, SingularityError, ValidationError
-from .estimators import EstimatorConfig, estimate, match_angles
+from .estimators import EstimatorConfig, check_modex_size, estimate, match_angles
 from .sample_stats import (
     Scenario,
     SubspaceDecomposition,
@@ -364,11 +364,18 @@ def parse_sweep_config(path):
         n_snapshots=parsed("n_snapshots", int),
         seed=0,
     )
+
+    def methods(text):
+        configs = tuple(parse_method_token(t) for t in text.split(","))
+        for config in configs:
+            check_modex_size(base.m, r, config.p_extra)  # p = 0 always passes
+        return configs
+
     return SweepSpec(
         base=base,
         snr_db_list=parsed("snr_db_list", floats),
         snapshots_list=parsed("snapshots_list", ints),
-        methods=parsed("methods", lambda s: tuple(parse_method_token(t) for t in s.split(","))),
+        methods=parsed("methods", methods),
         n_trials=parsed("n_trials", int),
         base_seed=parsed("base_seed", int),
     )

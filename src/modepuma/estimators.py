@@ -310,6 +310,18 @@ def _check_degree(decomp, q):
         raise ValidationError(f"need 0 < q < m, got q={q}, m={decomp.m}")
 
 
+def check_modex_size(m, r, p):
+    """MODEX's size rule, shared with the sweep parser: p < m - r, C(2r + p, r) <= _MAX_SUBSETS."""
+    if p >= m - r:
+        raise ValidationError(f"p_extra must satisfy p < m - r, got p={p}, m={m}, r={r}")
+    n_subsets = math.comb(2 * r + p, r) if p > 0 else 1
+    if n_subsets > _MAX_SUBSETS:
+        raise ValidationError(
+            f"MODEX would score C({2 * r + p}, {r}) = {n_subsets} candidate subsets, "
+            f"over the limit of {_MAX_SUBSETS}"
+        )
+
+
 def modex(cov, decomp, weight, r, config):
     """Extra-coefficient estimation with ML subset selection.
 
@@ -327,25 +339,14 @@ def modex(cov, decomp, weight, r, config):
     ``_MAX_SUBSETS`` subsets is a ``ValidationError``.
     """
     p = config.p_extra
-    if p >= decomp.m - r:
-        raise ValidationError(
-            f"p_extra must satisfy p < m - r, got p={p}, m={decomp.m}, r={r}"
-        )
-    q = r + p
-    n_subsets = math.comb(r + q, r) if p > 0 else 1
-    if n_subsets > _MAX_SUBSETS:
-        raise ValidationError(
-            f"MODEX would score C({r + q}, {r}) = {n_subsets} candidate subsets, "
-            f"over the limit of {_MAX_SUBSETS}"
-        )
-
+    check_modex_size(decomp.m, r, p)
     base = config.modex_base
     c, candidates, iters, converged, _ = _solve_and_roots(
         decomp, weight, r, base, keep_history=False
     )
     if p > 0:
         c, extra, extra_iters, extra_conv, _ = _solve_and_roots(
-            decomp, weight, q, base, keep_history=False
+            decomp, weight, r + p, base, keep_history=False
         )
         iters += extra_iters
         converged = converged and extra_conv
@@ -390,9 +391,9 @@ def _score_subsets(candidates, cov, r):
       tr G_S * tr G_S^-1, so the score is kept only where bound * tr R <=
       _GRAM_BOUND * score.  The +inf rule stays on the plain columns: with
       A_S = B_S T, cond(A_S* A_S) <= bound * ||T||_F^2 * ||T^-1||_F^2, in
-      closed form, and the score is kept only where that is within
-      _GRAM_GUARD.  The route is skipped when fewer than ``_GRAM_MIN_LIVE``
-      subsets are live.
+      closed form at the leaves from the subset's twins, and the score is
+      kept only where that is within _GRAM_GUARD.  The route is skipped
+      when fewer than ``_GRAM_MIN_LIVE`` subsets are live.
     * QR route (``_qr_scores``): every other live subset.  Forming G_S
       squares the condition number of A_S, so the ill-conditioned subsets
       are scored from a stacked QR of their steering columns, A_S = Q R_A,
@@ -419,12 +420,12 @@ def _score_subsets(candidates, cov, r):
     trace_r = np.real(np.trace(R))
     rest = np.flatnonzero(live)
     if rest.size >= _GRAM_MIN_LIVE:
-        G_B, M_B, columns = _gram_basis(A, candidates, R)
+        G_B, M_B, spread2 = _gram_basis(A, candidates, R)
         block = max(1, _TREE_BLOCK // (r * r))
         uncertified = []
         for start in range(0, rest.size, block):
             rows = rest[start : start + block]
-            score, certified = _tree_scores(G_B, M_B, columns, subsets[rows], trace_r)
+            score, certified = _tree_scores(G_B, M_B, spread2, subsets[rows], trace_r)
             scores[rows[certified]] = score[certified]
             uncertified.append(rows[~certified])
         rest = np.concatenate(uncertified)
@@ -469,30 +470,19 @@ def _divided_differences(candidates, m):
 
 
 def _gram_basis(A, candidates, R):
-    """G_B = B* B and M_B = B* R B of B = [A | D], and the column table of ``_tree_scores``.
+    """G_B = B* B and M_B = B* R B of B = [A | D], and the squared spreads s^2 of D.
 
-    D holds the divided differences of ``_divided_differences``.  Row by
-    row, the table holds what a subset's running sums add for each column
-    of B: its diagonal of G_B, and for a divided difference its spread
-    s^2, 2 / s^2 and a twin flag (0, 1 and 0 for a steering column).
+    D holds the divided differences of ``_divided_differences``, whose
+    spreads ``_tree_scores`` reads for the basis change of a twin.
     """
     D, spread2 = _divided_differences(candidates, len(R))
     B = np.concatenate([A, D], axis=1)
     G_B = hermitian_gram(B.conj().T)
     M_B = B.conj().T @ (R @ B)
-    steering = np.zeros(len(candidates))
-    columns = np.stack(
-        [
-            np.real(np.diagonal(G_B)),
-            np.concatenate([steering, spread2]),
-            np.concatenate([steering + 1, 2 / spread2]),
-            np.concatenate([steering, np.ones(len(spread2))]),
-        ]
-    )
-    return G_B, M_B, columns
+    return G_B, M_B, spread2
 
 
-def _tree_scores(G_B, M_B, columns, idx, trace_r):
+def _tree_scores(G_B, M_B, spread2, idx, trace_r):
     """Gram-route scores of the sorted subset rows ``idx``, and which of them are certified.
 
     The rows are the leaves of their prefix tree.  It is walked one
@@ -502,8 +492,10 @@ def _tree_scores(G_B, M_B, columns, idx, trace_r):
     prefix's bits do not depend on which rows share the call: every entry
     is an elementwise array operation, summed in a fixed order.  A leaf's
     score is tr R - fit, and it is certified as in ``_score_subsets``, with
-    bound = tr G_S * ||W||_F^2 and the basis change bounded by the
-    closed-form ||T||_F^2 ||T^-1||_F^2 of the running sums.
+    bound = tr G_S * ||W||_F^2.  The basis change A_S = B_S T depends only
+    on the leaf's twins, so ||T||_F^2 ||T^-1||_F^2 is formed at the leaves,
+    position by position: ||T||_F^2 - r adds the running sum of s^2 at each
+    twin, and ||T^-1||_F^2 adds 2 / s^2 per twin and 1 per steering column.
     """
     n, r = idx.shape
     size = len(G_B)
@@ -518,16 +510,20 @@ def _tree_scores(G_B, M_B, columns, idx, trace_r):
         new[j] |= new[j - 1]
     Gf, Mf = G_B.ravel(), M_B.ravel()
     empty = np.zeros((0, 1), dtype=complex)
-    state = empty, empty, np.zeros((6, 1))
+    state = empty, empty, np.zeros((3, 1))
     heads = np.zeros(1, dtype=np.intp)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(r):
             prev, heads = heads, np.flatnonzero(new[j])
             parent = np.searchsorted(prev, heads, side="right") - 1
-            c = col[j, heads]
-            at = np.take(col[: j + 1], heads, axis=1) * size + c
-            state = _extend(state, parent, Gf[at], Mf[at], np.take(columns, c, axis=1), j < r - 1)
-        trace_g, _, inv_frob2, frob2, fit, inv_trace = state[2]
+            at = np.take(col[: j + 1], heads, axis=1) * size + col[j, heads]
+            state = _extend(state, parent, Gf[at], Mf[at], j < r - 1)
+        trace_g, fit, inv_trace = state[2]
+        s2_sum, frob2, inv_frob2 = 0.0, 0.0, 1.0
+        for t, s2 in zip(twin, spread2[ix[:-1]]):
+            s2_sum = s2_sum + t * s2
+            frob2 = frob2 + t * s2_sum
+            inv_frob2 = inv_frob2 + np.where(t, 2 / s2, 1.0)
         bound = trace_g * inv_trace
         score = trace_r - fit
         certified = (bound * trace_r <= _GRAM_BOUND * score) & (
@@ -536,29 +532,28 @@ def _tree_scores(G_B, M_B, columns, idx, trace_r):
     return score, certified
 
 
-def _extend(state, parent, b, m, tab, internal):
+def _extend(state, parent, b, m, internal):
     """Extend each prefix of length j by one column c of B; the children's state.
 
     ``state`` holds per prefix W = L^-1 of its Gram G_S = L L* and
     N = W M_S W*, lower triangles packed row by row (entry [i, k] in row
-    i (i + 1) / 2 + k; N is Hermitian), and six running sums: tr G_S, the
-    twin spreads s^2 so far, ||T^-1||_F^2, ||T||_F^2 less the length, the
-    fit tr(G_S^-1 M_S) and ||W||_F^2.  ``parent`` maps each child to its
-    prefix, ``b`` and ``m`` (j + 1, n) hold G_B and M_B at the prefix's
-    columns and c, then at (c, c), and ``tab`` the child's rows of the
-    column table.  With l = W b, y = W* l and pivot lambda^2 = G_cc - ||l||^2,
-    the child adds (M_cc - 2 Re y* m + l* N l) / lambda^2 to the fit and
+    i (i + 1) / 2 + k; N is Hermitian), and three running sums: tr G_S,
+    the fit tr(G_S^-1 M_S) and ||W||_F^2.  ``parent`` maps each child to
+    its prefix, and ``b`` and ``m`` (j + 1, n) hold G_B and M_B at the
+    prefix's columns and c, then at (c, c).  With l = W b, y = W* l and
+    pivot lambda^2 = G_cc - ||l||^2, the child adds G_cc to tr G_S,
+    (M_cc - 2 Re y* m + l* N l) / lambda^2 to the fit and
     (||y||^2 + 1) / lambda^2 to ||W||_F^2; W gains the row (-y*, 1) / lambda
     and N the column (W m - N l) / lambda.  A non-positive pivot gives NaN,
     which leaves every subset under it uncertified.  Only the running sums
     are returned unless ``internal``.
     """
-    W_rows, N_rows, run = state
+    W_rows, N_rows, run = (np.take(part, parent, axis=1) for part in state)
     j = len(b) - 1
-    l, yc, W = [], [None] * j, []  # yc holds conj(y)
+    l, yc = [], [None] * j  # yc holds conj(y)
     pivot = b[j].real
     for i in range(j):
-        Wi = np.take(W_rows[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2], parent, axis=1)
+        Wi = W_rows[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]
         li = Wi[0] * b[0]
         for k in range(1, i + 1):
             li = li + Wi[k] * b[k]
@@ -568,8 +563,6 @@ def _extend(state, parent, b, m, tab, internal):
             t = Wi[k] * lci
             yc[k] = t if yc[k] is None else yc[k] + t
         l.append(li)
-        if internal:
-            W.append(Wi)
     inv2 = 1 / np.where(pivot > 0, pivot, np.nan)
     w2 = 1.0
     gain = m[j].real
@@ -578,7 +571,7 @@ def _extend(state, parent, b, m, tab, internal):
         gain = gain - 2 * (yc[k] * m[k]).real
     Nl = [None] * j
     for i in range(j):
-        Ni = np.take(N_rows[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2], parent, axis=1)
+        Ni = N_rows[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]
         for k in range(i + 1):
             t = Ni[k] * l[k]
             Nl[i] = t if Nl[i] is None else Nl[i] + t
@@ -588,24 +581,21 @@ def _extend(state, parent, b, m, tab, internal):
     for i in range(j):
         gain = gain + (l[i].conj() * Nl[i]).real
     gain = gain * inv2
-    run = np.take(run, parent, axis=1)
-    run[:3] += tab[:3]
-    run[3] += tab[3] * run[1]
-    run[4] += gain
-    run[5] += w2 * inv2
+    run[0] += b[j].real
+    run[1] += gain
+    run[2] += w2 * inv2
     if not internal:
         return None, None, run
     inv = np.sqrt(inv2)
     tri = j * (j + 1) // 2
     W_next = np.empty((tri + j + 1, len(parent)), dtype=complex)
     N_next = np.empty_like(W_next)
-    for i in range(j):
-        W_next[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] = W[i]
-    N_next[:tri] = np.take(N_rows, parent, axis=1)
+    W_next[:tri], N_next[:tri] = W_rows, N_rows
     for k in range(j):
-        hk = W[k][0] * m[0]
+        Wk = W_rows[k * (k + 1) // 2 :]
+        hk = Wk[0] * m[0]
         for i in range(1, k + 1):
-            hk = hk + W[k][i] * m[i]
+            hk = hk + Wk[i] * m[i]
         W_next[tri + k] = -inv * yc[k]
         N_next[tri + k] = ((hk - Nl[k]) * inv).conj()
     W_next[-1] = inv

@@ -96,6 +96,35 @@ class TestSweepConfig:
         assert proc.returncode == 1
         assert "sweep.cfg:4:" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # p must be < m - r = 4.
+            ({"mode, puma": "mode, modex:9"}, "p_extra must satisfy p < m - r, got p=9, m=6, r=2"),
+            # C(21, 9) subsets, over the 100 000 limit.
+            (
+                {
+                    "m = 6": "m = 30",
+                    "r = 2": "r = 9",
+                    "-0.4, 0.7": "-2.4, -1.8, -1.2, -0.6, 0.0, 0.6, 1.2, 1.8, 2.4",
+                    "mode, puma": "epuma:3",
+                },
+                "MODEX would score C(21, 9) = 293930 candidate subsets",
+            ),
+        ],
+    )
+    def test_modex_sizes_that_cannot_run_exit_with_validation_code(self, tmp_path, edits, message):
+        # Every trial of such a method would fail, so the config itself is rejected.
+        text = SWEEP_TEXT
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert f"sweep.cfg:9: bad methods value: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr and not (tmp_path / "out.csv").exists()
+
     def test_snr_to_noise_power(self):
         # tr(P) = 2, r = 2, 10 dB -> sigma^2 = 0.1
         assert abs(noise_power_for_snr(np.eye(2), 2, 10.0) - 0.1) <= 1e-15

@@ -874,6 +874,22 @@ def _twin_candidates(base, gaps):
     return np.sort(np.concatenate([base, np.asarray(base) + np.asarray(gaps)]))
 
 
+@st.composite
+def twin_candidate_sets(draw):
+    """m, a covariance, and r to 4 base angles, each with a near twin 1e-6 to
+    1e-2 above it, plus up to three other angles."""
+    m = draw(st.sampled_from([6, 8, 12, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
+    cov = X @ X.conj().T / (m + 2)
+    r = draw(st.integers(2, 4))
+    angle = st.floats(-3.0, 3.0)
+    base = draw(st.lists(angle, min_size=r, max_size=4))
+    gaps = [10.0 ** draw(st.floats(-6.0, -2.0)) for _ in base]
+    others = draw(st.lists(angle, max_size=3))
+    return np.sort(np.concatenate([_twin_candidates(base, gaps), others])), cov, r
+
+
 def _extended_precision_scores(candidates, cov, subsets, digits=40):
     """tr R - tr{ (A* A)^-1 A* R A } of each subset, exact to about ``digits``
     less the log10 of its Gram's condition number, on the same float inputs."""
@@ -935,6 +951,19 @@ class TestDividedDifferenceRoute:
         assert np.all(np.isfinite(scores))
         assert np.mean(~qr) >= 0.9
         assert np.mean(~qr[holds_twins]) >= 0.9
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(near_limit_candidates(), clustered_candidates(), twin_candidate_sets()))
+    def test_the_certificate_keeps_only_subsets_far_inside_the_guard(self, drawn):
+        # The Gram route keeps a score only where its bound on cond(A_S* A_S)
+        # of the plain steering columns is within _GRAM_GUARD, far inside
+        # COND_LIMIT, so it can never keep a subset the +inf rule rejects.
+        candidates, cov, r = drawn
+        subsets, scores, qr = _score_subsets_and_route(candidates, cov, r)
+        kept = subsets[np.isfinite(scores) & ~qr]
+        A = np.exp(1j * np.outer(np.arange(len(cov)), candidates))
+        exact = [condition_number(hermitian_gram(A[:, S].conj().T)) for S in kept]
+        assert all(c <= estimators._GRAM_GUARD for c in exact)
 
     def test_pairs_past_the_guard_limit_stay_on_the_qr_route(self):
         # m=8: the pair 2e-6 apart has cond(A* A) of about 2e11, within
