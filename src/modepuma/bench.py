@@ -310,6 +310,14 @@ def _finite_float(text):
     return value
 
 
+def _distinct(values, label=repr):
+    """``values``, or a ValueError naming the first entry that repeats an earlier one."""
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ValueError(f"repeated entry {label(value)}")
+    return values
+
+
 def parse_sweep_config(path):
     """Parse a sweep config file into a SweepSpec."""
     raw = {}
@@ -341,7 +349,13 @@ def parse_sweep_config(path):
             raise ValidationError(f"{path}:{lines[key]}: bad {key} value: {exc}") from exc
 
     floats = lambda s: tuple(_finite_float(v) for v in s.split(","))
-    ints = lambda s: tuple(int(v) for v in s.split(","))
+
+    def snapshot_counts(text):
+        counts = _distinct(tuple(int(v) for v in text.split(",")))
+        if min(counts) < 1:
+            raise ValueError(f"need at least one snapshot, got {min(counts)}")
+        return counts
+
     r = parsed("r", int)
     if r < 1:
         raise ValidationError(f"{path}:{lines['r']}: need r >= 1, got {r}")
@@ -354,27 +368,28 @@ def parse_sweep_config(path):
                 f"{path}:{lines['source_cov']}: source_cov needs {r} diagonal entries"
             )
         P = np.diag(np.asarray(diag, dtype=complex))
-    # run_sweep sets each trial's noise power and seed; these are placeholders.
+    snapshots_list = parsed("snapshots_list", snapshot_counts)
+    # run_sweep sets each trial's noise power, snapshot count and seed: placeholders.
     base = Scenario(
         m=parsed("m", int),
         r=r,
         angles=parsed("angles", lambda s: as_angles(floats(s))),
         source_cov=P,
         noise_power=1.0,
-        n_snapshots=parsed("n_snapshots", int),
+        n_snapshots=snapshots_list[0],
         seed=0,
     )
 
     def methods(text):
-        configs = tuple(parse_method_token(t) for t in text.split(","))
+        configs = _distinct(tuple(parse_method_token(t) for t in text.split(",")), method_label)
         for config in configs:
             check_modex_size(base.m, r, config.p_extra)  # p = 0 always passes
         return configs
 
     return SweepSpec(
         base=base,
-        snr_db_list=parsed("snr_db_list", floats),
-        snapshots_list=parsed("snapshots_list", ints),
+        snr_db_list=parsed("snr_db_list", lambda s: _distinct(floats(s))),
+        snapshots_list=snapshots_list,
         methods=parsed("methods", methods),
         n_trials=parsed("n_trials", int),
         base_seed=parsed("base_seed", int),

@@ -19,10 +19,10 @@ Omega at c.  They differ only in the constraint step and the tolerance:
 
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
-The reweight and the QR-route subsets decide that rule from a certified
-bound first, ||G||_F ||G^-1||_F or its QR analogue within COND_LIMIT / 100,
-and solve for eigenvalues only where the bound leaves it open; the limit
-and every decision are the same.
+The reweight and both subset routes decide that rule from a certified bound
+first, kept within one margin, COND_LIMIT / 100, and solve for eigenvalues
+only where the bound leaves it open; the limit and every decision are the
+same.
 """
 
 import functools
@@ -55,17 +55,13 @@ _TREE_BLOCK = 32768
 # ``_score_subsets`` keeps a subset's score from its r x r Grams only where
 # its certified bound on cond(G_S), times tr R / score, is within
 # _GRAM_BOUND: the score's relative error is then about eps * _GRAM_BOUND,
-# under 4.5e-13.  And only where its bound on cond(A_S* A_S) of the plain
-# steering columns is within _GRAM_GUARD: far inside COND_LIMIT, so the
-# +inf rule cannot flip, and low enough that the QR route's own error,
-# about eps * cond(A_S) * tr R, would stay near 1e-12 tr R.
+# under 4.5e-13.
 _GRAM_BOUND = 2e3
-_GRAM_GUARD = 1e8
 
 # Fewest live subsets for the Gram route.  Its fixed cost, r levels of 20
 # to 80 array operations, measured about 0.2 ms at r = 2 and 0.35 ms at
 # r = 3 on one core, and outweighs the QR work it saves on fewer.  The two
-# routes measured even near 100 live subsets (80 to 120 over r = 2 to 4);
+# routes measured even near 60 live subsets at r = 2 and 90 to 120 at r = 3;
 # moving the limit there would change which route scores those calls.
 _GRAM_MIN_LIVE = 32
 
@@ -392,8 +388,9 @@ def _score_subsets(candidates, cov, r):
       _GRAM_BOUND * score.  The +inf rule stays on the plain columns: with
       A_S = B_S T, cond(A_S* A_S) <= bound * ||T||_F^2 * ||T^-1||_F^2, in
       closed form at the leaves from the subset's twins, and the score is
-      kept only where that is within _GRAM_GUARD.  The route is skipped
-      when fewer than ``_GRAM_MIN_LIVE`` subsets are live.
+      kept only where that is within COND_LIMIT / 100, the margin of every
+      certified COND_LIMIT decision.  The route is skipped when fewer than
+      ``_GRAM_MIN_LIVE`` subsets are live.
     * QR route (``_qr_scores``): every other live subset.  Forming G_S
       squares the condition number of A_S, so the ill-conditioned subsets
       are scored from a stacked QR of their steering columns, A_S = Q R_A,
@@ -491,11 +488,12 @@ def _tree_scores(G_B, M_B, spread2, idx, trace_r):
     (``_extend``).  Each prefix is rebuilt from the rows themselves, and a
     prefix's bits do not depend on which rows share the call: every entry
     is an elementwise array operation, summed in a fixed order.  A leaf's
-    score is tr R - fit, and it is certified as in ``_score_subsets``, with
-    bound = tr G_S * ||W||_F^2.  The basis change A_S = B_S T depends only
-    on the leaf's twins, so ||T||_F^2 ||T^-1||_F^2 is formed at the leaves,
-    position by position: ||T||_F^2 - r adds the running sum of s^2 at each
-    twin, and ||T^-1||_F^2 adds 2 / s^2 per twin and 1 per steering column.
+    score is tr R - fit, certified as in ``_score_subsets`` with bound =
+    tr G_S * ||W||_F^2 and bound * ||T||_F^2 ||T^-1||_F^2 within
+    COND_LIMIT / 100.  A_S = B_S T depends only on the leaf's twins, so T's
+    factors are formed at the leaves, position by position: ||T||_F^2 - r
+    adds the running sum of s^2 at each twin, and ||T^-1||_F^2 adds 2 / s^2
+    per twin and 1 per steering column.
     """
     n, r = idx.shape
     size = len(G_B)
@@ -527,7 +525,7 @@ def _tree_scores(G_B, M_B, spread2, idx, trace_r):
         bound = trace_g * inv_trace
         score = trace_r - fit
         certified = (bound * trace_r <= _GRAM_BOUND * score) & (
-            bound * (frob2 + r) * inv_frob2 <= _GRAM_GUARD
+            bound * (frob2 + r) * inv_frob2 <= COND_LIMIT / 100
         )
     return score, certified
 

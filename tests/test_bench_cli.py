@@ -125,6 +125,44 @@ class TestSweepConfig:
         assert f"sweep.cfg:9: bad methods value: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr and not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            # Parsed values are compared, so 10 and 1e1 are one SNR.
+            ("snr_db_list = 10", "snr_db_list = 10, 1e1", 7, "snr_db_list value: repeated entry 10.0"),
+            ("snapshots_list = 50", "snapshots_list = 50, 50", 8, "snapshots_list value: repeated entry 50"),
+            ("methods = mode, puma", "methods = mode, puma, MODE", 9, "methods value: repeated entry mode"),
+            (
+                "snapshots_list = 50",
+                "snapshots_list = 50, 0",
+                8,
+                "snapshots_list value: need at least one snapshot, got 0",
+            ),
+        ],
+        ids=["repeated-snr", "repeated-snapshots", "repeated-method", "zero-snapshots"],
+    )
+    def test_bad_list_entry_exits_with_validation_code(self, tmp_path, old, new, line, message):
+        # A repeated entry would write two rows under the same key columns.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT.replace(old, new))
+        out = tmp_path / "out.csv"
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert f"sweep.cfg:{line}: bad {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr and not out.exists()
+
+    def test_the_template_scenario_takes_the_first_snapshot_count(self, tmp_path):
+        # No trial reads n_snapshots, so a count a Scenario would reject there
+        # does not fail the sweep.
+        path = tmp_path / "sweep.cfg"
+        path.write_text(
+            SWEEP_TEXT.replace("n_snapshots = 100", "n_snapshots = 0").replace(
+                "snapshots_list = 50", "snapshots_list = 50, 20"
+            )
+        )
+        sweep = parse_sweep_config(path)
+        assert sweep.base.n_snapshots == 50 and sweep.snapshots_list == (50, 20)
+
     def test_snr_to_noise_power(self):
         # tr(P) = 2, r = 2, 10 dB -> sigma^2 = 0.1
         assert abs(noise_power_for_snr(np.eye(2), 2, 10.0) - 0.1) <= 1e-15

@@ -789,18 +789,29 @@ def _score_subsets_and_route(candidates, cov, r, min_live=1):
     return subsets, scores, np.array([tuple(S) in routed for S in subsets.tolist()], dtype=bool)
 
 
-def _assert_matches_reference(routed, reference, cov):
+def _assert_matches_reference(routed, reference, candidates, cov):
     """The same subsets and +inf set as the reference; bit-equal scores on the
     subsets sent down the QR route, and within 1e-12 tr R on those scored from
-    the Grams: about eps times 1e4, a tolerance fixed before any run."""
+    the Grams: about eps times 1e4, a tolerance fixed before any run.
+
+    A Gram-scored subset whose plain Gram A_S* A_S is past cond 1e6 is
+    compared with ``_extended_precision_scores`` instead, within
+    eps * _GRAM_BOUND * tr R: there the reference's own QR error, about
+    eps * cond(A_S) * tr R, can pass 1e-12 tr R."""
     subsets, scores, qr = routed
     ref_subsets, ref_scores = reference
     assert np.array_equal(subsets, ref_subsets)
     assert np.array_equal(np.isinf(scores), np.isinf(ref_scores))
     assert np.array_equal(scores[qr], ref_scores[qr])
-    gram = np.isfinite(scores) & ~qr
-    delta = np.abs(scores[gram] - ref_scores[gram])
-    assert np.all(delta <= 1e-12 * np.real(np.trace(cov)))
+    gram = np.flatnonzero(np.isfinite(scores) & ~qr)
+    A = np.exp(1j * np.outer(np.arange(len(cov)), candidates))
+    cond = np.array([condition_number(hermitian_gram(A[:, S].conj().T)) for S in subsets[gram]])
+    near, far = gram[cond > 1e6], gram[cond <= 1e6]
+    trace_r = np.real(np.trace(cov))
+    assert np.all(np.abs(scores[far] - ref_scores[far]) <= 1e-12 * trace_r)
+    if near.size:
+        exact = _extended_precision_scores(candidates, cov, subsets[near])
+        assert np.all(np.abs(scores[near] - exact) <= np.finfo(float).eps * _GRAM_BOUND * trace_r)
 
 
 def _qr_bound(candidates, m, subset):
@@ -824,6 +835,7 @@ class TestGramRoute:
         _assert_matches_reference(
             _score_subsets_and_route(candidates, cov, r),
             _all_qr_score_subsets(candidates, cov, r),
+            candidates,
             cov,
         )
 
@@ -956,19 +968,21 @@ class TestDividedDifferenceRoute:
     @given(st.one_of(near_limit_candidates(), clustered_candidates(), twin_candidate_sets()))
     def test_the_certificate_keeps_only_subsets_far_inside_the_guard(self, drawn):
         # The Gram route keeps a score only where its bound on cond(A_S* A_S)
-        # of the plain steering columns is within _GRAM_GUARD, far inside
-        # COND_LIMIT, so it can never keep a subset the +inf rule rejects.
+        # of the plain steering columns is within COND_LIMIT / 100, the
+        # margin of every certified COND_LIMIT decision, so it can never
+        # keep a subset the +inf rule rejects.
         candidates, cov, r = drawn
         subsets, scores, qr = _score_subsets_and_route(candidates, cov, r)
         kept = subsets[np.isfinite(scores) & ~qr]
         A = np.exp(1j * np.outer(np.arange(len(cov)), candidates))
         exact = [condition_number(hermitian_gram(A[:, S].conj().T)) for S in kept]
-        assert all(c <= estimators._GRAM_GUARD for c in exact)
+        assert all(c <= COND_LIMIT / 100 for c in exact)
 
     def test_pairs_past_the_guard_limit_stay_on_the_qr_route(self):
         # m=8: the pair 2e-6 apart has cond(A* A) of about 2e11, within
-        # COND_LIMIT but far past _GRAM_GUARD, so it is scored by QR and
-        # stays finite; the pair 1e-7 apart (about 8e13) scores +inf.
+        # COND_LIMIT but past the certificate's COND_LIMIT / 100, so it is
+        # scored by QR and stays finite; the pair 1e-7 apart (about 8e13)
+        # scores +inf.
         candidates = np.array([-1.0, 0.2, 0.2 + 2e-6, 1.1, 2.0, 2.0 + 1e-7])
         cov = _CLUSTERED_COVS[0]
         subsets, scores, qr = _score_subsets_and_route(candidates, cov, 2)
@@ -977,6 +991,25 @@ class TestDividedDifferenceRoute:
         assert qr[close] and np.isfinite(scores[close])
         assert qr[coincident] and scores[coincident] == np.inf
         assert not np.all(qr)
+
+    @pytest.mark.parametrize("which", range(len(_CLUSTERED_COVS)))
+    def test_a_twin_pair_inside_the_margin_takes_the_more_accurate_route(self, which):
+        # m=8: candidates 1.0 and 1.00002 have cond(A_S* A_S) of about 1.9e9,
+        # inside COND_LIMIT / 100.  The Gram route scores the pair within
+        # eps * _GRAM_BOUND * tr R of the 40-digit reference, while the
+        # all-QR scoring of the same pair is off by more than 1e-12 tr R.
+        candidates = np.array([-2.0, -0.9, 1.0, 1.00002, 2.6])
+        cov = _CLUSTERED_COVS[which]
+        subsets, scores, qr = _score_subsets_and_route(candidates, cov, 2)
+        pair = subsets.tolist().index([2, 3])
+        A = np.exp(1j * np.outer(np.arange(8), candidates[2:4]))
+        assert 1e9 < condition_number(hermitian_gram(A.conj().T)) <= COND_LIMIT / 100
+        assert not qr[pair]
+        exact = _extended_precision_scores(candidates, cov, subsets[[pair]])[0]
+        trace_r = np.real(np.trace(cov))
+        assert abs(scores[pair] - exact) <= np.finfo(float).eps * _GRAM_BOUND * trace_r
+        all_qr = _all_qr_score_subsets(candidates, cov, 2)[1][pair]
+        assert abs(all_qr - exact) > 1e-12 * trace_r
 
 
 def _assert_same_bits(routed, blocked):
@@ -1063,6 +1096,7 @@ class TestScoreSubsetsGuard:
         _assert_matches_reference(
             _score_subsets_and_route(candidates, cov, r),
             _reference_score_subsets(candidates, cov, r),
+            candidates,
             cov,
         )
 
@@ -1084,7 +1118,9 @@ class TestScoreSubsetsGuard:
         subsets, scores, _ = routed
         assert sum(checked) == 2
         assert np.sum(np.isfinite(scores)) == len(subsets) - 1
-        _assert_matches_reference(routed, _reference_score_subsets(candidates, cov, 2), cov)
+        _assert_matches_reference(
+            routed, _reference_score_subsets(candidates, cov, 2), candidates, cov
+        )
 
 
 class TestMatchAngles:
