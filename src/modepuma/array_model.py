@@ -50,25 +50,27 @@ def guarded_gram(X, what):
 def guarded_inverse(X, what):
     """The inverse of ``hermitian_gram(X)``, under the rule and with the bits of ``guarded_gram``.
 
-    Returns ``np.linalg.inv`` of the Gram, and raises SingularityError
-    naming ``what`` exactly where ``guarded_gram`` does.  The Gram passes
-    without an eigenvalue solve when ||G||_F ||G^-1||_F, a bound on its
-    condition number, is within COND_LIMIT / 100; only the undecided rest
-    go through ``condition_number``.  A Gram that ``inv`` cannot invert
-    is singular too.
+    Returns ``(inverse, cond)``, the inverse from ``np.linalg.inv``, and
+    raises SingularityError naming ``what`` exactly where ``guarded_gram``
+    does.  The Gram passes without an eigenvalue solve when
+    ||G||_F ||G^-1||_F, a bound on its condition number, is within
+    COND_LIMIT / 100; only the undecided rest go through
+    ``condition_number``.  cond is that bound where it decided, else the
+    condition number.  A Gram that ``inv`` cannot invert is singular too.
     """
     gram = hermitian_gram(X)
     try:
         inv = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
-        inv = None
+        inv, cond = None, np.inf
     else:
-        bound = math.sqrt(np.vdot(gram, gram).real) * math.sqrt(np.vdot(inv, inv).real)
-        if bound <= COND_LIMIT / 100:
-            return inv
-    if inv is None or condition_number(gram) > COND_LIMIT:
-        raise SingularityError(f"{what} is numerically singular")
-    return inv
+        cond = math.sqrt(np.vdot(gram, gram).real) * math.sqrt(np.vdot(inv, inv).real)
+    if not cond <= COND_LIMIT / 100:  # NaN is undecided too
+        if inv is not None:
+            cond = condition_number(gram)
+        if cond > COND_LIMIT:
+            raise SingularityError(f"{what} is numerically singular")
+    return inv, cond
 
 
 def as_angles(angles):

@@ -78,6 +78,11 @@ class SweepSpec:
             raise ValidationError("need n_trials >= 1")
         if self.base_seed < 0:
             raise ValidationError(f"need base_seed >= 0, got {self.base_seed}")
+        for key in ("snr_db_list", "snapshots_list", "methods"):
+            try:
+                _check_list(key, getattr(self, key))
+            except ValueError as exc:
+                raise ValidationError(f"bad {key}: {exc}") from None
 
 
 def noise_power_for_snr(source_cov, r, snr_db):
@@ -310,11 +315,18 @@ def _finite_float(text):
     return value
 
 
-def _distinct(values, label=repr):
-    """``values``, or a ValueError naming the first entry that repeats an earlier one."""
+def _check_list(key, values):
+    """The non-empty sweep list ``key``'s ``values``, or a ValueError naming its first bad entry.
+
+    A repeated entry would write two sets of rows under one key, and a
+    snapshot count must be at least 1.
+    """
+    label = method_label if key == "methods" else repr
     for k, value in enumerate(values):
         if value in values[:k]:
             raise ValueError(f"repeated entry {label(value)}")
+    if key == "snapshots_list" and min(values) < 1:
+        raise ValueError(f"need at least one snapshot, got {min(values)}")
     return values
 
 
@@ -350,12 +362,6 @@ def parse_sweep_config(path):
 
     floats = lambda s: tuple(_finite_float(v) for v in s.split(","))
 
-    def snapshot_counts(text):
-        counts = _distinct(tuple(int(v) for v in text.split(",")))
-        if min(counts) < 1:
-            raise ValueError(f"need at least one snapshot, got {min(counts)}")
-        return counts
-
     r = parsed("r", int)
     if r < 1:
         raise ValidationError(f"{path}:{lines['r']}: need r >= 1, got {r}")
@@ -368,7 +374,10 @@ def parse_sweep_config(path):
                 f"{path}:{lines['source_cov']}: source_cov needs {r} diagonal entries"
             )
         P = np.diag(np.asarray(diag, dtype=complex))
-    snapshots_list = parsed("snapshots_list", snapshot_counts)
+    snapshots_list = parsed(
+        "snapshots_list",
+        lambda s: _check_list("snapshots_list", tuple(int(v) for v in s.split(","))),
+    )
     # run_sweep sets each trial's noise power, snapshot count and seed: placeholders.
     base = Scenario(
         m=parsed("m", int),
@@ -381,14 +390,14 @@ def parse_sweep_config(path):
     )
 
     def methods(text):
-        configs = _distinct(tuple(parse_method_token(t) for t in text.split(",")), method_label)
+        configs = _check_list("methods", tuple(parse_method_token(t) for t in text.split(",")))
         for config in configs:
             check_modex_size(base.m, r, config.p_extra)  # p = 0 always passes
         return configs
 
     return SweepSpec(
         base=base,
-        snr_db_list=parsed("snr_db_list", lambda s: _distinct(floats(s))),
+        snr_db_list=parsed("snr_db_list", lambda s: _check_list("snr_db_list", floats(s))),
         snapshots_list=snapshots_list,
         methods=parsed("methods", methods),
         n_trials=parsed("n_trials", int),

@@ -19,10 +19,13 @@ Omega at c.  They differ only in the constraint step and the tolerance:
 
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
-The reweight and both subset routes decide that rule from a certified bound
-first, kept within one margin, COND_LIMIT / 100, and solve for eigenvalues
-only where the bound leaves it open; the limit and every decision are the
-same.
+The reweight, PUMA's gauge block and both subset routes decide that rule
+from a certified bound first, kept within one margin, COND_LIMIT / 100, and
+solve for eigenvalues only where the bound leaves it open; the limit and
+every decision are the same.  PUMA's gauge block is checked once per loop,
+at Omega = I, and bounded after that by cond(T T*) times that first
+value.  The subset tree's walk depends only on K, r and the block of
+rows, so it is cached (``_block_plan``).
 """
 
 import functools
@@ -172,10 +175,11 @@ def _conjugate_symmetric_basis(n):
 
 
 def _omega_from_coefs(c, m):
-    """(T T*)^-1 at c, through ``guarded_inverse``: a T T* past COND_LIMIT is a SingularityError.
+    """(T T*)^-1 at c and a bound on its condition number, through ``guarded_inverse``.
 
-    c is a step's solution, complex and of degree q < m, so only c_0 != 0
-    is checked before T is written.
+    A T T* past COND_LIMIT is a SingularityError.  c is a step's solution,
+    complex and of degree q < m, so only c_0 != 0 is checked before T is
+    written.
     """
     if c[0] == 0:
         raise ValidationError("leading coefficient c_0 must be nonzero")
@@ -191,10 +195,17 @@ def _symmetric_step(Q):
     return c / np.linalg.norm(c)
 
 
-def _gauge_step(Q):
-    """PUMA's step: c = (1, tail), Q[1:,1:] tail = -Q[1:,0]; minimum-norm tail when singular."""
+def _gauge_step(Q, cond=None):
+    """PUMA's step: c = (1, tail), Q[1:,1:] tail = -Q[1:,0]; minimum-norm tail when singular.
+
+    The tail is solved for where cond(Q[1:,1:]) is within COND_LIMIT.
+    ``cond`` is that condition number, or a certified bound on it within
+    COND_LIMIT / 100; left None, ``condition_number`` reads it off the block.
+    """
     Q11, rhs = Q[1:, 1:], -Q[1:, 0]
-    if condition_number(Q11) <= COND_LIMIT:
+    if cond is None:
+        cond = condition_number(Q11)
+    if cond <= COND_LIMIT:
         try:
             tail = np.linalg.solve(Q11, rhs)
         except np.linalg.LinAlgError as exc:
@@ -216,16 +227,37 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, keep_history=True):
     Returns ``(c, iterations, converged, history)``; ``history`` holds
     V_MODE of every iterate before the last, read as c* Q c off the next
     solve's quadratic form, or is None unless ``keep_history``.
+
+    PUMA's ``_gauge_step`` solves on the block Q_11 = Q[1:,1:], whose
+    condition the loop checks once, at Omega = I, where Q = S.  With
+    Phi'_l the slices without their first column and every g_l >= 0,
+    x* Q_11(Omega) x = sum_l g_l (Phi'_l x)* Omega (Phi'_l x) lies between
+    lambda_min(Omega) x* S_11 x and lambda_max(Omega) x* S_11 x, so
+    cond(Q_11(Omega)) <= cond(Omega) * cond(S_11), and ``guarded_inverse``
+    bounds cond(Omega) = cond(T T*) by ||T T*||_F ||(T T*)^-1||_F.  Where
+    the product is within COND_LIMIT / 100 it stands for the block's
+    eigenvalue check: the margin absorbs the rounding of the computed Q,
+    S_11, Omega and eigenvalues, as in ``guarded_inverse`` and
+    ``_qr_scores``, so every decision and every bit of c are the same.  A
+    first block past COND_LIMIT, or a negative weight, leaves no bound.
     """
     _check_degree(decomp, q)
     m = decomp.m
     g = np.asarray(weight, dtype=float)
     Phi, PhiH = _hankel_slices(decomp, q)
-    c = step(_quadratic_form(Phi, PhiH, g, np.eye(m - q, dtype=complex)))
+    S = _quadratic_form(Phi, PhiH, g, np.eye(m - q, dtype=complex))
+    base = np.inf
+    if step is _gauge_step:
+        base = condition_number(S[1:, 1:])
+        c = step(S, base)
+        if not np.all(g >= 0):
+            base = np.inf
+    else:
+        c = step(S)
     history = [] if keep_history else None
     for iters in range(2, _MAX_ITERATIONS + 1):
         try:
-            omega = _omega_from_coefs(c, m)
+            omega, omega_cond = _omega_from_coefs(c, m)
         except SingularityError:
             return c, iters - 1, False, history
         Q = _quadratic_form(Phi, PhiH, g, omega)
@@ -234,7 +266,8 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, keep_history=True):
         # c / c_0 drops the scale and sign MODE's unit eigenvector leaves
         # free; each iterate's is formed once, after its c_0 check.
         prev = c / c[0] if iters == 2 else a
-        c = step(Q)
+        bound = base * omega_cond
+        c = step(Q, bound) if bound <= COND_LIMIT / 100 else step(Q)
         a = c / c[0]
         if np.linalg.norm(a - prev) <= tolerance * np.linalg.norm(a):
             return c, iters, True, history
@@ -396,11 +429,13 @@ def _score_subsets(candidates, cov, r):
       are scored from a stacked QR of their steering columns, A_S = Q R_A,
       as tr R - tr(Q* R Q).
 
-    The live subsets are walked in blocks of contiguous rows, of
-    ``_TREE_BLOCK`` W and N entries (r * r per subset) on the Gram route
-    and ``_SUBSET_BLOCK`` subsets on the QR route, so the stacked
-    temporaries stay small whatever the subset count.  A Gram-route
-    score does not depend on the block size.
+    The Gram route walks the table in fixed blocks of contiguous rows, of
+    ``_TREE_BLOCK`` W and N entries (r * r per subset), each down its
+    cached plan (``_block_plan``); it walks the dead rows too and keeps the
+    live rows' scores.  The QR route takes the rest of the live subsets
+    ``_SUBSET_BLOCK`` at a time.  So the stacked temporaries stay small
+    whatever the subset count, and a Gram-route score depends neither on
+    the block size nor on which rows share its block.
     """
     R = np.asarray(cov)
     m = R.shape[0]
@@ -415,17 +450,20 @@ def _score_subsets(candidates, cov, r):
     live = np.all(apart[subsets[:, :-1], subsets[:, 1:]], axis=1)
     scores = np.full(n, np.inf)
     trace_r = np.real(np.trace(R))
-    rest = np.flatnonzero(live)
-    if rest.size >= _GRAM_MIN_LIVE:
+    if np.count_nonzero(live) >= _GRAM_MIN_LIVE:
         G_B, M_B, spread2 = _gram_basis(A, candidates, R)
         block = max(1, _TREE_BLOCK // (r * r))
         uncertified = []
-        for start in range(0, rest.size, block):
-            rows = rest[start : start + block]
-            score, certified = _tree_scores(G_B, M_B, spread2, subsets[rows], trace_r)
-            scores[rows[certified]] = score[certified]
-            uncertified.append(rows[~certified])
+        for start in range(0, n, block):
+            rows = slice(start, min(start + block, n))
+            plan = _block_plan(K, r, rows.start, rows.stop)
+            score, certified = _tree_scores(G_B, M_B, spread2, plan, trace_r)
+            kept = live[rows] & certified
+            scores[rows][kept] = score[kept]
+            uncertified.append(start + np.flatnonzero(live[rows] & ~certified))
         rest = np.concatenate(uncertified)
+    else:
+        rest = np.flatnonzero(live)
     for start in range(0, rest.size, _SUBSET_BLOCK):
         rows = rest[start : start + _SUBSET_BLOCK]
         scores[rows] = _qr_scores(A, G, R, subsets[rows], trace_r)
@@ -446,6 +484,50 @@ def _subset_table(K, r):
     ).reshape(n, r)
     table.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=4)
+def _block_plan(K, r, start, stop):
+    """``_tree_plan`` of rows start:stop of ``_subset_table(K, r)``, cached and read-only.
+
+    The cache holds blocks, not whole tables: a block's plan is at most
+    about 0.8 MB (32768 rows at r = 1, 24 bytes each) and 0.34 MB at
+    r >= 2, while one table's plans near ``_MAX_SUBSETS`` rows would take
+    16 MB (r = 8, 217 bytes per row).
+    """
+    return _tree_plan(_subset_table(K, r)[start:stop], 2 * K - 1)
+
+
+def _tree_plan(idx, size):
+    """The walk of ``_tree_scores`` down the prefix tree of the sorted subset rows ``idx``.
+
+    Returns read-only ``(pair, twin, levels)``.  ``twin[k]`` marks the rows
+    whose positions k and k + 1 hold consecutive candidates, and
+    ``pair[k]`` is the candidate at position k.  ``levels[j]`` is
+    ``(parent, at)`` for the distinct prefixes of length j + 1, in row
+    order: each one's prefix of length j, and the flat indices into a
+    ``size`` x ``size`` G_B or M_B of its columns of B by its new column.
+    The column at position k is d_i in place of a_(i+1) after candidate i.
+    """
+    n, r = idx.shape
+    ix = np.ascontiguousarray(idx.T)
+    twin = ix[1:] == ix[:-1] + 1
+    col = np.concatenate([ix[:1], np.where(twin, (size + 1) // 2 + ix[:-1], ix[1:])])
+    # new[j, i]: row i starts a prefix of length j + 1.
+    new = np.ones((r, n), dtype=bool)
+    np.not_equal(ix[:, 1:], ix[:, :-1], out=new[:, 1:])
+    for j in range(1, r):
+        new[j] |= new[j - 1]
+    levels = []
+    heads = np.zeros(1, dtype=np.intp)
+    for j in range(r):
+        prev, heads = heads, np.flatnonzero(new[j])
+        parent = np.searchsorted(prev, heads, side="right") - 1
+        at = np.take(col[: j + 1], heads, axis=1) * size + col[j, heads]
+        levels.append((parent, at))
+    for part in (ix, twin, *itertools.chain.from_iterable(levels)):
+        part.flags.writeable = False
+    return ix[:-1], twin, tuple(levels)
 
 
 def _divided_differences(candidates, m):
@@ -479,13 +561,12 @@ def _gram_basis(A, candidates, R):
     return G_B, M_B, spread2
 
 
-def _tree_scores(G_B, M_B, spread2, idx, trace_r):
-    """Gram-route scores of the sorted subset rows ``idx``, and which of them are certified.
+def _tree_scores(G_B, M_B, spread2, plan, trace_r):
+    """Gram-route scores of the subset rows of ``plan``, and which of them are certified.
 
-    The rows are the leaves of their prefix tree.  It is walked one
-    position at a time, and each distinct prefix is extended once, from its
-    parent's state, by one Cholesky row of its new column of B
-    (``_extend``).  Each prefix is rebuilt from the rows themselves, and a
+    ``plan`` (``_tree_plan``) walks the rows' prefix tree one position at
+    a time, and each distinct prefix is extended once, from its parent's
+    state, by one Cholesky row of its new column of B (``_extend``).  A
     prefix's bits do not depend on which rows share the call: every entry
     is an elementwise array operation, summed in a fixed order.  A leaf's
     score is tr R - fit, certified as in ``_score_subsets`` with bound =
@@ -495,30 +576,17 @@ def _tree_scores(G_B, M_B, spread2, idx, trace_r):
     adds the running sum of s^2 at each twin, and ||T^-1||_F^2 adds 2 / s^2
     per twin and 1 per steering column.
     """
-    n, r = idx.shape
-    size = len(G_B)
-    ix = np.ascontiguousarray(idx.T)
-    # The column of B at each position: d_i in place of a_(i+1) after candidate i.
-    twin = ix[1:] == ix[:-1] + 1
-    col = np.concatenate([ix[:1], np.where(twin, (size + 1) // 2 + ix[:-1], ix[1:])])
-    # new[j, i]: row i starts a prefix of length j + 1.
-    new = np.ones((r, n), dtype=bool)
-    np.not_equal(ix[:, 1:], ix[:, :-1], out=new[:, 1:])
-    for j in range(1, r):
-        new[j] |= new[j - 1]
+    pair, twin, levels = plan
+    r = len(levels)
     Gf, Mf = G_B.ravel(), M_B.ravel()
     empty = np.zeros((0, 1), dtype=complex)
     state = empty, empty, np.zeros((3, 1))
-    heads = np.zeros(1, dtype=np.intp)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(r):
-            prev, heads = heads, np.flatnonzero(new[j])
-            parent = np.searchsorted(prev, heads, side="right") - 1
-            at = np.take(col[: j + 1], heads, axis=1) * size + col[j, heads]
+        for j, (parent, at) in enumerate(levels):
             state = _extend(state, parent, Gf[at], Mf[at], j < r - 1)
         trace_g, fit, inv_trace = state[2]
         s2_sum, frob2, inv_frob2 = 0.0, 0.0, 1.0
-        for t, s2 in zip(twin, spread2[ix[:-1]]):
+        for t, s2 in zip(twin, spread2[pair]):
             s2_sum = s2_sum + t * s2
             frob2 = frob2 + t * s2_sum
             inv_frob2 = inv_frob2 + np.where(t, 2 / s2, 1.0)

@@ -151,6 +151,26 @@ class TestSweepConfig:
         assert f"sweep.cfg:{line}: bad {message}" in proc.stderr
         assert "Traceback" not in proc.stderr and not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("snr_db_list", (10.0, 10.0), "bad snr_db_list: repeated entry 10.0"),
+            ("snapshots_list", (50, 50), "bad snapshots_list: repeated entry 50"),
+            ("snapshots_list", (50, 0), "bad snapshots_list: need at least one snapshot, got 0"),
+            ("methods", "repeat", "bad methods: repeated entry mode"),
+        ],
+        ids=["repeated-snr", "repeated-snapshots", "zero-snapshots", "repeated-method"],
+    )
+    def test_a_spec_built_in_code_rejects_the_same_entries(self, tmp_path, key, value, message):
+        # run_sweep's callers may build a spec with dataclasses.replace,
+        # without the parser; the spec itself rejects what the parser does.
+        sweep = _sweep_from_text(tmp_path)
+        if value == "repeat":
+            value = sweep.methods + sweep.methods[:1]
+        with pytest.raises(ValidationError) as info:
+            replace(sweep, **{key: value})
+        assert str(info.value) == message
+
     def test_the_template_scenario_takes_the_first_snapshot_count(self, tmp_path):
         # No trial reads n_snapshots, so a count a Scenario would reject there
         # does not fail the sweep.

@@ -36,6 +36,7 @@ from modepuma.array_model import (
     COND_LIMIT,
     angles_from_coefs,
     condition_number,
+    guarded_inverse,
     hermitian_gram,
     toeplitz_annihilator,
 )
@@ -44,6 +45,7 @@ from modepuma.errors import SingularityError
 from modepuma.estimators import (
     _GRAM_BOUND,
     _SUBSET_BLOCK,
+    _block_plan,
     _conjugate_symmetric_basis,
     _gauge_step,
     _gram_basis,
@@ -51,6 +53,7 @@ from modepuma.estimators import (
     _score_subsets,
     _subset_table,
     _symmetric_step,
+    _tree_plan,
     _tree_scores,
 )
 
@@ -344,7 +347,7 @@ class TestReweightedLoop:
                 continue
             converged += 1
             c = res.coefs
-            omega = _omega_from_coefs(c, decomp.m)  # raises past COND_LIMIT
+            omega = _omega_from_coefs(c, decomp.m)[0]  # raises past COND_LIMIT
             again = _gauge_step(quadratic_form_matrix(decomp, weight, omega, 2))
             assert np.linalg.norm(again - c) <= 1e-8 * np.linalg.norm(c), seed
         assert converged >= 38
@@ -358,7 +361,7 @@ class TestReweightedLoop:
             c = _gauge_step(quadratic_form_matrix(decomp, weight, omega, 2))
             expected = v_mode(c, decomp, weight).value
             assert abs(value - expected) <= 1e-12 * expected
-            omega = _omega_from_coefs(c, decomp.m)
+            omega = _omega_from_coefs(c, decomp.m)[0]
 
     def test_gram_past_cond_limit_ends_the_loop(self, monkeypatch):
         # With COND_LIMIT below every first reweight's cond(T T*), each
@@ -417,8 +420,9 @@ class TestReweightedLoop:
         monkeypatch.setattr(estimators, "v_mode", v_mode_outside)
         res = puma_iterative(decomp, weight, 2)
         assert res.iterations_used >= 3
-        # PUMA's Q_11 (2 x 2) is checked once per solve; no T T* (4 x 4) is.
-        assert checked == [(2, 2)] * res.iterations_used
+        # PUMA's Q_11 (2 x 2) is checked once per loop, at Omega = I, and
+        # certified on every reweight after it; no T T* (4 x 4) is checked.
+        assert checked == [(2, 2)]
 
     def test_clustered_puma_stops_at_the_iteration_cap(self):
         _, decomp, weight = noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 10.0, 50, seed=0)
@@ -875,8 +879,11 @@ class TestGramRoute:
         trace_r = np.real(np.trace(cov))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            score, certified = _tree_scores(G_B, M_B, columns, rows, trace_r)
-            alone = [_tree_scores(G_B, M_B, columns, rows[[k]], trace_r)[0][0] for k in (0, 2)]
+            score, certified = _tree_scores(G_B, M_B, columns, _tree_plan(rows, len(G_B)), trace_r)
+            alone = [
+                _tree_scores(G_B, M_B, columns, _tree_plan(rows[[k]], len(G_B)), trace_r)[0][0]
+                for k in (0, 2)
+            ]
         assert certified.tolist() == [True, False, True]
         assert score[0] == alone[0] and score[2] == alone[1]
 
@@ -1181,3 +1188,193 @@ def test_degree_out_of_range_is_a_validation_error(solver, r):
     _, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
     with pytest.raises(ValidationError, match="need 0 < q < m"):
         solver(decomp, weight, r)
+
+
+@st.composite
+def gauge_instances(draw):
+    """A signal subspace U (m x r), weights g >= 0, a degree q and a
+    coefficient vector c whose roots are clustered or spread, on the unit
+    circle or off it.  Many clustered roots on the circle, at m of 20 to
+    36, make T T* near singular or past COND_LIMIT.  q runs up to m - 1, so
+    r (m - q) < q, where S_11 is singular, is drawn too."""
+    m = draw(st.one_of(st.integers(4, 12), st.sampled_from([20, 28, 36])))
+    r = draw(st.integers(1, min(4, m - 1)))
+    q = draw(st.integers(r, m - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, _ = np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))
+    g = rng.random(r) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    phi = rng.uniform(-np.pi, np.pi, q)
+    if draw(st.booleans()):
+        phi = phi[0] + draw(st.sampled_from([1e-5, 1e-3, 0.1])) * rng.standard_normal(q)
+    radius = 1.0 + draw(st.sampled_from([0.0, -0.3, -0.01, 0.01, 0.3])) * rng.random(q)
+    c = np.poly(radius * np.exp(1j * phi))[::-1]
+    return SubspaceDecomposition(U, np.ones(r), 0.0), g, q, c
+
+
+def _uncertified_omega(c, m):
+    """``_omega_from_coefs`` with no bound on cond(T T*): every block is checked."""
+    return _omega_from_coefs(c, m)[0], np.inf
+
+
+class TestGaugeCertificate:
+    # PUMA's c_0 = 1 step reads cond(Q_11) <= cond(Omega) * cond(S_11) in
+    # place of an eigenvalue solve where that is within COND_LIMIT / 100.
+    @settings(max_examples=300, deadline=None)
+    @given(gauge_instances())
+    def test_a_certified_block_is_within_the_limit(self, drawn):
+        decomp, g, q, c = drawn
+        m, r = decomp.m, decomp.r
+        S = quadratic_form_matrix(decomp, g, np.eye(m - q), q)
+        base = condition_number(S[1:, 1:])
+        if r * (m - q) < q:
+            # S_11 = sum_l g_l Phi'_l* Phi'_l has rank at most r (m - q).
+            assert base > COND_LIMIT
+        try:
+            omega, bound = guarded_inverse(toeplitz_annihilator(c, m), "T T*")
+        except SingularityError:
+            return
+        assert bound >= condition_number(hermitian_gram(toeplitz_annihilator(c, m))) * (1 - 1e-3)
+        if base * bound <= COND_LIMIT / 100:
+            exact = condition_number(quadratic_form_matrix(decomp, g, omega, q)[1:, 1:])
+            assert exact <= COND_LIMIT
+            assert exact <= base * bound * (1 + 1e-6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_the_certificate_changes_no_bit_of_the_solve(self, data):
+        m = data.draw(st.integers(4, 12))
+        r = data.draw(st.integers(1, min(3, m - 1)))
+        if data.draw(st.booleans()):
+            angles = 0.2 + 0.08 * np.arange(r)
+        else:
+            angles = np.linspace(-2.0, 2.0, r) if r > 1 else np.array([0.4])
+        snr = data.draw(st.sampled_from([0.0, 10.0, 30.0]))
+        T = data.draw(st.sampled_from([20, 100]))
+        _, decomp, weight = noisy_pipeline(m, r, angles, snr, T, data.draw(st.integers(0, 999)))
+        if data.draw(st.booleans()):
+            # A negative weight voids the Rayleigh bound: no block is certified.
+            weight = weight * np.where(np.arange(r) == r - 1, -1.0, 1.0)
+        q = data.draw(st.integers(r, m - 1))
+        for base in ("MODE", "PUMA"):
+            solver = estimators._SOLVERS[base]
+            got = estimators._reweighted_solve(decomp, weight, q, *solver)
+            with mock.patch.object(estimators, "_omega_from_coefs", _uncertified_omega):
+                ref = estimators._reweighted_solve(decomp, weight, q, *solver)
+            for got_bits, ref_bits in ((got[0], ref[0]), (np.array(got[3]), np.array(ref[3]))):
+                assert np.array_equal(got_bits.view(np.uint64), ref_bits.view(np.uint64)), base
+            assert got[1:3] == ref[1:3], base
+
+    def test_every_later_block_of_the_paper_solve_is_certified(self, monkeypatch):
+        # Paper scenario at 0 and 10 dB: one eigenvalue check per loop, at
+        # Omega = I, however many reweights follow.
+        checked = []
+        condition_number = array_model.condition_number
+
+        def counted(gram):
+            checked.append(np.shape(gram))
+            return condition_number(gram)
+
+        monkeypatch.setattr(estimators, "condition_number", counted)
+        for seed in range(10):
+            for snr in (0.0, 10.0):
+                _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], snr, 100, seed=seed)
+                checked.clear()
+                estimators._reweighted_solve(decomp, weight, 4, *estimators._SOLVERS["PUMA"])
+                assert checked == [(4, 4)], (seed, snr)
+
+
+def _live_rows_score_subsets(candidates, cov, r):
+    """``_score_subsets`` as it walked before the cached plans: the live rows
+    only, in blocks of live rows, each block's tree derived from its rows in
+    the call; also the mask of the subsets sent down the QR route."""
+    R = np.asarray(cov)
+    m = R.shape[0]
+    A = np.exp(1j * np.outer(np.arange(m), candidates))
+    G = hermitian_gram(A.conj().T)
+    subsets = _subset_table(len(candidates), r)
+    live = np.all(np.diff(candidates[subsets], axis=1) >= 1e-12, axis=1)
+    scores = np.full(len(subsets), np.inf)
+    trace_r = np.real(np.trace(R))
+    rest = np.flatnonzero(live)
+    if rest.size >= estimators._GRAM_MIN_LIVE:
+        G_B, M_B, spread2 = _gram_basis(A, candidates, R)
+        block = max(1, estimators._TREE_BLOCK // (r * r))
+        uncertified = []
+        for start in range(0, rest.size, block):
+            rows = rest[start : start + block]
+            plan = _tree_plan(subsets[rows], len(G_B))
+            score, certified = _tree_scores(G_B, M_B, spread2, plan, trace_r)
+            scores[rows[certified]] = score[certified]
+            uncertified.append(rows[~certified])
+        rest = np.concatenate(uncertified)
+    for start in range(0, rest.size, _SUBSET_BLOCK):
+        rows = rest[start : start + _SUBSET_BLOCK]
+        scores[rows] = estimators._qr_scores(A, G, R, subsets[rows], trace_r)
+    qr = np.zeros(len(subsets), dtype=bool)
+    qr[rest] = True
+    return subsets, scores, qr
+
+
+def _assert_walks_agree(candidates, cov, r, min_live=1):
+    with mock.patch.object(estimators, "_GRAM_MIN_LIVE", min_live):
+        reference = _live_rows_score_subsets(candidates, cov, r)
+    routed = _score_subsets_and_route(candidates, cov, r, min_live)
+    _assert_same_bits(routed, reference)
+    assert np.array_equal(np.isinf(routed[1]), np.isinf(reference[1]))
+    return routed
+
+
+class TestTreePlan:
+    # The cached plans walk every row of fixed blocks of the subset table,
+    # dead rows included; a live row's bits and route must be those of the
+    # walk over live rows alone.
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(near_limit_candidates(), clustered_candidates(), twin_candidate_sets()))
+    def test_matches_the_walk_over_live_rows(self, drawn):
+        _assert_walks_agree(*drawn)
+
+    def test_coincident_candidates_leave_dead_rows(self):
+        cov = _CLUSTERED_COVS[0]
+        candidates = np.array([-2.0, -0.5, -0.5, 0.1, 0.1 + 1e-13, 0.1 + 3e-4, 1.2, 2.4])
+        subsets, scores, _ = _assert_walks_agree(candidates, cov, 3)
+        dead = np.any(np.diff(candidates[subsets], axis=1) < 1e-12, axis=1)
+        assert 0 < np.sum(dead) < len(subsets)
+        assert np.all(np.isinf(scores[dead])) and np.all(np.isfinite(scores[~dead]))
+
+    def test_a_table_of_several_blocks(self):
+        # r = 8, K = 13: 1287 rows in blocks of 512, with a dead pair and two twins.
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((16, 18)) + 1j * rng.standard_normal((16, 18))
+        cov = X @ X.conj().T / 18
+        pairs = [0.5, 0.5, 1.5, 1.5 + 1e-3, -1.0, -1.0 + 2e-5]
+        candidates = np.sort(np.concatenate([rng.uniform(-3.0, 3.0, 7), pairs]))
+        assert len(_subset_table(13, 8)) == 1287 and estimators._TREE_BLOCK // 64 == 512
+        _, scores, qr = _assert_walks_agree(candidates, cov, 8, min_live=estimators._GRAM_MIN_LIVE)
+        gram = np.isfinite(scores) & ~qr
+        assert np.any(np.isinf(scores)) and np.any(gram) and np.any(qr)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_recorded_file_shape(self, seed):
+        # K = 9, r = 3: the 84 subsets of each estimate-file scoring, with
+        # the default route limit.
+        cov, decomp, weight = noisy_pipeline(10, 3, [-0.9, 0.15, 1.2], 10.0, 2000, seed=seed)
+        for base in ("MODE", "PUMA"):
+            _, plain, *_ = estimators._solve_and_roots(decomp, weight, 3, base)
+            _, extra, *_ = estimators._solve_and_roots(decomp, weight, 6, base)
+            candidates = np.sort(np.concatenate([plain, extra]))
+            _assert_walks_agree(candidates, cov, 3, min_live=estimators._GRAM_MIN_LIVE)
+
+    def test_cached_plans_are_read_only_and_equal_to_a_fresh_build(self):
+        assert _block_plan.cache_info().maxsize is not None
+        for K, r, start, stop in [(14, 4, 0, 1001), (13, 8, 512, 1024), (9, 3, 0, 84)]:
+            plan = _block_plan(K, r, start, stop)
+            assert _block_plan(K, r, start, stop) is plan
+            pair, twin, levels = plan
+            fresh = _tree_plan(_subset_table(K, r)[start:stop], 2 * K - 1)
+            arrays = [pair, twin, *itertools.chain.from_iterable(levels)]
+            fresh_arrays = [fresh[0], fresh[1], *itertools.chain.from_iterable(fresh[2])]
+            assert len(levels) == r and len(arrays) == len(fresh_arrays)
+            for got, built in zip(arrays, fresh_arrays):
+                assert got.tobytes() == built.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    got[(0,) * got.ndim] = 0
