@@ -14,8 +14,11 @@ Omega at c.  They differ only in the constraint step and the tolerance:
 * ``modex`` — solves at degrees r and r + p, then picks the best r of the
   2r + p pooled roots by the ML criterion over all subsets
   (``_score_subsets``: subsets that share a prefix share its Cholesky
-  factor, so each adds one row to it); with the PUMA base (Enhanced PUMA)
-  both solves run PUMA's step and tolerance.
+  factor, so each adds one row to it).  The degree-r solve keeps its
+  base's rule.  The degree-(r + p) solve is a two-step for both bases:
+  V_MODE is flat along the p directions c_r h there, so reweighting
+  creeps instead of reaching a fixed point.  With the PUMA base (Enhanced
+  PUMA) it starts from the weight of the plain solve's c.
 
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
@@ -23,8 +26,8 @@ The reweight, PUMA's gauge block and both subset routes decide that rule
 from a certified bound first, kept within one margin, COND_LIMIT / 100, and
 solve for eigenvalues only where the bound leaves it open; the limit and
 every decision are the same.  PUMA's gauge block is checked once per loop,
-at Omega = I, and bounded after that by cond(T T*) times that first
-value.  The subset tree's walk depends only on K, r and the block of
+on the first solve, and bounded after that by cond(T T*) times that first
+value (and the first weight's cond).  The subset tree's walk depends only on K, r and the block of
 rows, so it is cached (``_block_plan``).
 """
 
@@ -215,13 +218,14 @@ def _gauge_step(Q, cond=None):
     return np.concatenate(([1.0 + 0.0j], tail))
 
 
-def _reweighted_solve(decomp, weight, q, step, tolerance, *, keep_history=True):
+def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None, keep_history=True):
     """Minimize c* Q(Omega) c by ``step``, reweighting Omega = (T T*)^-1 at c.
 
-    Starts from Omega = I.  After each solve past the first it stops when
-    c / c_0 changed by at most ``tolerance`` (relative): the coefficients
-    are at the reweighting fixed point, and that last iterate is returned.
-    Otherwise it reweights at the new c.  A T T* past COND_LIMIT there
+    Starts from Omega = I, or from Omega at the degree-q coefficients
+    ``start`` where their T T* is within COND_LIMIT.  After each solve
+    past the first it stops when c / c_0 changed by at most ``tolerance``
+    (relative): the coefficients are at the reweighting fixed point, and
+    that last iterate is returned.  Otherwise it reweights at the new c.  A T T* past COND_LIMIT there
     (``guarded_inverse``, the criteria's rule) returns the current c, and a
     stop at ``_MAX_ITERATIONS`` solves the last one, both not converged.
     Returns ``(c, iterations, converged, history)``; ``history`` holds
@@ -229,31 +233,38 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, keep_history=True):
     solve's quadratic form, or is None unless ``keep_history``.
 
     PUMA's ``_gauge_step`` solves on the block Q_11 = Q[1:,1:], whose
-    condition the loop checks once, at Omega = I, where Q = S.  With
-    Phi'_l the slices without their first column and every g_l >= 0,
+    condition the loop checks once, on the first solve's Q.  With Phi'_l
+    the slices without their first column and every g_l >= 0,
     x* Q_11(Omega) x = sum_l g_l (Phi'_l x)* Omega (Phi'_l x) lies between
-    lambda_min(Omega) x* S_11 x and lambda_max(Omega) x* S_11 x, so
-    cond(Q_11(Omega)) <= cond(Omega) * cond(S_11), and ``guarded_inverse``
-    bounds cond(Omega) = cond(T T*) by ||T T*||_F ||(T T*)^-1||_F.  Where
-    the product is within COND_LIMIT / 100 it stands for the block's
-    eigenvalue check: the margin absorbs the rounding of the computed Q,
-    S_11, Omega and eigenvalues, as in ``guarded_inverse`` and
-    ``_qr_scores``, so every decision and every bit of c are the same.  A
-    first block past COND_LIMIT, or a negative weight, leaves no bound.
+    lambda_min(Omega) x* S_11 x and lambda_max(Omega) x* S_11 x, S = Q(I),
+    so cond(Q_11(Omega)) <= cond(Omega) * cond(S_11), and cond(S_11) <=
+    cond(Omega_1) * cond(Q_11(Omega_1)) for the first weight Omega_1.
+    ``guarded_inverse`` bounds each cond(Omega) = cond(T T*) by
+    ||T T*||_F ||(T T*)^-1||_F, and cond(I) = 1.  Where the product is
+    within COND_LIMIT / 100 it stands for the block's eigenvalue check: the
+    margin absorbs the rounding of the computed Q, Omega and eigenvalues,
+    as in ``guarded_inverse`` and ``_qr_scores``, so every decision and
+    every bit of c are the same.  A first block past COND_LIMIT, or a
+    negative weight, leaves no bound.
     """
     _check_degree(decomp, q)
     m = decomp.m
     g = np.asarray(weight, dtype=float)
     Phi, PhiH = _hankel_slices(decomp, q)
-    S = _quadratic_form(Phi, PhiH, g, np.eye(m - q, dtype=complex))
+    omega, omega_cond = np.eye(m - q, dtype=complex), 1.0
+    if start is not None:
+        try:
+            omega, omega_cond = _omega_from_coefs(start, m)
+        except SingularityError:
+            pass
+    Q = _quadratic_form(Phi, PhiH, g, omega)
     base = np.inf
     if step is _gauge_step:
-        base = condition_number(S[1:, 1:])
-        c = step(S, base)
-        if not np.all(g >= 0):
-            base = np.inf
+        base = condition_number(Q[1:, 1:])
+        c = step(Q, base)
+        base = base * omega_cond if np.all(g >= 0) else np.inf
     else:
-        c = step(S)
+        c = step(Q)
     history = [] if keep_history else None
     for iters in range(2, _MAX_ITERATIONS + 1):
         try:
@@ -282,15 +293,19 @@ _SOLVERS = {
 }
 
 
-def _solve_and_roots(decomp, weight, q, base, *, keep_history=True):
+def _solve_and_roots(decomp, weight, q, base, *, two_step=False, start=None, keep_history=True):
     """``base``'s reweighted solve at degree q: (c, root angles, iterations, converged, history).
 
-    The roots are taken with a vanishing end coefficient nudged to 1e-14 max |c|,
-    as ``angles_from_coefs`` needs c_0, c_q != 0; c is returned as solved.
+    ``two_step`` stops it after its one reweight, as MODE's, whatever
+    ``base``'s tolerance; ``start`` is ``_reweighted_solve``'s.  The roots
+    are taken with a vanishing end coefficient nudged to 1e-14 max |c|, as
+    ``angles_from_coefs`` needs c_0, c_q != 0; c is returned as solved.
     ``history`` is None unless ``keep_history``.
     """
+    step, tolerance = _SOLVERS[base]
     c, iterations, converged, history = _reweighted_solve(
-        decomp, weight, q, *_SOLVERS[base], keep_history=keep_history
+        decomp, weight, q, step, np.inf if two_step else tolerance,
+        start=start, keep_history=keep_history,
     )
     ends = c.copy()
     floor = 1e-14 * np.max(np.abs(c))
@@ -354,8 +369,9 @@ def check_modex_size(m, r, p):
 def modex(cov, decomp, weight, r, config):
     """Extra-coefficient estimation with ML subset selection.
 
-    Runs the base solver twice, at degree r and at degree q = r + p_extra,
-    pools the r + (r + p) candidate angles from both roots sets, scores
+    Runs the base solver twice, at degree r by its own rule and at degree
+    q = r + p_extra as a two-step (one reweight), pools the r + (r + p)
+    candidate angles from both roots sets, scores
     every r-subset with the ML criterion on the sample covariance, and
     returns the minimizing subset.  Pooling keeps the plain estimate in
     the running, so the selection can only match or improve on it;
@@ -366,6 +382,15 @@ def modex(cov, decomp, weight, r, config):
     its score in ``itertools.combinations`` order; it is built from the
     kept angle and score arrays on first read.  More than
     ``_MAX_SUBSETS`` subsets is a ``ValidationError``.
+
+    With the PUMA base (Enhanced PUMA) the extended two-step starts from
+    Omega at the plain solve's c padded with p zeros, the inverse of
+    the leading (m - q) block of the plain T T*; MODEX's starts from
+    Omega = I.  Near the SNR threshold the two-step from Omega = I picks
+    worse angles than PUMA's reweighting run to the cap, and this one does
+    not (README).  ``iterations_used`` adds both solves' counts, so p > 0
+    adds 2, or 1 where the extended reweight meets a T T* past COND_LIMIT;
+    ``converged`` is the plain solve's flag, and false there too.
     """
     p = config.p_extra
     check_modex_size(decomp.m, r, p)
@@ -374,8 +399,9 @@ def modex(cov, decomp, weight, r, config):
         decomp, weight, r, base, keep_history=False
     )
     if p > 0:
+        start = np.concatenate([c, np.zeros(p)]) if base == "PUMA" else None
         c, extra, extra_iters, extra_conv, _ = _solve_and_roots(
-            decomp, weight, r + p, base, keep_history=False
+            decomp, weight, r + p, base, two_step=True, start=start, keep_history=False
         )
         iters += extra_iters
         converged = converged and extra_conv

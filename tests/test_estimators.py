@@ -546,8 +546,11 @@ class TestModex:
         cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base=base)
         res = estimators.estimate(cov, decomp, weight, 2, cfg)
         assert "candidate_log" not in vars(res)
-        _, plain, *_ = estimators._solve_and_roots(decomp, weight, 2, base)
-        _, extra, *_ = estimators._solve_and_roots(decomp, weight, 4, base)
+        c, plain, *_ = estimators._solve_and_roots(decomp, weight, 2, base)
+        start = np.concatenate([c, np.zeros(2)]) if base == "PUMA" else None
+        _, extra, *_ = estimators._solve_and_roots(
+            decomp, weight, 4, base, two_step=True, start=start
+        )
         candidates = np.sort(np.concatenate([plain, extra]))
         subsets, scores = _score_subsets(candidates, cov, 2)
         eager = list(zip(map(tuple, candidates[subsets].tolist()), scores.tolist()))
@@ -605,6 +608,67 @@ class TestModex:
             assert np.array_equal(res.angles, ref.angles), seed
             assert res.converged == ref.converged, seed
             assert res.iterations_used == ref.iterations_used, seed
+
+
+_WIDE_ANGLES = [-1.2, -0.3, 0.5, 1.4]
+
+
+def _one_sided_sign_p(losses, wins):
+    """P(at least ``losses`` losses of the untied pairs) under a fair coin."""
+    n = wins + losses
+    return sum(comb(n, k) for k in range(losses, n + 1)) / 2**n
+
+
+class TestExtendedTwoStep:
+    # Enhanced PUMA's extended solve is a two-step started from the plain
+    # solve's c.  The reference runs PUMA's reweighting from Omega = I to
+    # its 1e-10 stop or the 20-solve cap.
+
+    @pytest.mark.parametrize(
+        "m, truth, T, p, n_trials",
+        [(10, [0.0, 0.25], 20, 2, 1000), (16, _WIDE_ANGLES, 200, 6, 300)],
+        ids=["threshold", "wide"],
+    )
+    def test_no_worse_than_the_reweighting_to_the_cap(self, m, truth, T, p, n_trials):
+        # Paired one-sided sign test at alpha = 0.01, fixed before running:
+        # per trial, the ML pick over the plain roots and the extended roots
+        # of each rule, error against the truth, ties dropped.
+        r = len(truth)
+        cfg = EstimatorConfig(method="MODEX", p_extra=p, modex_base="PUMA")
+        wins = losses = 0
+        for seed in range(n_trials):
+            cov, decomp, weight = noisy_pipeline(m, r, truth, 0.0, T, seed=seed)
+            _, plain, *_ = estimators._solve_and_roots(decomp, weight, r, "PUMA")
+            _, extra, *_ = estimators._solve_and_roots(decomp, weight, r + p, "PUMA")
+            candidates = np.sort(np.concatenate([plain, extra]))
+            subsets, scores = _score_subsets(candidates, cov, r)
+            old = match_angles(candidates[subsets[np.argmin(scores)]], truth)[1]
+            new = match_angles(modex(cov, decomp, weight, r, cfg).angles, truth)[1]
+            wins += new < old
+            losses += new > old
+        assert _one_sided_sign_p(losses, wins) >= 0.01, (wins, losses)
+
+    @pytest.mark.parametrize("snr", [0.0, 10.0])
+    def test_the_extended_solve_takes_two_solves(self, snr):
+        cfg = EstimatorConfig(method="MODEX", p_extra=6, modex_base="PUMA")
+        for seed in range(5):
+            cov, decomp, weight = noisy_pipeline(16, 4, _WIDE_ANGLES, snr, 200, seed=seed)
+            res = modex(cov, decomp, weight, 4, cfg)
+            plain = puma_iterative(decomp, weight, 4)
+            assert res.iterations_used == plain.iterations_used + 2, seed
+            assert res.converged == plain.converged, seed
+
+    def test_a_singular_start_starts_from_the_identity(self):
+        # A 12-fold root on the unit circle at m = 36: cond(T T*) is about 1.6e13.
+        _, decomp, weight = noisy_pipeline(36, 4, _WIDE_ANGLES, 10.0, 200, seed=0)
+        start = np.poly(np.exp(1j * np.full(12, 0.3)))[::-1]
+        with pytest.raises(SingularityError):
+            _omega_from_coefs(start, 36)
+        for tolerance in (np.inf, estimators._RELATIVE_TOLERANCE):
+            got = estimators._reweighted_solve(decomp, weight, 12, _gauge_step, tolerance, start=start)
+            ref = estimators._reweighted_solve(decomp, weight, 12, _gauge_step, tolerance)
+            assert np.array_equal(got[0].view(np.uint64), ref[0].view(np.uint64))
+            assert got[1:] == ref[1:]
 
 
 def _wrap(angles):
@@ -1066,6 +1130,9 @@ def test_scoring_near_the_subset_limit_stays_small(r, K, m):
     X = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
     cov = X @ X.conj().T / (2 * m)
     candidates = np.sort(rng.uniform(-3.0, 3.0, K))
+    # A cold call, whatever ran before: the cached index table and plans count.
+    estimators._subset_table.cache_clear()
+    estimators._block_plan.cache_clear()
     tracemalloc.start()
     try:
         _, scores = _score_subsets(candidates, cov, r)
@@ -1086,6 +1153,9 @@ def test_the_live_mask_copies_no_subset_sized_floats():
     X = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
     cov = X @ X.conj().T / (2 * m)
     candidates = np.sort(rng.uniform(-3.0, 3.0, K))
+    # A cold call, whatever ran before: the cached index table and plans count.
+    estimators._subset_table.cache_clear()
+    estimators._block_plan.cache_clear()
     tracemalloc.start()
     try:
         _score_subsets(candidates, cov, r)
@@ -1263,6 +1333,69 @@ class TestGaugeCertificate:
             for got_bits, ref_bits in ((got[0], ref[0]), (np.array(got[3]), np.array(ref[3]))):
                 assert np.array_equal(got_bits.view(np.uint64), ref_bits.view(np.uint64)), base
             assert got[1:3] == ref[1:3], base
+
+    @settings(max_examples=300, deadline=None)
+    @given(gauge_instances(), st.integers(0, 2**32 - 1))
+    def test_a_block_certified_from_a_start_is_within_the_limit(self, drawn, seed):
+        # From a first weight Omega_1: cond(S_11) <= cond(Omega_1) * cond(Q_11(Omega_1)).
+        decomp, g, q, c = drawn
+        m = decomp.m
+        rng = np.random.default_rng(seed)
+        start = np.poly(np.exp(1j * rng.uniform(-np.pi, np.pi, q)))[::-1]
+        try:
+            omega_1, bound_1 = guarded_inverse(toeplitz_annihilator(start, m), "T T*")
+            omega, bound = guarded_inverse(toeplitz_annihilator(c, m), "T T*")
+        except SingularityError:
+            return
+        first = condition_number(quadratic_form_matrix(decomp, g, omega_1, q)[1:, 1:])
+        if first * bound_1 * bound <= COND_LIMIT / 100:
+            exact = condition_number(quadratic_form_matrix(decomp, g, omega, q)[1:, 1:])
+            assert exact <= COND_LIMIT
+            assert exact <= first * bound_1 * bound * (1 + 1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_the_certificate_changes_no_bit_of_a_started_solve(self, data):
+        # The extended solve of Enhanced PUMA, from the plain fixed point padded with zeros.
+        m = data.draw(st.integers(5, 12))
+        r = data.draw(st.integers(1, min(3, m - 2)))
+        angles = np.linspace(-2.0, 2.0, r) if r > 1 else np.array([0.4])
+        snr = data.draw(st.sampled_from([0.0, 10.0, 30.0]))
+        _, decomp, weight = noisy_pipeline(m, r, angles, snr, 50, data.draw(st.integers(0, 999)))
+        q = data.draw(st.integers(r + 1, m - 1))
+        c, *_ = estimators._solve_and_roots(decomp, weight, r, "PUMA")
+        start = np.concatenate([c, np.zeros(q - r)])
+        for tolerance in (np.inf, estimators._RELATIVE_TOLERANCE):
+            got = estimators._reweighted_solve(decomp, weight, q, _gauge_step, tolerance, start=start)
+            with mock.patch.object(estimators, "_omega_from_coefs", _uncertified_omega):
+                ref = estimators._reweighted_solve(
+                    decomp, weight, q, _gauge_step, tolerance, start=start
+                )
+            assert np.array_equal(got[0].view(np.uint64), ref[0].view(np.uint64))
+            assert got[1:] == ref[1:]
+
+    def test_the_start_weight_enters_the_bound(self, monkeypatch):
+        # A first weight reported at COND_LIMIT leaves the next block to its check.
+        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        c, *_ = estimators._solve_and_roots(decomp, weight, 2, "PUMA")
+        start = np.concatenate([c, np.zeros(2)])
+        checked = []
+        condition_number = array_model.condition_number
+
+        def counted(gram):
+            checked.append(np.shape(gram))
+            return condition_number(gram)
+
+        def reported(coefs, m):
+            omega, bound = _omega_from_coefs(coefs, m)
+            return omega, COND_LIMIT if inflated and coefs is start else bound
+
+        monkeypatch.setattr(estimators, "condition_number", counted)
+        monkeypatch.setattr(estimators, "_omega_from_coefs", reported)
+        for inflated, checks in ((False, 1), (True, 2)):
+            checked.clear()
+            estimators._reweighted_solve(decomp, weight, 4, _gauge_step, np.inf, start=start)
+            assert checked == [(4, 4)] * checks, inflated
 
     def test_every_later_block_of_the_paper_solve_is_certified(self, monkeypatch):
         # Paper scenario at 0 and 10 dB: one eigenvalue check per loop, at

@@ -63,16 +63,18 @@ PAPER_ROWS = [
     ('epuma:2', '6', '2', '10.0', '100', '-1', '0.007369116559514305', '0.40429160107059836', '1.0', '1.0', ''),
 ]
 
-# The wide scenario: m=16, r=4, T=200, MODEX and Enhanced PUMA at p=6.
+# The wide scenario: m=16, r=4, T=200, MODEX and Enhanced PUMA at p=6.  The
+# epuma:6 rows are recorded with the extended solve run as a two-step from
+# the plain solve's c.
 WIDE_ROWS = [
     ('modex:6', '16', '4', '0.0', '200', '0', '0.003163184372948193', '12.236373460831146', '1', '1', ''),
     ('modex:6', '16', '4', '0.0', '200', '-1', '0.003163184372948193', '12.236373460831146', '1.0', '1.0', ''),
-    ('epuma:6', '16', '4', '0.0', '200', '0', '0.00315212295359497', '12.23641315534725', '0', '1', ''),
-    ('epuma:6', '16', '4', '0.0', '200', '-1', '0.00315212295359497', '12.23641315534725', '0.0', '1.0', ''),
+    ('epuma:6', '16', '4', '0.0', '200', '0', '0.00315212295359497', '12.23641315534725', '1', '1', ''),
+    ('epuma:6', '16', '4', '0.0', '200', '-1', '0.00315212295359497', '12.23641315534725', '1.0', '1.0', ''),
     ('modex:6', '16', '4', '10.0', '200', '0', '0.0009595335258156335', '1.202081829714345', '1', '1', ''),
     ('modex:6', '16', '4', '10.0', '200', '-1', '0.0009595335258156335', '1.202081829714345', '1.0', '1.0', ''),
-    ('epuma:6', '16', '4', '10.0', '200', '0', '0.0009523731078772704', '1.2020815088298633', '0', '1', ''),
-    ('epuma:6', '16', '4', '10.0', '200', '-1', '0.0009523731078772704', '1.2020815088298633', '0.0', '1.0', ''),
+    ('epuma:6', '16', '4', '10.0', '200', '0', '0.0009523731078772704', '1.2020815088298988', '1', '1', ''),
+    ('epuma:6', '16', '4', '10.0', '200', '-1', '0.0009523731078772704', '1.2020815088298988', '1.0', '1.0', ''),
 ]
 
 SWEEPS = {
