@@ -80,7 +80,7 @@ class SweepSpec:
             raise ValidationError(f"need base_seed >= 0, got {self.base_seed}")
         for key in ("snr_db_list", "snapshots_list", "methods"):
             try:
-                _check_list(key, getattr(self, key))
+                _check_list(key, getattr(self, key), self.base)
             except ValueError as exc:
                 raise ValidationError(f"bad {key}: {exc}") from None
 
@@ -315,11 +315,13 @@ def _finite_float(text):
     return value
 
 
-def _check_list(key, values):
+def _check_list(key, values, base=None):
     """The non-empty sweep list ``key``'s ``values``, or a ValueError naming its first bad entry.
 
-    A repeated entry would write two sets of rows under one key, and a
-    snapshot count must be at least 1.
+    A repeated entry would write two sets of rows under one key, a
+    snapshot count must be at least 1, and a method must fit the scenario
+    ``base``: every trial of a MODEX size that ``check_modex_size`` rejects
+    would fail (p = 0 always passes).
     """
     label = method_label if key == "methods" else repr
     for k, value in enumerate(values):
@@ -327,6 +329,9 @@ def _check_list(key, values):
             raise ValueError(f"repeated entry {label(value)}")
     if key == "snapshots_list" and min(values) < 1:
         raise ValueError(f"need at least one snapshot, got {min(values)}")
+    if key == "methods":
+        for config in values:
+            check_modex_size(base.m, base.r, config.p_extra)
     return values
 
 
@@ -389,17 +394,14 @@ def parse_sweep_config(path):
         seed=0,
     )
 
-    def methods(text):
-        configs = _check_list("methods", tuple(parse_method_token(t) for t in text.split(",")))
-        for config in configs:
-            check_modex_size(base.m, r, config.p_extra)  # p = 0 always passes
-        return configs
-
     return SweepSpec(
         base=base,
         snr_db_list=parsed("snr_db_list", lambda s: _check_list("snr_db_list", floats(s))),
         snapshots_list=snapshots_list,
-        methods=parsed("methods", methods),
+        methods=parsed(
+            "methods",
+            lambda s: _check_list("methods", tuple(map(parse_method_token, s.split(","))), base),
+        ),
         n_trials=parsed("n_trials", int),
         base_seed=parsed("base_seed", int),
     )

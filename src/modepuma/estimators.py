@@ -85,7 +85,7 @@ _RELATIVE_TOLERANCE = 1e-10
 class EstimatorConfig:
     method: str = "MODE"
     p_extra: int = 0
-    modex_base: str = "MODE"  # base solver for the extra-coefficient search
+    modex_base: str = "MODE"  # MODEX's base solver: MODE, or PUMA for Enhanced PUMA
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -96,6 +96,8 @@ class EstimatorConfig:
             raise ValidationError("p_extra is only meaningful for MODEX")
         if self.modex_base not in ("MODE", "PUMA"):
             raise ValidationError("modex_base must be MODE or PUMA")
+        if self.modex_base != "MODE" and self.method != "MODEX":
+            raise ValidationError("modex_base is only meaningful for MODEX")
 
 
 @dataclass(frozen=True)
@@ -218,19 +220,22 @@ def _gauge_step(Q, cond=None):
     return np.concatenate(([1.0 + 0.0j], tail))
 
 
-def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None, keep_history=True):
+def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     """Minimize c* Q(Omega) c by ``step``, reweighting Omega = (T T*)^-1 at c.
 
     Starts from Omega = I, or from Omega at the degree-q coefficients
     ``start`` where their T T* is within COND_LIMIT.  After each solve
     past the first it stops when c / c_0 changed by at most ``tolerance``
     (relative): the coefficients are at the reweighting fixed point, and
-    that last iterate is returned.  Otherwise it reweights at the new c.  A T T* past COND_LIMIT there
-    (``guarded_inverse``, the criteria's rule) returns the current c, and a
-    stop at ``_MAX_ITERATIONS`` solves the last one, both not converged.
-    Returns ``(c, iterations, converged, history)``; ``history`` holds
-    V_MODE of every iterate before the last, read as c* Q c off the next
-    solve's quadratic form, or is None unless ``keep_history``.
+    that last iterate is returned; a ``tolerance`` of +inf stops at the
+    first check, after one reweight (the two-step).  Otherwise it reweights
+    at the new c.  A T T* past COND_LIMIT there (``guarded_inverse``, the
+    criteria's rule) returns the current c, and a stop at
+    ``_MAX_ITERATIONS`` solves the last one, both not converged.  Returns
+    ``(c, iterations, converged, history)``; ``history`` holds V_MODE of
+    every iterate before the last, read as c* Q c off the next solve's
+    quadratic form.  Each base's ``step`` and ``tolerance`` are in
+    ``_SOLVERS``.
 
     PUMA's ``_gauge_step`` solves on the block Q_11 = Q[1:,1:], whose
     condition the loop checks once, on the first solve's Q.  With Phi'_l
@@ -265,15 +270,14 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None, keep_hi
         base = base * omega_cond if np.all(g >= 0) else np.inf
     else:
         c = step(Q)
-    history = [] if keep_history else None
+    history = []
     for iters in range(2, _MAX_ITERATIONS + 1):
         try:
             omega, omega_cond = _omega_from_coefs(c, m)
         except SingularityError:
             return c, iters - 1, False, history
         Q = _quadratic_form(Phi, PhiH, g, omega)
-        if keep_history:
-            history.append(float(np.real(c.conj() @ Q @ c)))
+        history.append(float(np.real(c.conj() @ Q @ c)))
         # c / c_0 drops the scale and sign MODE's unit eigenvector leaves
         # free; each iterate's is formed once, after its c_0 check.
         prev = c / c[0] if iters == 2 else a
@@ -285,39 +289,30 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None, keep_hi
     return c, _MAX_ITERATIONS, False, history
 
 
-# Constraint step and tolerance of each base solver.  MODE's +inf stops at
-# the first change it can measure, after one reweight: the classic two-step.
+# Constraint step and tolerance of each base solver; MODE's +inf makes it the two-step.
 _SOLVERS = {
     "MODE": (_symmetric_step, np.inf),
     "PUMA": (_gauge_step, _RELATIVE_TOLERANCE),
 }
 
 
-def _solve_and_roots(decomp, weight, q, base, *, two_step=False, start=None, keep_history=True):
-    """``base``'s reweighted solve at degree q: (c, root angles, iterations, converged, history).
+def _roots(c):
+    """Root angles of c, with a vanishing end coefficient nudged to 1e-14 max |c|.
 
-    ``two_step`` stops it after its one reweight, as MODE's, whatever
-    ``base``'s tolerance; ``start`` is ``_reweighted_solve``'s.  The roots
-    are taken with a vanishing end coefficient nudged to 1e-14 max |c|, as
-    ``angles_from_coefs`` needs c_0, c_q != 0; c is returned as solved.
-    ``history`` is None unless ``keep_history``.
+    ``angles_from_coefs`` needs c_0, c_q != 0; c itself is left as solved.
     """
-    step, tolerance = _SOLVERS[base]
-    c, iterations, converged, history = _reweighted_solve(
-        decomp, weight, q, step, np.inf if two_step else tolerance,
-        start=start, keep_history=keep_history,
-    )
     ends = c.copy()
     floor = 1e-14 * np.max(np.abs(c))
     for k in (0, -1):
         if abs(ends[k]) < floor:
             ends[k] = floor
-    return c, angles_from_coefs(ends), iterations, converged, history
+    return angles_from_coefs(ends)
 
 
 def _coef_estimate(decomp, weight, r, method):
     """Run ``method``'s solve at degree r; V_MODE of c computed once."""
-    c, angles, iterations, converged, history = _solve_and_roots(decomp, weight, r, method)
+    c, iterations, converged, history = _reweighted_solve(decomp, weight, r, *_SOLVERS[method])
+    angles = _roots(c)
     value = v_mode(c, decomp, weight).value
     return EstimationResult(
         angles=angles,
@@ -395,17 +390,17 @@ def modex(cov, decomp, weight, r, config):
     p = config.p_extra
     check_modex_size(decomp.m, r, p)
     base = config.modex_base
-    c, candidates, iters, converged, _ = _solve_and_roots(
-        decomp, weight, r, base, keep_history=False
-    )
+    step, tolerance = _SOLVERS[base]
+    c, iters, converged, _ = _reweighted_solve(decomp, weight, r, step, tolerance)
+    candidates = _roots(c)
     if p > 0:
         start = np.concatenate([c, np.zeros(p)]) if base == "PUMA" else None
-        c, extra, extra_iters, extra_conv, _ = _solve_and_roots(
-            decomp, weight, r + p, base, two_step=True, start=start, keep_history=False
+        c, extra_iters, extra_conv, _ = _reweighted_solve(
+            decomp, weight, r + p, step, np.inf, start=start
         )
         iters += extra_iters
         converged = converged and extra_conv
-        candidates = np.sort(np.concatenate([candidates, extra]))
+        candidates = np.sort(np.concatenate([candidates, _roots(c)]))
     subsets, scores = _score_subsets(candidates, cov, r)
     finite = np.isfinite(scores)
     if not np.any(finite):

@@ -158,8 +158,15 @@ class TestSweepConfig:
             ("snapshots_list", (50, 50), "bad snapshots_list: repeated entry 50"),
             ("snapshots_list", (50, 0), "bad snapshots_list: need at least one snapshot, got 0"),
             ("methods", "repeat", "bad methods: repeated entry mode"),
+            (
+                "methods",
+                (parse_method_token("modex:9"),),
+                "bad methods: p_extra must satisfy p < m - r, got p=9, m=6, r=2",
+            ),
         ],
-        ids=["repeated-snr", "repeated-snapshots", "zero-snapshots", "repeated-method"],
+        ids=[
+            "repeated-snr", "repeated-snapshots", "zero-snapshots", "repeated-method", "modex-size"
+        ],
     )
     def test_a_spec_built_in_code_rejects_the_same_entries(self, tmp_path, key, value, message):
         # run_sweep's callers may build a spec with dataclasses.replace,

@@ -546,11 +546,12 @@ class TestModex:
         cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base=base)
         res = estimators.estimate(cov, decomp, weight, 2, cfg)
         assert "candidate_log" not in vars(res)
-        c, plain, *_ = estimators._solve_and_roots(decomp, weight, 2, base)
+        step, tolerance = estimators._SOLVERS[base]
+        c, *_ = estimators._reweighted_solve(decomp, weight, 2, step, tolerance)
+        plain = estimators._roots(c)
         start = np.concatenate([c, np.zeros(2)]) if base == "PUMA" else None
-        _, extra, *_ = estimators._solve_and_roots(
-            decomp, weight, 4, base, two_step=True, start=start
-        )
+        c, *_ = estimators._reweighted_solve(decomp, weight, 4, step, np.inf, start=start)
+        extra = estimators._roots(c)
         candidates = np.sort(np.concatenate([plain, extra]))
         subsets, scores = _score_subsets(candidates, cov, 2)
         eager = list(zip(map(tuple, candidates[subsets].tolist()), scores.tolist()))
@@ -638,8 +639,9 @@ class TestExtendedTwoStep:
         wins = losses = 0
         for seed in range(n_trials):
             cov, decomp, weight = noisy_pipeline(m, r, truth, 0.0, T, seed=seed)
-            _, plain, *_ = estimators._solve_and_roots(decomp, weight, r, "PUMA")
-            _, extra, *_ = estimators._solve_and_roots(decomp, weight, r + p, "PUMA")
+            puma = estimators._SOLVERS["PUMA"]
+            plain = estimators._roots(estimators._reweighted_solve(decomp, weight, r, *puma)[0])
+            extra = estimators._roots(estimators._reweighted_solve(decomp, weight, r + p, *puma)[0])
             candidates = np.sort(np.concatenate([plain, extra]))
             subsets, scores = _score_subsets(candidates, cov, r)
             old = match_angles(candidates[subsets[np.argmin(scores)]], truth)[1]
@@ -1249,6 +1251,30 @@ class TestEstimatorConfig:
         with pytest.raises(ValidationError):
             EstimatorConfig(method="MUSIC")
 
+    @pytest.mark.parametrize("method", ["MODE", "PUMA"])
+    def test_modex_base_requires_modex(self, method):
+        # MODE and PUMA run their own solver, so each has exactly one config.
+        with pytest.raises(ValidationError, match="modex_base is only meaningful for MODEX"):
+            EstimatorConfig(method, modex_base="PUMA")
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_roots_nudge_a_zero_end_coefficient_on_a_copy(q):
+    # The solve path's roots: an end coefficient at exactly 0 is read as
+    # 1e-14 max |c|, and c itself is left as solved.  At q = 1 both ends
+    # are all of c, so only one is zeroed there.
+    rng = np.random.default_rng(300 + q)
+    for ends in ((0,), (-1,), (0, -1))[: 2 if q == 1 else 3]:
+        c = rng.standard_normal(q + 1) + 1j * rng.standard_normal(q + 1)
+        c[list(ends)] = 0
+        before = c.copy()
+        nudged = c.copy()
+        nudged[list(ends)] = 1e-14 * np.max(np.abs(c))
+        angles = estimators._roots(c)
+        assert angles.shape == (q,) and np.all(np.isfinite(angles))
+        assert np.array_equal(angles.view(np.uint64), angles_from_coefs(nudged).view(np.uint64))
+        assert np.array_equal(c.view(np.uint64), before.view(np.uint64))
+
 
 @pytest.mark.parametrize("solver", [mode_two_step, puma_iterative])
 @pytest.mark.parametrize("r", [-1, 0, 6, 7])
@@ -1363,7 +1389,7 @@ class TestGaugeCertificate:
         snr = data.draw(st.sampled_from([0.0, 10.0, 30.0]))
         _, decomp, weight = noisy_pipeline(m, r, angles, snr, 50, data.draw(st.integers(0, 999)))
         q = data.draw(st.integers(r + 1, m - 1))
-        c, *_ = estimators._solve_and_roots(decomp, weight, r, "PUMA")
+        c, *_ = estimators._reweighted_solve(decomp, weight, r, *estimators._SOLVERS["PUMA"])
         start = np.concatenate([c, np.zeros(q - r)])
         for tolerance in (np.inf, estimators._RELATIVE_TOLERANCE):
             got = estimators._reweighted_solve(decomp, weight, q, _gauge_step, tolerance, start=start)
@@ -1377,7 +1403,7 @@ class TestGaugeCertificate:
     def test_the_start_weight_enters_the_bound(self, monkeypatch):
         # A first weight reported at COND_LIMIT leaves the next block to its check.
         _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
-        c, *_ = estimators._solve_and_roots(decomp, weight, 2, "PUMA")
+        c, *_ = estimators._reweighted_solve(decomp, weight, 2, *estimators._SOLVERS["PUMA"])
         start = np.concatenate([c, np.zeros(2)])
         checked = []
         condition_number = array_model.condition_number
@@ -1492,8 +1518,9 @@ class TestTreePlan:
         # the default route limit.
         cov, decomp, weight = noisy_pipeline(10, 3, [-0.9, 0.15, 1.2], 10.0, 2000, seed=seed)
         for base in ("MODE", "PUMA"):
-            _, plain, *_ = estimators._solve_and_roots(decomp, weight, 3, base)
-            _, extra, *_ = estimators._solve_and_roots(decomp, weight, 6, base)
+            solver = estimators._SOLVERS[base]
+            plain = estimators._roots(estimators._reweighted_solve(decomp, weight, 3, *solver)[0])
+            extra = estimators._roots(estimators._reweighted_solve(decomp, weight, 6, *solver)[0])
             candidates = np.sort(np.concatenate([plain, extra]))
             _assert_walks_agree(candidates, cov, 3, min_live=estimators._GRAM_MIN_LIVE)
 
