@@ -20,6 +20,7 @@ from .estimators import (
     EstimationResult,
     EstimatorConfig,
     estimate,
+    estimate_many,
     match_angles,
     mode_two_step,
     modex,
@@ -51,6 +52,7 @@ __all__ = [
     "angles_from_coefs",
     "coefs_from_angles",
     "estimate",
+    "estimate_many",
     "match_angles",
     "mode_two_step",
     "modex",

@@ -20,9 +20,9 @@ COND_LIMIT = 1e12
 
 
 def hermitian_gram(X):
-    """X X*, symmetrized so that it is Hermitian to the last bit."""
-    gram = X @ X.conj().T
-    return 0.5 * (gram + gram.conj().T)
+    """X X*, or that of each of a stack, symmetrized so that it is Hermitian to the last bit."""
+    gram = X @ X.conj().swapaxes(-1, -2)
+    return 0.5 * (gram + gram.conj().swapaxes(-1, -2))
 
 
 def condition_number(gram):

@@ -34,8 +34,14 @@ from .criteria import (
     v_puma,
     vec_matrix_identity_residual,
 )
-from .errors import NumericalError, SingularityError, ValidationError
-from .estimators import EstimatorConfig, check_modex_size, estimate, match_angles
+from .errors import SingularityError, ValidationError
+from .estimators import (
+    _TYPED_ERRORS,
+    EstimatorConfig,
+    check_modex_size,
+    estimate_many,
+    match_angles,
+)
 from .sample_stats import (
     Scenario,
     SubspaceDecomposition,
@@ -118,9 +124,6 @@ def method_label(config):
     return config.method.lower()
 
 
-# The errors that fail one trial's rows rather than the whole sweep.
-_TRIAL_ERRORS = (SingularityError, NumericalError, ValidationError)
-
 # Tasks a worker takes per hand-out under ``run_sweep(jobs > 1)``.
 _TASKS_PER_CHUNK = 8
 
@@ -131,9 +134,12 @@ def _run_trial(args):
     Returns one ``(rmse, criterion, converged, success, wall_ms)`` outcome
     per method; ``wall_ms`` is the shared simulate, covariance,
     decomposition and signal-weight time plus that method's own estimate
-    and angle matching, or None without timing.  A typed error in the
-    shared step fails every method's row of the trial; one in a method's
-    estimate fails that method's row.  Neither stops the sweep.
+    and angle matching, or None without timing.  The methods run in one
+    ``estimate_many`` call, so a MODEX method's own estimate counts the
+    whole stacked subset scoring it shared, as every row counts the
+    shared simulation.  A typed error in the shared step fails every
+    method's row of the trial; one in a method's estimate fails that
+    method's row.  Neither stops the sweep.
     """
     scenario, methods, threshold, timing = args
     failed = (float("nan"), float("nan"), False, False)
@@ -142,21 +148,24 @@ def _run_trial(args):
         cov = sample_covariance(simulate_snapshots(scenario))
         decomp = subspace_decomposition(cov, scenario.r)
         weight = signal_weight(decomp)
-    except _TRIAL_ERRORS:
+    except _TYPED_ERRORS:
         wall_ms = (time.perf_counter() - t0) * 1e3
         return [failed + ((wall_ms if timing else None),)] * len(methods)
     shared = time.perf_counter() - t0
+    own = []
+    results = estimate_many(cov, decomp, weight, scenario.r, methods, timings=own)
     outcomes = []
-    for config in methods:
+    for result, seconds in zip(results, own):
         t1 = time.perf_counter()
-        try:
-            result = estimate(cov, decomp, weight, scenario.r, config)
-            errors, rmse = match_angles(result.angles, scenario.angles)
-            success = bool(np.all(np.abs(errors) <= threshold))
-            row = (rmse, result.criterion_value, result.converged, success)
-        except _TRIAL_ERRORS:
-            row = failed
-        wall_ms = (shared + time.perf_counter() - t1) * 1e3
+        row = failed
+        if not isinstance(result, Exception):
+            try:
+                errors, rmse = match_angles(result.angles, scenario.angles)
+                success = bool(np.all(np.abs(errors) <= threshold))
+                row = (rmse, result.criterion_value, result.converged, success)
+            except _TYPED_ERRORS:
+                pass
+        wall_ms = (shared + seconds + time.perf_counter() - t1) * 1e3
         outcomes.append(row + ((wall_ms if timing else None),))
     return outcomes
 

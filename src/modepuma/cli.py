@@ -72,7 +72,10 @@ def _build_parser():
     p.add_argument(
         "--timing",
         action="store_true",
-        help="fill wall_time_ms: the trial's shared simulation time plus the method's estimate",
+        help=(
+            "fill wall_time_ms: the trial's shared simulation time plus the method's estimate; "
+            "a MODEX row counts the whole subset scoring it shared"
+        ),
     )
 
     p = sub.add_parser("estimate", help="estimate angles from a snapshot file")

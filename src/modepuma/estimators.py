@@ -20,6 +20,12 @@ Omega at c.  They differ only in the constraint step and the tolerance:
   creeps instead of reaching a fixed point.  With the PUMA base (Enhanced
   PUMA) it starts from the weight of the plain solve's c.
 
+``estimate_many`` runs a trial's configs on one sample covariance: each
+config's solves as alone, then the MODEX candidate sets of equal length
+scored in one stacked ``_score_subsets`` call, which builds the subset
+basis once and walks the subset tree once for all of them.  ``estimate``
+and ``modex`` are a batch of one.
+
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
 The reweight, PUMA's gauge block and both subset routes decide that rule
@@ -27,14 +33,15 @@ from a certified bound first, kept within one margin, COND_LIMIT / 100, and
 solve for eigenvalues only where the bound leaves it open; the limit and
 every decision are the same.  PUMA's gauge block is checked once per loop,
 on the first solve, and bounded after that by cond(T T*) times that first
-value (and the first weight's cond).  The subset tree's walk depends only on K, r and the block of
-rows, so it is cached (``_block_plan``).
+value (and the first weight's cond).  The subset tree's walk depends only on K, r, the block of
+rows and how many sets walk it together, so it is cached (``_block_plan``).
 """
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +54,7 @@ from .array_model import (
     hermitian_gram,
 )
 from .criteria import v_mode
-from .errors import SingularityError, ValidationError
+from .errors import NumericalError, SingularityError, ValidationError
 
 _METHODS = ("MODE", "PUMA", "MODEX")
 
@@ -386,7 +393,15 @@ def modex(cov, decomp, weight, r, config):
     not (README).  ``iterations_used`` adds both solves' counts, so p > 0
     adds 2, or 1 where the extended reweight meets a T T* past COND_LIMIT;
     ``converged`` is the plain solve's flag, and false there too.
+
+    ``config.method`` is not read: this is ``estimate`` of the config as
+    a MODEX config, a batch of one of ``estimate_many``.
     """
+    return estimate(cov, decomp, weight, r, replace(config, method="MODEX"))
+
+
+def _modex_solve(decomp, weight, r, config):
+    """MODEX's two solves: (pooled candidates, sorted when p > 0, c, iterations, converged)."""
     p = config.p_extra
     check_modex_size(decomp.m, r, p)
     base = config.modex_base
@@ -401,7 +416,11 @@ def modex(cov, decomp, weight, r, config):
         iters += extra_iters
         converged = converged and extra_conv
         candidates = np.sort(np.concatenate([candidates, _roots(c)]))
-    subsets, scores = _score_subsets(candidates, cov, r)
+    return candidates, c, iters, converged
+
+
+def _modex_pick(subsets, scores, candidates, c, iters, converged):
+    """MODEX's result from its subsets' scores: the first finite minimum."""
     finite = np.isfinite(scores)
     if not np.any(finite):
         raise SingularityError("no valid candidate subset (all rank-deficient)")
@@ -418,14 +437,17 @@ def modex(cov, decomp, weight, r, config):
 
 
 def _score_subsets(candidates, cov, r):
-    """ML criterion tr{ P_A_perp R } of every r-subset of the candidates.
+    """ML criterion tr{ P_A_perp R } of every r-subset of the candidates, or of each set of a stack.
 
-    Returns ``(subsets, scores)``: the index rows of
-    ``itertools.combinations(range(K), r)`` in its order (the shared,
-    read-only ``_subset_table``), and one score per row.  A subset scores
-    +inf when two consecutive candidates differ by less than 1e-12, or
-    when its Gram A* A fails the COND_LIMIT guard of ``v_ml_angles``.  The
-    rest score tr R - tr{ (A* A)^-1 A* R A } by one of two routes.
+    ``candidates`` is one set of K angles, or an (S, K) stack of sets
+    scored on the one covariance ``cov``.  Returns ``(subsets, scores)``:
+    the index rows of ``itertools.combinations(range(K), r)`` in its order
+    (the shared, read-only ``_subset_table``), and one score per row, or
+    an (S, n) array of them for a stack.  A set of a stack scores bit for
+    bit as it does alone.  A subset scores +inf when two consecutive
+    candidates differ by less than 1e-12, or when its Gram A* A fails the
+    COND_LIMIT guard of ``v_ml_angles``.  The rest score tr R -
+    tr{ (A* A)^-1 A* R A } by one of two routes, chosen per set.
 
     * Gram route (``_tree_scores``): the steering columns A are joined by
       the divided differences d_i of each consecutive candidate pair
@@ -443,52 +465,76 @@ def _score_subsets(candidates, cov, r):
       A_S = B_S T, cond(A_S* A_S) <= bound * ||T||_F^2 * ||T^-1||_F^2, in
       closed form at the leaves from the subset's twins, and the score is
       kept only where that is within COND_LIMIT / 100, the margin of every
-      certified COND_LIMIT decision.  The route is skipped when fewer than
-      ``_GRAM_MIN_LIVE`` subsets are live.
-    * QR route (``_qr_scores``): every other live subset.  Forming G_S
-      squares the condition number of A_S, so the ill-conditioned subsets
-      are scored from a stacked QR of their steering columns, A_S = Q R_A,
-      as tr R - tr(Q* R Q).
+      certified COND_LIMIT decision.  A set takes the route only when at
+      least ``_GRAM_MIN_LIVE`` of its subsets are live.
+    * QR route (``_qr_scores``): every other live subset of the set.
+      Forming G_S squares the condition number of A_S, so the
+      ill-conditioned subsets are scored from a stacked QR of their
+      steering columns, A_S = Q R_A, as tr R - tr(Q* R Q).
 
-    The Gram route walks the table in fixed blocks of contiguous rows, of
-    ``_TREE_BLOCK`` W and N entries (r * r per subset), each down its
-    cached plan (``_block_plan``); it walks the dead rows too and keeps the
-    live rows' scores.  The QR route takes the rest of the live subsets
-    ``_SUBSET_BLOCK`` at a time.  So the stacked temporaries stay small
-    whatever the subset count, and a Gram-route score depends neither on
-    the block size nor on which rows share its block.
+    A, G, the live mask (``_live_mask``) and the Gram route's G_B, M_B and
+    spreads are built once for the whole stack, as (S, ...) stacks.  The
+    Gram-route sets walk the table together, in fixed blocks of
+    contiguous rows, each block down its cached plan tiled once per set
+    (``_block_plan``), so that a block holds at most ``_TREE_BLOCK`` W and
+    N entries (r * r per subset) across its sets; the walk covers the dead
+    rows too and keeps the live rows' scores.  The QR route takes each
+    set's rest of its live subsets ``_SUBSET_BLOCK`` at a time, with that
+    set's own A and G.  So the stacked temporaries stay small whatever the
+    subset count, and a Gram-route score depends neither on the block size
+    nor on which rows or sets share its block.
     """
     R = np.asarray(cov)
     m = R.shape[0]
-    K = len(candidates)
-    A = np.exp(1j * np.outer(np.arange(m), candidates))
-    G = hermitian_gram(A.conj().T)
+    stack = np.atleast_2d(candidates)
+    S, K = stack.shape
+    A = np.exp(1j * (np.arange(m)[:, None] * stack[:, None, :]))
+    G = hermitian_gram(A.conj().swapaxes(-1, -2))
     subsets = _subset_table(K, r)
     n = len(subsets)
-    # apart[i, j]: c_j - c_i >= 1e-12, the live test of each consecutive
-    # pair in a subset, read off a K x K table instead of n x r float copies.
-    apart = candidates[None, :] - candidates[:, None] >= 1e-12
-    live = np.all(apart[subsets[:, :-1], subsets[:, 1:]], axis=1)
-    scores = np.full(n, np.inf)
+    live = _live_mask(stack, subsets)
+    scores = np.full((S, n), np.inf)
     trace_r = np.real(np.trace(R))
-    if np.count_nonzero(live) >= _GRAM_MIN_LIVE:
-        G_B, M_B, spread2 = _gram_basis(A, candidates, R)
-        block = max(1, _TREE_BLOCK // (r * r))
-        uncertified = []
+    on_gram = np.count_nonzero(live, axis=1) >= _GRAM_MIN_LIVE
+    gram = np.flatnonzero(on_gram)
+    # Each set's rows for the QR route: all its live rows off the Gram
+    # route, else the live rows the Gram route left uncertified.
+    rest = [[] if g else [np.flatnonzero(row)] for row, g in zip(live, on_gram)]
+    if gram.size:
+        G_B, M_B, spread2 = _gram_basis(A[gram], stack[gram], R)
+        block = max(1, _TREE_BLOCK // (r * r * gram.size))
         for start in range(0, n, block):
-            rows = slice(start, min(start + block, n))
-            plan = _block_plan(K, r, rows.start, rows.stop)
-            score, certified = _tree_scores(G_B, M_B, spread2, plan, trace_r)
-            kept = live[rows] & certified
-            scores[rows][kept] = score[kept]
-            uncertified.append(start + np.flatnonzero(live[rows] & ~certified))
-        rest = np.concatenate(uncertified)
-    else:
-        rest = np.flatnonzero(live)
-    for start in range(0, rest.size, _SUBSET_BLOCK):
-        rows = rest[start : start + _SUBSET_BLOCK]
-        scores[rows] = _qr_scores(A, G, R, subsets[rows], trace_r)
-    return subsets, scores
+            stop = min(start + block, n)
+            plan = _block_plan(K, r, start, stop, gram.size)
+            score, certified = _tree_scores(G_B, M_B, spread2.ravel(), plan, trace_r)
+            tiles = zip(gram, score.reshape(gram.size, -1), certified.reshape(gram.size, -1))
+            for s, score_s, certified_s in tiles:
+                alive = live[s, start:stop]
+                kept = alive & certified_s
+                scores[s, start:stop][kept] = score_s[kept]
+                rest[s].append(start + np.flatnonzero(alive & ~certified_s))
+    for s, parts in enumerate(rest):
+        rows_s = np.concatenate(parts)
+        for start in range(0, rows_s.size, _SUBSET_BLOCK):
+            rows = rows_s[start : start + _SUBSET_BLOCK]
+            scores[s, rows] = _qr_scores(A[s], G[s], R, subsets[rows], trace_r)
+    return subsets, (scores if np.ndim(candidates) > 1 else scores[0])
+
+
+def _live_mask(stack, subsets):
+    """(S, n) mask of the subsets of each set whose consecutive candidates are >= 1e-12 apart.
+
+    A set whose own consecutive gaps all pass ascends, so every subset of
+    it passes too (rounding is monotone, so c_j - c_i >= c_(i+1) - c_i
+    for j > i); its row is all true without a look at the subsets.  Any
+    other set reads apart[i, j], c_j - c_i >= 1e-12, off a K x K table
+    instead of n x r float copies.
+    """
+    live = np.ones((len(stack), len(subsets)), dtype=bool)
+    for s in np.flatnonzero(~np.all(np.diff(stack, axis=1) >= 1e-12, axis=1)):
+        apart = stack[s, None, :] - stack[s, :, None] >= 1e-12
+        live[s] = np.all(apart[subsets[:, :-1], subsets[:, 1:]], axis=1)
+    return live
 
 
 @functools.lru_cache(maxsize=4)
@@ -508,15 +554,36 @@ def _subset_table(K, r):
 
 
 @functools.lru_cache(maxsize=4)
-def _block_plan(K, r, start, stop):
-    """``_tree_plan`` of rows start:stop of ``_subset_table(K, r)``, cached and read-only.
+def _block_plan(K, r, start, stop, copies=1):
+    """``_tree_plan`` of rows start:stop of ``_subset_table(K, r)``, tiled ``copies`` times, cached and read-only.
 
-    The cache holds blocks, not whole tables: a block's plan is at most
-    about 0.8 MB (32768 rows at r = 1, 24 bytes each) and 0.34 MB at
-    r >= 2, while one table's plans near ``_MAX_SUBSETS`` rows would take
-    16 MB (r = 8, 217 bytes per row).
+    Copy s walks the s-th of a stack of G_B, M_B and spreads, each
+    flattened end to end: its rows follow copy s - 1's, and its parents,
+    candidate positions and flat indices are offset by the size of one
+    copy of each.  The cache holds blocks, not whole tables: a block's
+    plan, all copies counted, is at most about 0.8 MB (32768 rows at
+    r = 1, 24 bytes each) and 0.34 MB at r >= 2, while one table's plans
+    near ``_MAX_SUBSETS`` rows would take 16 MB (r = 8, 217 bytes per row).
     """
-    return _tree_plan(_subset_table(K, r)[start:stop], 2 * K - 1)
+    size = 2 * K - 1
+    plan = _tree_plan(_subset_table(K, r)[start:stop], size)
+    if copies == 1:
+        return plan
+    pair, twin, levels = plan
+    copy = np.arange(copies)[:, None]
+
+    def tiled(part, offset):
+        out = (part[..., None, :] + offset * copy).reshape(*part.shape[:-1], copies * part.shape[-1])
+        out.flags.writeable = False
+        return out
+
+    tiled_levels, heads = [], 0
+    for parent, at in levels:
+        tiled_levels.append((tiled(parent, heads), tiled(at, size * size)))
+        heads = len(parent)
+    tiled_twin = np.tile(twin, copies)
+    tiled_twin.flags.writeable = False
+    return tiled(pair, K - 1), tiled_twin, tuple(tiled_levels)
 
 
 def _tree_plan(idx, size):
@@ -560,26 +627,27 @@ def _divided_differences(candidates, m):
     a_(i+1) = a_i + s_i d_i with s_i = ||a_(i+1) - a_i|| / sqrt(m), the
     spread, and s_i^2 is returned.  Pairs closer than 1e-12 are never
     scored; their column is formed at delta = 1 so that it stays finite.
+    An (S, K) stack of candidate sets gives (S, m, K - 1) and (S, K - 1).
     """
     k = np.arange(m)[:, None]
-    gap = np.diff(candidates)
+    gap = np.diff(candidates)[..., None, :]
     half = np.sin(k * np.where(gap >= 1e-12, gap, 1.0) / 2)
-    half2 = np.sum(half**2, axis=0)
-    mid = np.exp(0.5j * k * (candidates[:-1] + candidates[1:]))
-    return 1j * mid * (half * np.sqrt(m / half2)), 4 * half2 / m
+    half2 = np.sum(half**2, axis=-2)
+    mid = np.exp(0.5j * k * (candidates[..., None, :-1] + candidates[..., None, 1:]))
+    return 1j * mid * (half * np.sqrt(m / half2)[..., None, :]), 4 * half2 / m
 
 
 def _gram_basis(A, candidates, R):
     """G_B = B* B and M_B = B* R B of B = [A | D], and the squared spreads s^2 of D.
 
     D holds the divided differences of ``_divided_differences``, whose
-    spreads ``_tree_scores`` reads for the basis change of a twin.
+    spreads ``_tree_scores`` reads for the basis change of a twin.  A
+    stack of steering matrices and candidate sets gives stacks of each.
     """
     D, spread2 = _divided_differences(candidates, len(R))
-    B = np.concatenate([A, D], axis=1)
-    G_B = hermitian_gram(B.conj().T)
-    M_B = B.conj().T @ (R @ B)
-    return G_B, M_B, spread2
+    B = np.concatenate([A, D], axis=-1)
+    BH = B.conj().swapaxes(-1, -2)
+    return hermitian_gram(BH), BH @ (R @ B), spread2
 
 
 def _tree_scores(G_B, M_B, spread2, plan, trace_r):
@@ -714,13 +782,60 @@ def _qr_scores(A, G, R, idx, trace_r):
     return scores
 
 
+# The errors that fail one config of ``estimate_many`` rather than the call.
+_TYPED_ERRORS = (SingularityError, NumericalError, ValidationError)
+
+
+def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
+    """Run every config on one sample covariance and decomposition: one outcome per config.
+
+    An outcome is the config's ``EstimationResult``, or the typed error
+    (``ValidationError``, ``SingularityError``, ``NumericalError``) that
+    failed it, which fails that entry alone.  Each config's solves and
+    roots run as they would alone; then the MODEX configs' candidate sets
+    of equal length are scored in one stacked ``_score_subsets`` call,
+    which scores each set bit for bit as alone, so every outcome is that
+    of the config's own ``estimate``.  A list ``timings`` receives each
+    config's seconds: its solves and roots, and for MODEX the whole
+    stacked scoring it shared and its pick.
+    """
+    clock = time.perf_counter
+    outcomes = [None] * len(configs)
+    seconds = [0.0] * len(configs)
+    pooled = {}  # K -> [(config index, _modex_solve's tuple), ...]
+    for i, config in enumerate(configs):
+        t0 = clock()
+        try:
+            if config.method == "MODEX":
+                solved = _modex_solve(decomp, weight, r, config)
+                pooled.setdefault(len(solved[0]), []).append((i, solved))
+            else:
+                outcomes[i] = _coef_estimate(decomp, weight, r, config.method)
+        except _TYPED_ERRORS as exc:
+            outcomes[i] = exc
+        seconds[i] = clock() - t0
+    for group in pooled.values():
+        t0 = clock()
+        subsets, scores = _score_subsets(np.stack([solved[0] for _, solved in group]), cov, r)
+        shared = clock() - t0
+        for (i, solved), row in zip(group, scores):
+            t0 = clock()
+            try:
+                outcomes[i] = _modex_pick(subsets, row.copy(), *solved)
+            except SingularityError as exc:
+                outcomes[i] = exc
+            seconds[i] += shared + clock() - t0
+    if timings is not None:
+        timings.extend(seconds)
+    return outcomes
+
+
 def estimate(cov, decomp, weight, r, config):
-    """Dispatch on config.method; MODEX additionally needs the covariance."""
-    if config.method == "MODE":
-        return mode_two_step(decomp, weight, r)
-    if config.method == "PUMA":
-        return puma_iterative(decomp, weight, r)
-    return modex(cov, decomp, weight, r, config)
+    """Dispatch on config.method (MODEX additionally needs the covariance): a batch of one."""
+    (outcome,) = estimate_many(cov, decomp, weight, r, (config,))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def match_angles(estimate_angles, truth_angles):

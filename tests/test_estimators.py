@@ -563,11 +563,11 @@ class TestModex:
     def test_sweep_never_builds_the_candidate_log(self, monkeypatch):
         results = []
 
-        def kept(*args):
-            results.append(estimators.estimate(*args))
-            return results[-1]
+        def kept(*args, **kwargs):
+            results.extend(estimators.estimate_many(*args, **kwargs))
+            return results[-len(args[4]) :]
 
-        monkeypatch.setattr(bench, "estimate", kept)
+        monkeypatch.setattr(bench, "estimate_many", kept)
         base = Scenario(
             m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
             noise_power=1.0, n_snapshots=100, seed=0,
@@ -609,6 +609,70 @@ class TestModex:
             assert np.array_equal(res.angles, ref.angles), seed
             assert res.converged == ref.converged, seed
             assert res.iterations_used == ref.iterations_used, seed
+
+
+def _assert_same_result(got, ref):
+    """The same angles, coefs and criterion bits, counts, flags and candidate log."""
+    for a, b in ((got.angles, ref.angles), (got.coefs, ref.coefs)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert np.float64(got.criterion_value).view(np.uint64) == np.float64(ref.criterion_value).view(
+        np.uint64
+    )
+    assert (got.iterations_used, got.converged) == (ref.iterations_used, ref.converged)
+    assert got.candidate_log == ref.candidate_log
+
+
+_MANY_TOKENS = ("mode", "puma", "modex:1", "epuma:1", "modex:3", "epuma:3")
+
+
+class TestEstimateMany:
+    # One call per trial: each config's solves as alone, then the MODEX
+    # sets of equal length (two lengths here, K = 7 and 9) scored in one
+    # stacked call.  Every outcome must be the config's own ``estimate``.
+
+    @pytest.mark.parametrize("snr", [-4.0, 10.0])
+    def test_each_outcome_is_its_own_estimate(self, snr):
+        configs = tuple(bench.parse_method_token(t) for t in _MANY_TOKENS)
+        for seed in range(6):
+            cov, decomp, weight = noisy_pipeline(10, 3, [-0.8, 0.1, 0.2], snr, 50, seed=seed)
+            timings = []
+            outcomes = estimators.estimate_many(cov, decomp, weight, 3, configs, timings=timings)
+            assert len(outcomes) == len(timings) == len(configs)
+            assert all(t >= 0 for t in timings)
+            for config, got in zip(configs, outcomes):
+                _assert_same_result(got, estimators.estimate(cov, decomp, weight, 3, config))
+
+    def test_a_config_whose_subsets_all_score_inf_fails_alone(self, monkeypatch):
+        # The second MODEX config's roots are forced to one repeated angle,
+        # so every one of its subsets is dead; it shares its stack with the
+        # first, which scores as alone.  Roots calls 1-3 are mode's and
+        # modex:2's two, calls 4-5 epuma:2's two.
+        configs = tuple(bench.parse_method_token(t) for t in ("mode", "modex:2", "epuma:2", "puma"))
+        cov, decomp, weight = noisy_pipeline(10, 3, [-0.8, 0.1, 0.2], 10.0, 50, seed=0)
+        alone = [estimators.estimate(cov, decomp, weight, 3, c) for c in configs]
+        roots = estimators._roots
+        calls = []
+
+        def forced(c):
+            calls.append(len(c))
+            return np.full(len(c) - 1, 0.3) if len(calls) in (4, 5) else roots(c)
+
+        monkeypatch.setattr(estimators, "_roots", forced)
+        outcomes = estimators.estimate_many(cov, decomp, weight, 3, configs)
+        assert isinstance(outcomes[2], SingularityError)
+        for k in (0, 1, 3):
+            _assert_same_result(outcomes[k], alone[k])
+
+    def test_a_size_past_the_limit_fails_alone(self):
+        # modex:7 at m=10, r=3 breaks p < m - r: a ValidationError entry.
+        configs = tuple(bench.parse_method_token(t) for t in ("modex:2", "modex:7", "puma"))
+        cov, decomp, weight = noisy_pipeline(10, 3, [-0.8, 0.1, 0.2], 10.0, 50, seed=1)
+        outcomes = estimators.estimate_many(cov, decomp, weight, 3, configs)
+        assert isinstance(outcomes[1], ValidationError)
+        _assert_same_result(outcomes[0], estimators.estimate(cov, decomp, weight, 3, configs[0]))
+        _assert_same_result(outcomes[2], estimators.estimate(cov, decomp, weight, 3, configs[2]))
+        with pytest.raises(ValidationError, match="p < m - r"):
+            estimators.estimate(cov, decomp, weight, 3, configs[1])
 
 
 _WIDE_ANGLES = [-1.2, -0.3, 0.5, 1.4]
@@ -746,7 +810,8 @@ class TestScoreSubsets:
         monkeypatch.setattr(estimators, "_score_subsets", spy)
         cov, decomp, weight = noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 0.0, 50, seed)
         res = modex(cov, decomp, weight, 3, EstimatorConfig(method="MODEX", p_extra=3))
-        (candidates,) = seen
+        # modex is a batch of one: it scores a stack of one candidate set.
+        ((candidates,),) = seen
         combos = list(itertools.combinations(range(9), 3))
         assert len(res.candidate_log) == comb(9, 3) == len(combos)
         assert [s for s, _ in res.candidate_log] == [
@@ -1120,6 +1185,159 @@ class TestPrefixTree:
         for leaves in (1, 7):
             with mock.patch.object(estimators, "_TREE_BLOCK", leaves * 16):
                 _assert_same_bits(routed, _score_subsets_and_route(candidates, cov, 4))
+
+
+def _score_stack_and_routes(stack, cov, r, min_live):
+    """``_score_subsets`` of ``stack`` (one set or a stack), and the QR-route rows of each set.
+
+    The routes are keyed by the bytes of the steering matrix each QR call
+    gets, so equal sets share a key, as they share their routes.
+    """
+    routed = {}
+    qr_scores = estimators._qr_scores
+
+    def spy(A, G, R, idx, trace_r):
+        routed.setdefault(A.tobytes(), set()).update(map(tuple, idx.tolist()))
+        return qr_scores(A, G, R, idx, trace_r)
+
+    with mock.patch.object(estimators, "_qr_scores", spy), mock.patch.object(
+        estimators, "_GRAM_MIN_LIVE", min_live
+    ):
+        subsets, scores = _score_subsets(stack, cov, r)
+    return subsets, scores, routed
+
+
+def _assert_stack_scores_as_alone(stack, cov, r, min_live=None):
+    """Each set of ``stack`` scores bit for bit, and down the same routes, as alone."""
+    if min_live is None:
+        min_live = estimators._GRAM_MIN_LIVE
+    subsets, scores, routed = _score_stack_and_routes(stack, cov, r, min_live)
+    assert scores.shape == (len(stack), len(subsets))
+    alone_routes = {}
+    for candidates, row in zip(stack, scores):
+        alone_subsets, alone, route = _score_stack_and_routes(candidates, cov, r, min_live)
+        assert alone_subsets is subsets
+        assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
+        alone_routes.update(route)
+    assert routed == alone_routes
+
+
+@st.composite
+def candidate_stacks(draw):
+    """A stack of 1 to 4 sorted candidate sets of one length K, on one
+    covariance: scattered angles, clusters, near twins and pairs closer
+    than 1e-12 (dead), so that sets take the Gram route, the QR route, or
+    both."""
+    m = draw(st.sampled_from([6, 8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
+    cov = X @ X.conj().T / (m + 2)
+    K = draw(st.integers(2, 9))
+    r = draw(st.integers(1, min(4, K)))
+    gaps = st.sampled_from([0.0, 1e-13, 1e-7, 2e-6, 1e-4, 1e-2, 0.1])
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = list(rng.uniform(-3.0, 3.0, K))
+        for k in draw(st.lists(st.integers(1, K - 1), max_size=3)):
+            base[k] = base[k - 1] + draw(gaps)
+        sets.append(np.sort(_wrap(base)))
+    return np.array(sets), cov, r
+
+
+class TestStackedScoring:
+    # A stack of candidate sets on one covariance shares A, G, the live
+    # mask, the Gram basis and one walk of the prefix tree, and must score
+    # each set bit for bit as alone, down the same routes.
+
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_stacks(), st.sampled_from([1, None]))
+    def test_each_set_scores_as_alone(self, drawn, min_live):
+        stack, cov, r = drawn
+        _assert_stack_scores_as_alone(stack, cov, r, min_live)
+
+    @settings(max_examples=40, deadline=None)
+    @given(candidate_stacks(), st.integers(1, 7))
+    def test_split_tiled_blocks_score_as_alone(self, drawn, leaves):
+        # A tiled block holds at most _TREE_BLOCK W and N entries across its
+        # sets: here ``leaves`` rows or fewer in all, so the blocks split.
+        stack, cov, r = drawn
+        with mock.patch.object(estimators, "_TREE_BLOCK", leaves * r * r):
+            _assert_stack_scores_as_alone(stack, cov, r, min_live=1)
+
+    def test_a_stack_mixes_routes_and_dead_pairs(self):
+        # m=8, K=8, r=3 (56 subsets).  The scattered set has every subset
+        # live and takes the Gram route.  The dead set holds pairs and a
+        # triple under 1e-12 apart: 28 live subsets, under _GRAM_MIN_LIVE,
+        # so it takes the QR route whole.  The clustered set takes the Gram
+        # route and sends its cluster's subsets down the QR route.
+        cov = _CLUSTERED_COVS[0]
+        scattered = np.array([-2.9, -2.0, -1.1, -0.3, 0.4, 1.2, 2.1, 2.8])
+        dead = np.array([-2.0, -1.0, -1.0 + 1e-13, 0.2, 0.2 + 1e-13, 0.2 + 2e-13, 1.5, 1.5 + 1e-13])
+        clustered = np.array([-2.0, -0.9, 0.1, 0.18, 0.26, 1.2, 2.0, 2.6])
+        stack = np.array([scattered, dead, clustered])
+        _assert_stack_scores_as_alone(stack, cov, 3)
+        subsets, scores, routed = _score_stack_and_routes(stack, cov, 3, estimators._GRAM_MIN_LIVE)
+        live = estimators._live_mask(stack, subsets)
+        assert np.count_nonzero(live, axis=1).tolist() == [56, 28, 56]
+        assert np.all(np.isinf(scores[1][~live[1]]))
+        key = [np.exp(1j * np.outer(np.arange(8), c)).tobytes() for c in stack]
+        assert key[0] not in routed
+        assert routed[key[1]] == set(map(tuple, subsets[live[1]].tolist()))
+        assert 0 < len(routed[key[2]]) < 56
+
+    def test_a_set_below_the_gram_minimum_takes_the_qr_route_whole(self):
+        # The paper geometry, 6 candidates and r = 2: 15 subsets, all on the
+        # QR route, stacked with the same set shifted.
+        cov = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)[0]
+        candidates = np.array([-0.41, -0.4, 0.69, 0.7, 1.9, 2.8])
+        stack = np.array([candidates, candidates + 0.05])
+        _assert_stack_scores_as_alone(stack, cov, 2)
+        subsets, _, routed = _score_stack_and_routes(stack, cov, 2, estimators._GRAM_MIN_LIVE)
+        assert len(routed) == 2
+        assert all(rows == set(map(tuple, subsets.tolist())) for rows in routed.values())
+
+    @pytest.mark.parametrize("leaves", [1, 7, 500, 2048])
+    def test_wide_stacks_score_as_alone(self, leaves):
+        # m=16, r=4: the twin geometry of TestDividedDifferenceRoute and
+        # three more sets, 1001 subsets each; 500 leaves split each tiled
+        # block of 4 sets into 125-row tiles.
+        angles = [-1.2, -0.3, 0.5, 1.4]
+        cov = noisy_pipeline(16, 4, angles, 10.0, 200, seed=0)[0]
+        twins = np.sort(
+            np.concatenate(
+                [_twin_candidates(angles, [1e-3, 3e-3, 1e-2, 3e-4]), [-2.6, -0.8, 0.1, 0.9, 2.0, 2.9]]
+            )
+        )
+        rng = np.random.default_rng(5)
+        stack = np.array([twins] + [np.sort(rng.uniform(-3.0, 3.0, 14)) for _ in range(3)])
+        with mock.patch.object(estimators, "_TREE_BLOCK", leaves * 16):
+            for size in range(1, 5):
+                _assert_stack_scores_as_alone(stack[:size], cov, 4)
+
+    def test_two_lengths_score_as_alone(self):
+        # The stacks of two K groups, as ``estimate_many`` pools them.
+        cov = _CLUSTERED_COVS[1]
+        rng = np.random.default_rng(11)
+        for K in (7, 9):
+            stack = np.sort(rng.uniform(-3.0, 3.0, (3, K)), axis=1)
+            _assert_stack_scores_as_alone(stack, cov, 3)
+
+    def test_the_live_mask_matches_the_gap_table(self):
+        # The all-gaps-pass shortcut gives the same mask as the K x K gap
+        # table, which every set past it still reads.
+        rng = np.random.default_rng(3)
+        stack = np.sort(rng.uniform(-3.0, 3.0, (4, 9)), axis=1)
+        stack[1, 4] = stack[1, 3] + 1e-13
+        stack[2, 6] = stack[2, 5]
+        stack[3] = stack[3][::-1]
+        subsets = _subset_table(9, 3)
+        apart = stack[:, None, :] - stack[:, :, None] >= 1e-12
+        table = np.array(
+            [np.all(gaps[subsets[:, :-1], subsets[:, 1:]], axis=1) for gaps in apart]
+        )
+        live = estimators._live_mask(stack, subsets)
+        assert np.array_equal(live, table)
+        assert live[0].all() and not live[1:].all(axis=1).any()
 
 
 @pytest.mark.parametrize("r, K, m", [(8, 19, 24), (4, 38, 36)])
