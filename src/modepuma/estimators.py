@@ -31,10 +31,11 @@ reweight ends at the current c on a T T* past it, and nothing is regularized.
 The reweight, PUMA's gauge block and both subset routes decide that rule
 from a certified bound first, kept within one margin, COND_LIMIT / 100, and
 solve for eigenvalues only where the bound leaves it open; the limit and
-every decision are the same.  PUMA's gauge block is checked once per loop,
-on the first solve, and bounded after that by cond(T T*) times that first
-value (and the first weight's cond).  The subset tree's walk depends only on K, r, the block of
-rows and how many sets walk it together, so it is cached (``_block_plan``).
+every decision are the same.  PUMA's gauge block is bounded by cond(T T*)
+times cond(S_11), S = Q(I), checked once per loop whether it starts from
+Omega = I or from a given weight.  The subset tree's walk depends only on
+K, r, the block of rows and how many sets walk it together, so it is
+cached (``_block_plan``).
 """
 
 import functools
@@ -198,8 +199,8 @@ def _omega_from_coefs(c, m):
     return guarded_inverse(_toeplitz(c, m), "T T*")
 
 
-def _symmetric_step(Q):
-    """MODE's step: the conjugate-symmetric, unit-norm c minimizing c* Q c."""
+def _symmetric_step(Q, bound=None):
+    """MODE's step: the conjugate-symmetric, unit-norm c minimizing c* Q c; ``bound`` is unused."""
     J = _conjugate_symmetric_basis(Q.shape[0])
     M = np.real(J.conj().T @ Q @ J)
     _, vecs = np.linalg.eigh(0.5 * (M + M.T))
@@ -207,16 +208,18 @@ def _symmetric_step(Q):
     return c / np.linalg.norm(c)
 
 
-def _gauge_step(Q, cond=None):
+def _gauge_step(Q, bound=np.inf):
     """PUMA's step: c = (1, tail), Q[1:,1:] tail = -Q[1:,0]; minimum-norm tail when singular.
 
     The tail is solved for where cond(Q[1:,1:]) is within COND_LIMIT.
-    ``cond`` is that condition number, or a certified bound on it within
-    COND_LIMIT / 100; left None, ``condition_number`` reads it off the block.
+    ``bound`` is a certified bound on that condition number.  Within
+    COND_LIMIT / 100 it decides, as in ``guarded_inverse`` and
+    ``_qr_scores``: the margin absorbs the rounding of the computed Q,
+    Omega and eigenvalues, so every decision and every bit of c are the
+    same.  Past it, ``condition_number`` reads the block.
     """
     Q11, rhs = Q[1:, 1:], -Q[1:, 0]
-    if cond is None:
-        cond = condition_number(Q11)
+    cond = bound if bound <= COND_LIMIT / 100 else condition_number(Q11)
     if cond <= COND_LIMIT:
         try:
             tail = np.linalg.solve(Q11, rhs)
@@ -232,7 +235,8 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
 
     Starts from Omega = I, or from Omega at the degree-q coefficients
     ``start`` where their T T* is within COND_LIMIT.  After each solve
-    past the first it stops when c / c_0 changed by at most ``tolerance``
+    past the first it stops when c / c_0 (free of the scale and sign that
+    MODE's unit eigenvector leaves) changed by at most ``tolerance``
     (relative): the coefficients are at the reweighting fixed point, and
     that last iterate is returned; a ``tolerance`` of +inf stops at the
     first check, after one reweight (the two-step).  Otherwise it reweights
@@ -244,54 +248,42 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     quadratic form.  Each base's ``step`` and ``tolerance`` are in
     ``_SOLVERS``.
 
-    PUMA's ``_gauge_step`` solves on the block Q_11 = Q[1:,1:], whose
-    condition the loop checks once, on the first solve's Q.  With Phi'_l
-    the slices without their first column and every g_l >= 0,
+    Every solve is ``step(Q, bound)`` with a certified bound on the
+    condition of PUMA's gauge block Q_11 = Q[1:,1:].  With Phi'_l the
+    slices without their first column and every g_l >= 0,
     x* Q_11(Omega) x = sum_l g_l (Phi'_l x)* Omega (Phi'_l x) lies between
     lambda_min(Omega) x* S_11 x and lambda_max(Omega) x* S_11 x, S = Q(I),
-    so cond(Q_11(Omega)) <= cond(Omega) * cond(S_11), and cond(S_11) <=
-    cond(Omega_1) * cond(Q_11(Omega_1)) for the first weight Omega_1.
-    ``guarded_inverse`` bounds each cond(Omega) = cond(T T*) by
-    ||T T*||_F ||(T T*)^-1||_F, and cond(I) = 1.  Where the product is
-    within COND_LIMIT / 100 it stands for the block's eigenvalue check: the
-    margin absorbs the rounding of the computed Q, Omega and eigenvalues,
-    as in ``guarded_inverse`` and ``_qr_scores``, so every decision and
-    every bit of c are the same.  A first block past COND_LIMIT, or a
-    negative weight, leaves no bound.
+    so cond(Q_11(Omega)) <= cond(Omega) * cond(S_11).  The loop checks
+    cond(S_11) once, and each bound is that times ``guarded_inverse``'s
+    ||T T*||_F ||(T T*)^-1||_F >= cond(Omega), or times 1 at Omega = I.
+    A negative weight, or MODE's step, which reads no bound, leaves +inf.
     """
     _check_degree(decomp, q)
     m = decomp.m
     g = np.asarray(weight, dtype=float)
     Phi, PhiH = _hankel_slices(decomp, q)
-    omega, omega_cond = np.eye(m - q, dtype=complex), 1.0
+    Q = _quadratic_form(Phi, PhiH, g, np.eye(m - q, dtype=complex))
+    base = condition_number(Q[1:, 1:]) if step is _gauge_step and np.all(g >= 0) else np.inf
+    omega_cond = 1.0
     if start is not None:
         try:
             omega, omega_cond = _omega_from_coefs(start, m)
         except SingularityError:
             pass
-    Q = _quadratic_form(Phi, PhiH, g, omega)
-    base = np.inf
-    if step is _gauge_step:
-        base = condition_number(Q[1:, 1:])
-        c = step(Q, base)
-        base = base * omega_cond if np.all(g >= 0) else np.inf
-    else:
-        c = step(Q)
-    history = []
-    for iters in range(2, _MAX_ITERATIONS + 1):
-        try:
-            omega, omega_cond = _omega_from_coefs(c, m)
-        except SingularityError:
-            return c, iters - 1, False, history
-        Q = _quadratic_form(Phi, PhiH, g, omega)
-        history.append(float(np.real(c.conj() @ Q @ c)))
-        # c / c_0 drops the scale and sign MODE's unit eigenvector leaves
-        # free; each iterate's is formed once, after its c_0 check.
-        prev = c / c[0] if iters == 2 else a
-        bound = base * omega_cond
-        c = step(Q, bound) if bound <= COND_LIMIT / 100 else step(Q)
+        else:
+            Q = _quadratic_form(Phi, PhiH, g, omega)
+    history, a = [], None
+    for iters in range(1, _MAX_ITERATIONS + 1):
+        if iters > 1:
+            try:
+                omega, omega_cond = _omega_from_coefs(c, m)
+            except SingularityError:
+                return c, iters - 1, False, history
+            Q = _quadratic_form(Phi, PhiH, g, omega)
+            history.append(float(np.real(c.conj() @ Q @ c)))
+        prev, c = a, step(Q, base * omega_cond)
         a = c / c[0]
-        if np.linalg.norm(a - prev) <= tolerance * np.linalg.norm(a):
+        if prev is not None and np.linalg.norm(a - prev) <= tolerance * np.linalg.norm(a):
             return c, iters, True, history
     return c, _MAX_ITERATIONS, False, history
 
@@ -566,10 +558,7 @@ def _block_plan(K, r, start, stop, copies=1):
     near ``_MAX_SUBSETS`` rows would take 16 MB (r = 8, 217 bytes per row).
     """
     size = 2 * K - 1
-    plan = _tree_plan(_subset_table(K, r)[start:stop], size)
-    if copies == 1:
-        return plan
-    pair, twin, levels = plan
+    pair, twin, levels = _tree_plan(_subset_table(K, r)[start:stop], size)
     copy = np.arange(copies)[:, None]
 
     def tiled(part, offset):

@@ -1659,6 +1659,28 @@ class TestGaugeCertificate:
                 estimators._reweighted_solve(decomp, weight, 4, *estimators._SOLVERS["PUMA"])
                 assert checked == [(4, 4)], (seed, snr)
 
+    def test_every_block_of_the_wide_started_solve_is_certified(self, monkeypatch):
+        # Enhanced PUMA's extended two-step on the wide scenario (m=16, r=4,
+        # p=6), from the plain solve's c padded with zeros: S_11 is checked
+        # once, and certifies the started block and the one after it.
+        condition_number = array_model.condition_number
+        checked = []
+
+        def counted(gram):
+            checked.append(np.shape(gram))
+            return condition_number(gram)
+
+        for seed in range(20):
+            for snr in (0.0, 10.0):
+                _, decomp, weight = noisy_pipeline(16, 4, [-1.2, -0.3, 0.5, 1.4], snr, 200, seed)
+                c, *_ = estimators._reweighted_solve(decomp, weight, 4, *estimators._SOLVERS["PUMA"])
+                start = np.concatenate([c, np.zeros(6)])
+                checked.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(estimators, "condition_number", counted)
+                    estimators._reweighted_solve(decomp, weight, 10, _gauge_step, np.inf, start=start)
+                assert checked == [(10, 10)], (seed, snr)
+
 
 def _live_rows_score_subsets(candidates, cov, r):
     """``_score_subsets`` as it walked before the cached plans: the live rows
