@@ -34,7 +34,7 @@ from .criteria import (
     v_puma,
     vec_matrix_identity_residual,
 )
-from .errors import SingularityError, ValidationError
+from .errors import SingularityError, ValidationError, read_text_lines
 from .estimators import (
     _TYPED_ERRORS,
     EstimatorConfig,
@@ -348,20 +348,19 @@ def parse_sweep_config(path):
     """Parse a sweep config file into a SweepSpec."""
     raw = {}
     lines = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _KNOWN_KEYS:
-                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in raw:
-                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
-            lines[key] = lineno
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KNOWN_KEYS:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in raw:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value
+        lines[key] = lineno
     missing = _KNOWN_KEYS - {"source_cov"} - set(raw)
     if missing:
         raise ValidationError(f"{path}: missing keys: {sorted(missing)}")

@@ -13,6 +13,7 @@ failure, 3 I/O error.
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -44,6 +45,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so every call can share one
 def _build_parser():
     parser = _Parser(
         prog="modepuma",

@@ -3,12 +3,23 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modepuma import CriterionValue, Scenario, ValidationError, bench, cli, simulate_snapshots
+from modepuma import (
+    CriterionValue,
+    Scenario,
+    ValidationError,
+    bench,
+    cli,
+    simulate_snapshots,
+    snapshot_io,
+)
 from modepuma.bench import (
     noise_power_for_snr,
     parse_method_token,
@@ -281,6 +292,160 @@ class TestSnapshotIO:
             read_snapshots(path)
 
 
+def reference_read_snapshots(path):
+    """The per-token reader that ``read_snapshots`` must match bit for bit.
+
+    Kept as it was before numpy's C parser took the common case, except that
+    the file is opened as UTF-8, as ``read_snapshots`` opens it.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header.startswith("#"):
+            raise ValidationError(f"{path}:1: missing '# m=<m> T=<T>' header")
+        try:
+            fields = dict(tok.split("=") for tok in header[1:].split())
+            m, T = int(fields["m"]), int(fields["T"])
+        except (ValueError, KeyError) as exc:
+            raise ValidationError(f"{path}:1: malformed header: {exc}") from exc
+        if T < 1 or m < 1:
+            raise ValidationError(f"{path}:1: need m >= 1 and T >= 1")
+        values = []
+        for lineno, line in enumerate(fh, 2):
+            tokens = line.split()
+            if len(tokens) != m:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {m} entries, got {len(tokens)}"
+                )
+            for k, tok in enumerate(tokens):
+                try:
+                    values.append(complex(tok))
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{path}:{lineno}: column {k + 1}: bad complex token {tok!r}"
+                    ) from exc
+    rows = np.array(values, dtype=complex).reshape(-1, m)  # row t = snapshot t
+    if len(rows) != T:
+        raise ValidationError(
+            f"{path}:{min(len(rows), T) + 2}: expected {T} snapshot lines, got {len(rows)}"
+        )
+    bad = np.argwhere(~np.isfinite(rows))  # (t, k) pairs in file order
+    if bad.size:
+        t, k = bad[0]
+        raise ValidationError(
+            f"{path}:{t + 2}: column {k + 1}: non-finite value {rows[t, k]}"
+        )
+    return rows.T.copy()
+
+
+# Separators str.split() and numpy both take as whitespace, beyond space and tab.
+_SEPARATORS = [" ", "\t", "\f", "\x0b", "\x1c", "\xa0", "\x85"]
+_ODD_TOKENS = [
+    "1+-2j", "1++2j", "(1+-2j)", "nan+-infj", "1e5+-3j",  # numpy reads, complex() rejects
+    "j", "-J", "1+2J", "1_0", "١٢", "+infinity+j",  # complex() reads, numpy rejects
+    "nan", "-nan+0j", "inf", "1+infj", "1e400",  # non-finite
+    "#", "1#", '"1"', "0x1", "1+2jj", "(1+2j", "abc",  # junk
+]
+
+
+@st.composite
+def snapshot_texts(draw):
+    """A snapshot file's text: mostly well formed, sometimes with odd tokens or lines."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    T = n + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    value = st.tuples(finite, finite).map(lambda re_im: "%.17g%+.17gj" % re_im)  # as written
+    if draw(st.booleans()):
+        value = st.one_of(value, st.sampled_from(_ODD_TOKENS))
+    odd_lines = draw(st.booleans())
+    gap = st.text(alphabet=_SEPARATORS, min_size=1, max_size=2)
+    edge = st.text(alphabet=_SEPARATORS, max_size=1)
+    lines = []
+    for _ in range(n):
+        count = m + (draw(st.sampled_from([0, 0, -1, 1])) if odd_lines else 0)
+        tokens = [draw(value) for _ in range(max(count, 0))]
+        body = "".join(tok + draw(gap) for tok in tokens[:-1]) + "".join(tokens[-1:])
+        lines.append(draw(edge) + body + draw(edge))
+    for _ in range(draw(st.integers(0, 2)) if odd_lines else 0):
+        lines.insert(draw(st.integers(0, len(lines))), draw(edge))  # blank or whitespace only
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    final = newline if draw(st.booleans()) else ""
+    return newline.join([f"# m={m} T={T}", *lines]) + final
+
+
+def _read_or_message(reader, path):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+            return reader(path)
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestSnapshotReader:
+    @settings(max_examples=400, deadline=None)
+    @given(snapshot_texts())
+    def test_matches_the_per_token_reader(self, tmp_path_factory, text):
+        self.check_against_reference(tmp_path_factory.getbasetemp() / "snapshots.txt", text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# m=2 T=2\n1+0j 2-1j\n3+0j 4e-3+5j\n",
+            "# m=2 T=2\r\n1+0j 2-1j\r\n3+0j 4+5j",
+            "# m=2 T=2\r1+0j\x852-1j\r3+0j\xa04+5j\r",
+            "# m=1 T=2\n1+-2j\n3+0j\n",
+            "# m=1 T=2\n1+0j\n(1++2j)\n",
+            "# m=2 T=1\nj 1+2J\n",
+            "# m=2 T=1\n1_0 \u0661\u0662\n",
+            "# m=2 T=1\n1+0j 2+0j#\n",
+            "# m=2 T=1\n1+0j 2+0j #\n",
+            "# m=1 T=1\n#\n",
+            "# m=2 T=1\n\n1+0j 2+0j\n",
+            "# m=2 T=1\n \x0c\n1+0j 2+0j\n",
+            "# m=2 T=2\n1+0j 2+0j\n\n3+0j 4+0j\n",
+            "# m=2 T=1\n1+0j 2+0j\n\n",
+            "# m=2 T=1\n\t\n",
+            "# m=2 T=1\n",
+            "# m=2 T=1\n1+0j\n",
+            "# m=2 T=2\n1+0j 1e400\n3+0j 4+0j\n",
+        ],
+        ids=[
+            "plain", "crlf-no-final-newline", "cr-nel-nbsp", "plus-minus", "plus-plus",
+            "j-and-capital-j", "underscore-and-unicode-digits", "hash-in-token",
+            "hash-token", "hash-line", "blank-first-line", "whitespace-first-line",
+            "blank-middle-line", "blank-last-line", "whitespace-only-body", "no-body", "short-line", "overflow",
+        ],
+    )
+    def test_edge_cases_match_the_per_token_reader(self, tmp_path, text):
+        self.check_against_reference(tmp_path / "snapshots.txt", text)
+
+    @staticmethod
+    def check_against_reference(path, text):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        got = _read_or_message(read_snapshots, path)
+        want = _read_or_message(reference_read_snapshots, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_written_files_take_the_c_parser(self, tmp_path, monkeypatch):
+        def unexpected(path, lines, m):
+            raise AssertionError(f"{path} fell back to the per-token reader")
+
+        monkeypatch.setattr(snapshot_io, "_token_rows", unexpected)
+        rng = np.random.default_rng(3)
+        for m, T in [(1, 1), (1, 5), (4, 1), (10, 200)]:
+            Y = rng.standard_normal((m, T)) + 1j * rng.standard_normal((m, T))
+            path = tmp_path / f"snaps-{m}-{T}.txt"
+            write_snapshots(path, Y)
+            assert np.array_equal(read_snapshots(path), Y)
+
+
 class TestVerifyCommand:
     def test_default_pass(self):
         proc = run_cli("verify", "--instances", "100", "--seed", "5")
@@ -346,6 +511,19 @@ class TestMcCommand:
         cfg.write_text(SWEEP_TEXT.replace(old, new))
         out = tmp_path / "out.csv"
         proc = run_cli("mc", "--config", str(cfg), "--out", str(out), *extra)
+        assert proc.returncode == 1
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_with_validation_code(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_bytes(SWEEP_TEXT.encode() + b"# \xff\n")
+        message = "sweep.cfg: not UTF-8 text (byte 0xff: invalid start byte)"
+        with pytest.raises(ValidationError) as info:
+            parse_sweep_config(cfg)
+        assert message in str(info.value)
+        out = tmp_path / "out.csv"
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 1
         assert message in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
@@ -743,6 +921,18 @@ class TestEstimateCommand:
         assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
+    def test_non_utf8_file_exits_with_validation_code(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"# m=2 T=1\n\xff\xfe 1\n")
+        message = "bad.txt: not UTF-8 text (byte 0xff: invalid start byte)"
+        with pytest.raises(ValidationError) as info:
+            read_snapshots(bad)
+        assert message in str(info.value)
+        proc = run_cli("estimate", str(bad), "--r", "1")
+        assert proc.returncode == 1
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestBadArguments:
     @pytest.mark.parametrize(
         "args",
@@ -813,6 +1003,27 @@ class TestBadArguments:
     def test_help_exits_zero(self):
         proc = run_cli("simulate", "--help")
         assert proc.returncode == 0 and "--angles=-0.4,0.7" in proc.stdout
+
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        sc = Scenario(
+            m=4, r=1, angles=[0.5], source_cov=np.eye(1),
+            noise_power=0.1, n_snapshots=32, seed=2,
+        )
+        snaps = tmp_path / "snaps.txt"
+        write_snapshots(snaps, simulate_snapshots(sc))
+        for args in [
+            ("estimate", str(snaps), "--r", "x"),
+            ("estimate", str(snaps), "--r", "1", "--method", "puma"),
+            ("verify", "--instances", "1"),
+        ]:
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            proc = run_cli(*args)
+            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), args
 
 
 class TestVerifyProperties:
