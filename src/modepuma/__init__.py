@@ -23,7 +23,6 @@ from .estimators import (
     estimate_many,
     match_angles,
     mode_two_step,
-    modex,
     puma_iterative,
     quadratic_form_matrix,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "estimate_many",
     "match_angles",
     "mode_two_step",
-    "modex",
     "projector_from_annihilator",
     "projector_from_steering",
     "puma_iterative",

@@ -36,6 +36,7 @@ from .criteria import (
 )
 from .errors import SingularityError, ValidationError, read_text_lines
 from .estimators import (
+    _TOKENS,
     _TYPED_ERRORS,
     EstimatorConfig,
     check_modex_size,
@@ -118,10 +119,9 @@ def trial_seed(base_seed, snr_index, snapshots_index, trial_index):
 
 
 def method_label(config):
-    if config.method == "MODEX":
-        tag = "modex" if config.modex_base == "MODE" else "epuma"
-        return f"{tag}:{config.p_extra}"
-    return config.method.lower()
+    """The config's ``_TOKENS`` name, with ``:<p>`` for MODEX: ``parse_method_token``'s inverse."""
+    tag = _TOKENS[config.solver, config.p_extra is not None]
+    return tag if config.p_extra is None else f"{tag}:{config.p_extra}"
 
 
 # Tasks a worker takes per hand-out under ``run_sweep(jobs > 1)``.
@@ -301,19 +301,18 @@ _KNOWN_KEYS = {
 
 
 def parse_method_token(token):
-    """mode | puma | modex:<p> | epuma:<p>  ->  EstimatorConfig."""
+    """mode | puma | modex:<p> | epuma:<p>  ->  EstimatorConfig, through ``_TOKENS``."""
     token = token.strip().lower()
-    if token == "mode":
-        return EstimatorConfig(method="MODE")
-    if token == "puma":
-        return EstimatorConfig(method="PUMA")
-    for tag, base in (("modex", "MODE"), ("epuma", "PUMA")):
-        if token.startswith(tag + ":"):
+    tag, sep, p = token.partition(":")
+    for (solver, extended), name in _TOKENS.items():
+        if name == tag and extended == bool(sep):
+            if not extended:
+                return EstimatorConfig(solver)
             try:
-                p = int(token.split(":", 1)[1])
+                p_extra = int(p)
             except ValueError:
                 raise ValidationError(f"bad method token {token!r}")
-            return EstimatorConfig(method="MODEX", p_extra=p, modex_base=base)
+            return EstimatorConfig(solver, p_extra)
     raise ValidationError(f"unknown method {token!r}")
 
 
@@ -330,7 +329,7 @@ def _check_list(key, values, base=None):
     A repeated entry would write two sets of rows under one key, a
     snapshot count must be at least 1, and a method must fit the scenario
     ``base``: every trial of a MODEX size that ``check_modex_size`` rejects
-    would fail (p = 0 always passes).
+    would fail.
     """
     label = method_label if key == "methods" else repr
     for k, value in enumerate(values):
@@ -340,7 +339,8 @@ def _check_list(key, values, base=None):
         raise ValueError(f"need at least one snapshot, got {min(values)}")
     if key == "methods":
         for config in values:
-            check_modex_size(base.m, base.r, config.p_extra)
+            if config.p_extra is not None:
+                check_modex_size(base.m, base.r, config.p_extra)
     return values
 
 

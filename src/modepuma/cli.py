@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bench, snapshot_io
 from .errors import NumericalError, SingularityError, ValidationError
-from .estimators import estimate as run_estimator
+from .estimators import _TOKENS, estimate as run_estimator
 from .sample_stats import (
     Scenario,
     sample_covariance,
@@ -152,12 +152,16 @@ def _check_writable(path):
 
 
 def _method_config(method, p_extra):
-    token = method.lower()
-    if token in ("modex", "epuma"):
-        token = f"{token}:{p_extra}"
-    elif p_extra:
-        raise ValidationError("--p-extra requires --method modex or epuma")
-    return bench.parse_method_token(token)
+    """--method's tag, a name of ``_TOKENS``; a MODEX tag takes its p from --p-extra alone."""
+    tag = method.strip().lower()
+    if ":" in tag:
+        raise ValidationError(f"bad --method {method!r}: give MODEX's p by --p-extra")
+    modex_tags = [name for (_, extended), name in _TOKENS.items() if extended]
+    if tag in modex_tags:
+        return bench.parse_method_token(f"{tag}:{p_extra}")
+    if p_extra:
+        raise ValidationError(f"--p-extra requires --method {' or '.join(modex_tags)}")
+    return bench.parse_method_token(tag)
 
 
 def _cmd_estimate(args):

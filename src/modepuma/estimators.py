@@ -11,20 +11,21 @@ Omega at c.  They differ only in the constraint step and the tolerance:
   classic two-step scheme).
 * ``puma_iterative`` — ``_gauge_step``, the linear solve under the
   c_0 = 1 gauge, run until c / c_0 stops changing.
-* ``modex`` — solves at degrees r and r + p, then picks the best r of the
-  2r + p pooled roots by the ML criterion over all subsets
-  (``_score_subsets``: subsets that share a prefix share its Cholesky
-  factor, so each adds one row to it).  The degree-r solve keeps its
-  base's rule.  The degree-(r + p) solve is a two-step for both bases:
-  V_MODE is flat along the p directions c_r h there, so reweighting
-  creeps instead of reaching a fixed point.  With the PUMA base (Enhanced
-  PUMA) it starts from the weight of the plain solve's c.
+* MODEX, a config ``(solver, p)`` over either — Enhanced PUMA over PUMA —
+  solves at degrees r and r + p, then picks the best r of the 2r + p
+  pooled roots by the ML criterion over all subsets (``_score_subsets``:
+  subsets that share a prefix share its Cholesky factor, so each adds one
+  row to it).  The degree-r solve keeps its solver's rule.  The
+  degree-(r + p) solve is a two-step for both solvers: V_MODE is flat
+  along the p directions c_r h there, so reweighting creeps instead of
+  reaching a fixed point.  Over PUMA it starts from the weight of the
+  plain solve's c.
 
 ``estimate_many`` runs a trial's configs on one sample covariance: each
 config's solves as alone, then the MODEX candidate sets of equal length
 scored in one stacked ``_score_subsets`` call, which builds the subset
 basis once and walks the subset tree once for all of them.  ``estimate``
-and ``modex`` are a batch of one.
+is a batch of one.
 
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
@@ -42,7 +43,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,8 +57,6 @@ from .array_model import (
 )
 from .criteria import v_mode
 from .errors import NumericalError, SingularityError, ValidationError
-
-_METHODS = ("MODE", "PUMA", "MODEX")
 
 # Live subsets per stacked block of ``_score_subsets``'s QR route, and W and
 # N entries per block of leaves of its Gram route (r * r per leaf: 2048
@@ -79,7 +78,7 @@ _GRAM_BOUND = 2e3
 # moving the limit there would change which route scores those calls.
 _GRAM_MIN_LIVE = 32
 
-# Most candidate subsets ``modex`` will score; the count grows as
+# Most candidate subsets MODEX will score; the count grows as
 # C(2r + p, r), so a larger request is rejected before any solve.
 _MAX_SUBSETS = 100_000
 
@@ -91,21 +90,26 @@ _RELATIVE_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    method: str = "MODE"
-    p_extra: int = 0
-    modex_base: str = "MODE"  # MODEX's base solver: MODE, or PUMA for Enhanced PUMA
+    """A ``_SOLVERS`` key run plain (p_extra None) or as MODEX (p_extra >= 0), named in ``_TOKENS``."""
+
+    solver: str
+    p_extra: int | None = None
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValidationError(f"method must be one of {_METHODS}")
-        if self.p_extra < 0:
+        if (self.solver, self.p_extra is not None) not in _TOKENS:
+            raise ValidationError(f"no method runs solver {self.solver!r} at p_extra={self.p_extra}")
+        if self.p_extra is not None and self.p_extra < 0:
             raise ValidationError("p_extra must be >= 0")
-        if self.p_extra > 0 and self.method != "MODEX":
-            raise ValidationError("p_extra is only meaningful for MODEX")
-        if self.modex_base not in ("MODE", "PUMA"):
-            raise ValidationError("modex_base must be MODE or PUMA")
-        if self.modex_base != "MODE" and self.method != "MODEX":
-            raise ValidationError("modex_base is only meaningful for MODEX")
+
+    # Read by the benchmark's span namer (perfbench/layers.py) alone, which
+    # names a span by them; nothing in the package reads them.
+    @property
+    def method(self):
+        return self.solver if self.p_extra is None else "MODEX"
+
+    @property
+    def modex_base(self):
+        return self.solver
 
 
 @dataclass(frozen=True)
@@ -294,6 +298,15 @@ _SOLVERS = {
     "PUMA": (_gauge_step, _RELATIVE_TOLERANCE),
 }
 
+# The name of every config, by (solver, MODEX or not): the CLI's --method
+# and a sweep's ``methods`` entries, where a MODEX name takes ``:<p>``.
+_TOKENS = {
+    ("MODE", False): "mode",
+    ("PUMA", False): "puma",
+    ("MODE", True): "modex",
+    ("PUMA", True): "epuma",
+}
+
 
 def _roots(c):
     """Root angles of c, with a vanishing end coefficient nudged to 1e-14 max |c|.
@@ -308,9 +321,9 @@ def _roots(c):
     return angles_from_coefs(ends)
 
 
-def _coef_estimate(decomp, weight, r, method):
-    """Run ``method``'s solve at degree r; V_MODE of c computed once."""
-    c, iterations, converged, history = _reweighted_solve(decomp, weight, r, *_SOLVERS[method])
+def _coef_estimate(decomp, weight, r, solver):
+    """Run ``solver``'s solve at degree r; V_MODE of c computed once."""
+    c, iterations, converged, history = _reweighted_solve(decomp, weight, r, *_SOLVERS[solver])
     angles = _roots(c)
     value = v_mode(c, decomp, weight).value
     return EstimationResult(
@@ -360,48 +373,20 @@ def check_modex_size(m, r, p):
         )
 
 
-def modex(cov, decomp, weight, r, config):
-    """Extra-coefficient estimation with ML subset selection.
-
-    Runs the base solver twice, at degree r by its own rule and at degree
-    q = r + p_extra as a two-step (one reweight), pools the r + (r + p)
-    candidate angles from both roots sets, scores
-    every r-subset with the ML criterion on the sample covariance, and
-    returns the minimizing subset.  Pooling keeps the plain estimate in
-    the running, so the selection can only match or improve on it;
-    the extended roots supply the alternatives that matter when a
-    subspace swap corrupts the plain fit.  Subsets with near-coincident
-    candidates or a numerically singular steering Gram score +inf; the
-    first minimum wins ties.  ``candidate_log`` lists every subset with
-    its score in ``itertools.combinations`` order; it is built from the
-    kept angle and score arrays on first read.  More than
-    ``_MAX_SUBSETS`` subsets is a ``ValidationError``.
-
-    With the PUMA base (Enhanced PUMA) the extended two-step starts from
-    Omega at the plain solve's c padded with p zeros, the inverse of
-    the leading (m - q) block of the plain T T*; MODEX's starts from
-    Omega = I.  Near the SNR threshold the two-step from Omega = I picks
-    worse angles than PUMA's reweighting run to the cap, and this one does
-    not (README).  ``iterations_used`` adds both solves' counts, so p > 0
-    adds 2, or 1 where the extended reweight meets a T T* past COND_LIMIT;
-    ``converged`` is the plain solve's flag, and false there too.
-
-    ``config.method`` is not read: this is ``estimate`` of the config as
-    a MODEX config, a batch of one of ``estimate_many``.
-    """
-    return estimate(cov, decomp, weight, r, replace(config, method="MODEX"))
-
-
 def _modex_solve(decomp, weight, r, config):
-    """MODEX's two solves: (pooled candidates, sorted when p > 0, c, iterations, converged)."""
+    """MODEX's two solves: (pooled candidates, sorted when p > 0, c, iterations, converged).
+
+    The degree-(r + p) solve is a two-step, from Omega = I, or over PUMA
+    from Omega at the plain c padded with p zeros; ``iterations`` adds
+    both solves' counts, and ``converged`` needs both (README, "Library").
+    """
     p = config.p_extra
     check_modex_size(decomp.m, r, p)
-    base = config.modex_base
-    step, tolerance = _SOLVERS[base]
+    step, tolerance = _SOLVERS[config.solver]
     c, iters, converged, _ = _reweighted_solve(decomp, weight, r, step, tolerance)
     candidates = _roots(c)
     if p > 0:
-        start = np.concatenate([c, np.zeros(p)]) if base == "PUMA" else None
+        start = np.concatenate([c, np.zeros(p)]) if config.solver == "PUMA" else None
         c, extra_iters, extra_conv, _ = _reweighted_solve(
             decomp, weight, r + p, step, np.inf, start=start
         )
@@ -795,11 +780,11 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
     for i, config in enumerate(configs):
         t0 = clock()
         try:
-            if config.method == "MODEX":
+            if config.p_extra is None:
+                outcomes[i] = _coef_estimate(decomp, weight, r, config.solver)
+            else:
                 solved = _modex_solve(decomp, weight, r, config)
                 pooled.setdefault(len(solved[0]), []).append((i, solved))
-            else:
-                outcomes[i] = _coef_estimate(decomp, weight, r, config.method)
         except _TYPED_ERRORS as exc:
             outcomes[i] = exc
         seconds[i] = clock() - t0
@@ -820,7 +805,7 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
 
 
 def estimate(cov, decomp, weight, r, config):
-    """Dispatch on config.method (MODEX additionally needs the covariance): a batch of one."""
+    """Run one config, raising its typed error: a batch of one of ``estimate_many``."""
     (outcome,) = estimate_many(cov, decomp, weight, r, (config,))
     if isinstance(outcome, Exception):
         raise outcome

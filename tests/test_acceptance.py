@@ -154,8 +154,8 @@ def test_5_exact_recovery(m, angles):
     results = {
         "MODE": mp.mode_two_step(decomp, weight, r),
         "PUMA": mp.puma_iterative(decomp, weight, r),
-        "MODEX": mp.modex(
-            cov, decomp, weight, r, mp.EstimatorConfig(method="MODEX", p_extra=2)
+        "MODEX": mp.estimate(
+            cov, decomp, weight, r, mp.EstimatorConfig("MODE", 2)
         ),
     }
     worst_angle = max(
@@ -196,7 +196,7 @@ def test_6_statistical_consistency():
 
 
 def test_7_modex_threshold_behavior():
-    cfg = mp.EstimatorConfig(method="MODEX", p_extra=2)
+    cfg = mp.EstimatorConfig("MODE", 2)
     succ_mode = 0
     succ_modex = 0
     for trial in range(500):
@@ -206,7 +206,7 @@ def test_7_modex_threshold_behavior():
         e, _ = mp.match_angles(mp.mode_two_step(decomp, weight, 2).angles, TRUTH)
         succ_mode += bool(np.all(np.abs(e) <= 0.1))
         try:
-            e, _ = mp.match_angles(mp.modex(cov, decomp, weight, 2, cfg).angles, TRUTH)
+            e, _ = mp.match_angles(mp.estimate(cov, decomp, weight, 2, cfg).angles, TRUTH)
             succ_modex += bool(np.all(np.abs(e) <= 0.1))
         except (mp.SingularityError, mp.NumericalError):
             pass

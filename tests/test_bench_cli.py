@@ -76,12 +76,12 @@ class TestSweepConfig:
             parse_sweep_config(path)
 
     def test_method_tokens(self):
-        assert parse_method_token("mode").method == "MODE"
-        assert parse_method_token("puma").method == "PUMA"
+        assert parse_method_token("mode").solver == "MODE"
+        assert parse_method_token("puma").solver == "PUMA"
         cfg = parse_method_token("modex:2")
-        assert cfg.method == "MODEX" and cfg.p_extra == 2 and cfg.modex_base == "MODE"
+        assert cfg.solver == "MODE" and cfg.p_extra == 2
         cfg = parse_method_token("epuma:1")
-        assert cfg.modex_base == "PUMA"
+        assert cfg.solver == "PUMA" and cfg.p_extra == 1
         with pytest.raises(ValidationError):
             parse_method_token("music")
 
@@ -875,9 +875,13 @@ class TestEstimateCommand:
         [
             (("--r", "1", "--method", "nope"), "unknown method 'nope'"),
             (("--r", "1", "--p-extra", "2"), "--p-extra requires"),
+            (("--r", "1", "--method", "modex:3"), "give MODEX's p by --p-extra"),
+            (("--r", "1", "--method", "modex:3", "--p-extra", "2"), "give MODEX's p by --p-extra"),
+            (("--r", "1", "--method", "EPUMA:2"), "give MODEX's p by --p-extra"),
+            (("--r", "1", "--method", "mode:0"), "give MODEX's p by --p-extra"),
             (("--r", "0"), "need 0 < r < m, got r=0"),
         ],
-        ids=["method", "p-extra", "r"],
+        ids=["method", "p-extra", "tagged-p", "tagged-p-and-p-extra", "tagged-epuma", "tagged-mode", "r"],
     )
     def test_bad_arguments_exit_before_the_file_is_read(self, tmp_path, monkeypatch, capsys,
                                                         args, message):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modepuma import (
@@ -18,9 +18,9 @@ from modepuma import (
     Scenario,
     SubspaceDecomposition,
     ValidationError,
+    estimate,
     match_angles,
     mode_two_step,
-    modex,
     puma_iterative,
     quadratic_form_matrix,
     sample_covariance,
@@ -385,8 +385,8 @@ class TestReweightedLoop:
         monkeypatch.setattr(estimators, "_hankel_slices", counted)
         for base in ("MODE", "PUMA"):
             solves.clear()
-            cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base=base)
-            res = modex(cov, decomp, weight, 2, cfg)
+            cfg = EstimatorConfig(base, 2)
+            res = estimate(cov, decomp, weight, 2, cfg)
             assert solves == [2, 4], base
             assert res.iterations_used == 2 and not res.converged
         # PUMA's returned c then fails the same guard in v_mode.
@@ -497,14 +497,14 @@ class TestModex:
     def test_p_zero_reduces_to_base(self):
         cov, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
         base = mode_two_step(decomp, weight, 2)
-        res = modex(cov, decomp, weight, 2, EstimatorConfig(method="MODEX", p_extra=0))
+        res = estimate(cov, decomp, weight, 2, EstimatorConfig("MODE", 0))
         assert np.allclose(res.angles, base.angles, atol=1e-10)
         assert len(res.candidate_log) == 1
 
     def test_noiseless_recovery_with_extras(self):
         truth = [-0.9, 0.3]
         cov, decomp, weight = noiseless_decomp(8, truth)
-        res = modex(cov, decomp, weight, 2, EstimatorConfig(method="MODEX", p_extra=2))
+        res = estimate(cov, decomp, weight, 2, EstimatorConfig("MODE", 2))
         candidates = np.sort(
             np.unique(np.concatenate([list(s) for s, _ in res.candidate_log]))
         )
@@ -525,15 +525,15 @@ class TestModex:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base="PUMA")
-        res = modex(cov, decomp, weight, 2, cfg)
+        cfg = EstimatorConfig("PUMA", 2)
+        res = estimate(cov, decomp, weight, 2, cfg)
         monkeypatch.undo()
         assert calls and set(calls) == {(4, 4)}
         assert np.max(np.abs(res.angles - truth)) <= 1e-6
 
     def test_exhaustive_subset_log(self):
         cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=4)
-        res = modex(cov, decomp, weight, 2, EstimatorConfig(method="MODEX", p_extra=2))
+        res = estimate(cov, decomp, weight, 2, EstimatorConfig("MODE", 2))
         from math import comb
 
         # pooled candidates: 2 from the plain fit, 4 from the extended fit
@@ -543,7 +543,7 @@ class TestModex:
     @pytest.mark.parametrize("base", ["MODE", "PUMA"])
     def test_candidate_log_is_built_on_first_read(self, base):
         cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=4)
-        cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base=base)
+        cfg = EstimatorConfig(base, 2)
         res = estimators.estimate(cov, decomp, weight, 2, cfg)
         assert "candidate_log" not in vars(res)
         step, tolerance = estimators._SOLVERS[base]
@@ -581,30 +581,30 @@ class TestModex:
     def test_p_bound_enforced(self):
         cov, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
         with pytest.raises(ValidationError):
-            modex(cov, decomp, weight, 2, EstimatorConfig(method="MODEX", p_extra=4))
+            estimate(cov, decomp, weight, 2, EstimatorConfig("MODE", 4))
 
     @pytest.mark.parametrize("base", ["MODE", "PUMA"])
     def test_subset_count_capped(self, base):
         # r = 8, p = 4 pools 20 candidates: C(20, 8) = 125970 subsets.
         cov, decomp, weight = noisy_pipeline(13, 8, np.linspace(-2.5, 2.5, 8), 10.0, 40, seed=1)
-        cfg = EstimatorConfig(method="MODEX", p_extra=4, modex_base=base)
+        cfg = EstimatorConfig(base, 4)
         with pytest.raises(ValidationError, match="125970 .* 100000"):
-            modex(cov, decomp, weight, 8, cfg)
+            estimate(cov, decomp, weight, 8, cfg)
 
     def test_enhanced_variant_noiseless(self):
         truth = [-0.9, 0.3]
         cov, decomp, weight = noiseless_decomp(8, truth)
-        cfg = EstimatorConfig(method="MODEX", p_extra=2, modex_base="PUMA")
-        res = modex(cov, decomp, weight, 2, cfg)
+        cfg = EstimatorConfig("PUMA", 2)
+        res = estimate(cov, decomp, weight, 2, cfg)
         assert np.max(np.abs(res.angles - truth)) <= 1e-6
 
     def test_enhanced_without_extras_is_puma(self):
         # With p = 0 Enhanced PUMA is PUMA: one reweighted solve at degree r
         # under the same stopping rule, returning the same best iterate.
-        cfg = EstimatorConfig(method="MODEX", p_extra=0, modex_base="PUMA")
+        cfg = EstimatorConfig("PUMA", 0)
         for seed in range(20):
             cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=seed)
-            res = modex(cov, decomp, weight, 2, cfg)
+            res = estimate(cov, decomp, weight, 2, cfg)
             ref = puma_iterative(decomp, weight, 2)
             assert np.array_equal(res.angles, ref.angles), seed
             assert res.converged == ref.converged, seed
@@ -699,7 +699,7 @@ class TestExtendedTwoStep:
         # per trial, the ML pick over the plain roots and the extended roots
         # of each rule, error against the truth, ties dropped.
         r = len(truth)
-        cfg = EstimatorConfig(method="MODEX", p_extra=p, modex_base="PUMA")
+        cfg = EstimatorConfig("PUMA", p)
         wins = losses = 0
         for seed in range(n_trials):
             cov, decomp, weight = noisy_pipeline(m, r, truth, 0.0, T, seed=seed)
@@ -709,17 +709,17 @@ class TestExtendedTwoStep:
             candidates = np.sort(np.concatenate([plain, extra]))
             subsets, scores = _score_subsets(candidates, cov, r)
             old = match_angles(candidates[subsets[np.argmin(scores)]], truth)[1]
-            new = match_angles(modex(cov, decomp, weight, r, cfg).angles, truth)[1]
+            new = match_angles(estimate(cov, decomp, weight, r, cfg).angles, truth)[1]
             wins += new < old
             losses += new > old
         assert _one_sided_sign_p(losses, wins) >= 0.01, (wins, losses)
 
     @pytest.mark.parametrize("snr", [0.0, 10.0])
     def test_the_extended_solve_takes_two_solves(self, snr):
-        cfg = EstimatorConfig(method="MODEX", p_extra=6, modex_base="PUMA")
+        cfg = EstimatorConfig("PUMA", 6)
         for seed in range(5):
             cov, decomp, weight = noisy_pipeline(16, 4, _WIDE_ANGLES, snr, 200, seed=seed)
-            res = modex(cov, decomp, weight, 4, cfg)
+            res = estimate(cov, decomp, weight, 4, cfg)
             plain = puma_iterative(decomp, weight, 4)
             assert res.iterations_used == plain.iterations_used + 2, seed
             assert res.converged == plain.converged, seed
@@ -768,6 +768,12 @@ _CLUSTERED_COVS = [
 class TestScoreSubsets:
     @settings(max_examples=150, deadline=None)
     @given(candidate_sets(), st.sampled_from(range(len(_CLUSTERED_COVS))))
+    # Subset (2, 3, 6) has cond(A* A) = 3.8e7: v_ml_angles is off by 1.5e-12
+    # relative there, the scorer by 4e-16.
+    @example(
+        (np.array([0.0, 0.5, 0.5000000000010001, 0.5001497090931166, 0.5001497090941167, 1.0, 2.0]), 3),
+        0,
+    )
     def test_matches_per_subset_criterion(self, drawn, which):
         candidates, r = drawn
         R = _CLUSTERED_COVS[which]
@@ -793,6 +799,10 @@ class TestScoreSubsets:
                 assert score == np.inf
                 continue
             assert np.isfinite(score)
+            if abs(score - ref) > 1e-12 * abs(ref):
+                # The float oracle's own rounding grows with cond(A* A) and
+                # can pass 1e-12; the extended-precision score does not.
+                ref = _extended_precision_scores(candidates, R, np.array([S]))[0]
             assert abs(score - ref) <= 1e-12 * abs(ref)
 
     def test_all_coincident_scores_inf(self):
@@ -809,8 +819,8 @@ class TestScoreSubsets:
 
         monkeypatch.setattr(estimators, "_score_subsets", spy)
         cov, decomp, weight = noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 0.0, 50, seed)
-        res = modex(cov, decomp, weight, 3, EstimatorConfig(method="MODEX", p_extra=3))
-        # modex is a batch of one: it scores a stack of one candidate set.
+        res = estimate(cov, decomp, weight, 3, EstimatorConfig("MODE", 3))
+        # estimate is a batch of one: it scores a stack of one candidate set.
         ((candidates,),) = seen
         combos = list(itertools.combinations(range(9), 3))
         assert len(res.candidate_log) == comb(9, 3) == len(combos)
@@ -1461,19 +1471,47 @@ class TestMatchAngles:
 
 
 class TestEstimatorConfig:
-    def test_p_extra_requires_modex(self):
-        with pytest.raises(ValidationError):
-            EstimatorConfig(method="MODE", p_extra=1)
+    @pytest.mark.parametrize("solver", ["MUSIC", "MODEX", "mode"])
+    @pytest.mark.parametrize("p_extra", [None, 2])
+    def test_unknown_solver(self, solver, p_extra):
+        with pytest.raises(ValidationError, match=f"no method runs solver '{solver}'"):
+            EstimatorConfig(solver, p_extra)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValidationError):
-            EstimatorConfig(method="MUSIC")
+    @pytest.mark.parametrize("solver", ["MODE", "PUMA"])
+    def test_negative_p_extra(self, solver):
+        with pytest.raises(ValidationError, match="p_extra must be >= 0"):
+            EstimatorConfig(solver, -1)
 
-    @pytest.mark.parametrize("method", ["MODE", "PUMA"])
-    def test_modex_base_requires_modex(self, method):
-        # MODE and PUMA run their own solver, so each has exactly one config.
-        with pytest.raises(ValidationError, match="modex_base is only meaningful for MODEX"):
-            EstimatorConfig(method, modex_base="PUMA")
+    def test_every_config_round_trips_through_its_label(self):
+        configs = [
+            EstimatorConfig(solver, p)
+            for solver, extended in estimators._TOKENS
+            for p in ((0, 1, 5) if extended else (None,))
+        ]
+        labels = [bench.method_label(config) for config in configs]
+        assert len(set(labels)) == len(set(configs)) == len(configs) == 8
+        for config, label in zip(configs, labels):
+            assert bench.parse_method_token(label) == config
+            assert bench.parse_method_token(label.upper()) == config
+
+    def test_modex_at_p_zero_is_not_the_plain_solve(self):
+        # ("MODE", 0) scores its one subset; ("MODE", None) scores none.
+        plain, extended = EstimatorConfig("MODE"), EstimatorConfig("MODE", 0)
+        assert plain != extended
+        assert (bench.method_label(plain), bench.method_label(extended)) == ("mode", "modex:0")
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        assert estimate(cov, decomp, weight, 2, plain).candidate_log is None
+        assert len(estimate(cov, decomp, weight, 2, extended).candidate_log) == 1
+
+    def test_a_solver_without_a_token_is_rejected(self, monkeypatch):
+        monkeypatch.setitem(estimators._SOLVERS, "IMODE", estimators._SOLVERS["MODE"])
+        for p_extra in (None, 2):
+            with pytest.raises(ValidationError, match="no method runs solver 'IMODE'"):
+                EstimatorConfig("IMODE", p_extra)
+        # A table row is all that names it.
+        monkeypatch.setitem(estimators._TOKENS, ("IMODE", False), "imode")
+        assert bench.parse_method_token("imode") == EstimatorConfig("IMODE")
+        assert bench.method_label(EstimatorConfig("IMODE")) == "imode"
 
 
 @pytest.mark.parametrize("q", range(1, 13))
@@ -1577,25 +1615,6 @@ class TestGaugeCertificate:
             for got_bits, ref_bits in ((got[0], ref[0]), (np.array(got[3]), np.array(ref[3]))):
                 assert np.array_equal(got_bits.view(np.uint64), ref_bits.view(np.uint64)), base
             assert got[1:3] == ref[1:3], base
-
-    @settings(max_examples=300, deadline=None)
-    @given(gauge_instances(), st.integers(0, 2**32 - 1))
-    def test_a_block_certified_from_a_start_is_within_the_limit(self, drawn, seed):
-        # From a first weight Omega_1: cond(S_11) <= cond(Omega_1) * cond(Q_11(Omega_1)).
-        decomp, g, q, c = drawn
-        m = decomp.m
-        rng = np.random.default_rng(seed)
-        start = np.poly(np.exp(1j * rng.uniform(-np.pi, np.pi, q)))[::-1]
-        try:
-            omega_1, bound_1 = guarded_inverse(toeplitz_annihilator(start, m), "T T*")
-            omega, bound = guarded_inverse(toeplitz_annihilator(c, m), "T T*")
-        except SingularityError:
-            return
-        first = condition_number(quadratic_form_matrix(decomp, g, omega_1, q)[1:, 1:])
-        if first * bound_1 * bound <= COND_LIMIT / 100:
-            exact = condition_number(quadratic_form_matrix(decomp, g, omega, q)[1:, 1:])
-            assert exact <= COND_LIMIT
-            assert exact <= first * bound_1 * bound * (1 + 1e-6)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

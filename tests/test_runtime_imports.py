@@ -35,8 +35,8 @@ RUN_EVERY_PATH = textwrap.dedent(
     methods = (
         EstimatorConfig("MODE"),
         EstimatorConfig("PUMA"),
-        EstimatorConfig("MODEX", p_extra=2),
-        EstimatorConfig("MODEX", p_extra=2, modex_base="PUMA"),
+        EstimatorConfig("MODE", 2),
+        EstimatorConfig("PUMA", 2),
     )
     for config in methods:
         estimate(cov, decomp, weight, 2, config)
