@@ -18,6 +18,11 @@ from .errors import DimensionError, SingularityError, ValidationError
 # Condition-number ceiling beyond which Gram matrices are treated as singular.
 COND_LIMIT = 1e12
 
+# Margin of every certified COND_LIMIT decision: a certified bound on a
+# condition number decides the rule without an eigenvalue solve only within
+# it, which absorbs the rounding of the Gram and of its eigenvalues.
+CERTIFY_LIMIT = COND_LIMIT / 100
+
 
 def hermitian_gram(X):
     """X X*, or that of each of a stack, symmetrized so that it is Hermitian to the last bit."""
@@ -54,7 +59,7 @@ def guarded_inverse(X, what):
     raises SingularityError naming ``what`` exactly where ``guarded_gram``
     does.  The Gram passes without an eigenvalue solve when
     ||G||_F ||G^-1||_F, a bound on its condition number, is within
-    COND_LIMIT / 100; only the undecided rest go through
+    CERTIFY_LIMIT; only the undecided rest go through
     ``condition_number``.  cond is that bound where it decided, else the
     condition number.  A Gram that ``inv`` cannot invert is singular too.
     """
@@ -65,7 +70,7 @@ def guarded_inverse(X, what):
         inv, cond = None, np.inf
     else:
         cond = math.sqrt(np.vdot(gram, gram).real) * math.sqrt(np.vdot(inv, inv).real)
-    if not cond <= COND_LIMIT / 100:  # NaN is undecided too
+    if not cond <= CERTIFY_LIMIT:  # NaN is undecided too
         if inv is not None:
             cond = condition_number(gram)
         if cond > COND_LIMIT:

@@ -365,9 +365,7 @@ def parse_sweep_config(path):
     if missing:
         raise ValidationError(f"{path}: missing keys: {sorted(missing)}")
 
-    def parsed(key, parse, default=None):
-        if key not in raw:
-            return default
+    def parsed(key, parse):
         try:
             return parse(raw[key])
         except ValueError as exc:  # ValidationError included

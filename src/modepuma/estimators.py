@@ -30,7 +30,7 @@ is a batch of one.
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
 The reweight, PUMA's gauge block and both subset routes decide that rule
-from a certified bound first, kept within one margin, COND_LIMIT / 100, and
+from a certified bound first, kept within one margin, CERTIFY_LIMIT, and
 solve for eigenvalues only where the bound leaves it open; the limit and
 every decision are the same.  PUMA's gauge block is bounded by cond(T T*)
 times cond(S_11), S = Q(I), checked once per loop whether it starts from
@@ -42,12 +42,14 @@ cached (``_block_plan``).
 import functools
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .array_model import (
+    CERTIFY_LIMIT,
     COND_LIMIT,
     _toeplitz,
     angles_from_coefs,
@@ -58,7 +60,7 @@ from .array_model import (
 from .criteria import v_mode
 from .errors import NumericalError, SingularityError, ValidationError
 
-# Live subsets per stacked block of ``_score_subsets``'s QR route, and W and
+# Subsets per stacked block of ``_score_subsets``'s QR route, and W and
 # N entries per block of leaves of its Gram route (r * r per leaf: 2048
 # leaves at r = 4, 512 at r = 8).  Fixed, so the stacked temporaries stay
 # small whatever the subset count.
@@ -71,12 +73,12 @@ _TREE_BLOCK = 32768
 # under 4.5e-13.
 _GRAM_BOUND = 2e3
 
-# Fewest live subsets for the Gram route.  Its fixed cost, r levels of 20
-# to 80 array operations, measured about 0.2 ms at r = 2 and 0.35 ms at
+# Fewest subsets, C(K, r), for the Gram route.  Its fixed cost, r levels of
+# 20 to 80 array operations, measured about 0.2 ms at r = 2 and 0.35 ms at
 # r = 3 on one core, and outweighs the QR work it saves on fewer.  The two
-# routes measured even near 60 live subsets at r = 2 and 90 to 120 at r = 3;
+# routes measured even near 60 subsets at r = 2 and 90 to 120 at r = 3;
 # moving the limit there would change which route scores those calls.
-_GRAM_MIN_LIVE = 32
+_GRAM_MIN_SUBSETS = 32
 
 # Most candidate subsets MODEX will score; the count grows as
 # C(2r + p, r), so a larger request is rejected before any solve.
@@ -96,9 +98,12 @@ class EstimatorConfig:
     p_extra: int | None = None
 
     def __post_init__(self):
-        if (self.solver, self.p_extra is not None) not in _TOKENS:
-            raise ValidationError(f"no method runs solver {self.solver!r} at p_extra={self.p_extra}")
-        if self.p_extra is not None and self.p_extra < 0:
+        p = self.p_extra
+        if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Integral)):
+            raise ValidationError(f"p_extra must be an integer or None, got {p!r}")
+        if (self.solver, p is not None) not in _TOKENS:
+            raise ValidationError(f"no method runs solver {self.solver!r} at p_extra={p}")
+        if p is not None and p < 0:
             raise ValidationError("p_extra must be >= 0")
 
     # Read by the benchmark's span namer (perfbench/layers.py) alone, which
@@ -217,13 +222,13 @@ def _gauge_step(Q, bound=np.inf):
 
     The tail is solved for where cond(Q[1:,1:]) is within COND_LIMIT.
     ``bound`` is a certified bound on that condition number.  Within
-    COND_LIMIT / 100 it decides, as in ``guarded_inverse`` and
+    CERTIFY_LIMIT it decides, as in ``guarded_inverse`` and
     ``_qr_scores``: the margin absorbs the rounding of the computed Q,
     Omega and eigenvalues, so every decision and every bit of c are the
     same.  Past it, ``condition_number`` reads the block.
     """
     Q11, rhs = Q[1:, 1:], -Q[1:, 0]
-    cond = bound if bound <= COND_LIMIT / 100 else condition_number(Q11)
+    cond = bound if bound <= CERTIFY_LIMIT else condition_number(Q11)
     if cond <= COND_LIMIT:
         try:
             tail = np.linalg.solve(Q11, rhs)
@@ -416,50 +421,31 @@ def _modex_pick(subsets, scores, candidates, c, iters, converged):
 def _score_subsets(candidates, cov, r):
     """ML criterion tr{ P_A_perp R } of every r-subset of the candidates, or of each set of a stack.
 
-    ``candidates`` is one set of K angles, or an (S, K) stack of sets
-    scored on the one covariance ``cov``.  Returns ``(subsets, scores)``:
-    the index rows of ``itertools.combinations(range(K), r)`` in its order
-    (the shared, read-only ``_subset_table``), and one score per row, or
-    an (S, n) array of them for a stack.  A set of a stack scores bit for
-    bit as it does alone.  A subset scores +inf when two consecutive
-    candidates differ by less than 1e-12, or when its Gram A* A fails the
-    COND_LIMIT guard of ``v_ml_angles``.  The rest score tr R -
-    tr{ (A* A)^-1 A* R A } by one of two routes, chosen per set.
+    ``candidates`` is one ascending set of K angles, or an (S, K) stack of
+    them scored on the one covariance ``cov``, with r < m.  Returns
+    ``(subsets, scores)``: the index rows of
+    ``itertools.combinations(range(K), r)`` in its order (the shared,
+    read-only ``_subset_table``), and one score per row, or an (S, n)
+    array of them for a stack.  A set of a stack scores bit for bit as it
+    does alone.  A subset scores +inf when its Gram A* A fails the
+    COND_LIMIT guard of ``v_ml_angles``; the rest score tr R -
+    tr{ (A* A)^-1 A* R A }.  The route is chosen once per call:
 
-    * Gram route (``_tree_scores``): the steering columns A are joined by
-      the divided differences d_i of each consecutive candidate pair
-      (``_divided_differences``), B = [A | D], and G = B* B, M = B* R B are
-      built once (``_gram_basis``).  A subset that holds candidates i and
-      i + 1 takes d_i in place of a_(i+1): the span, so the score, is the
-      same, but a pair of near twins is well conditioned in B.  The score
-      is tr R - tr(G_S^-1 M_S), from the Cholesky factor G_S = L L* of the
-      subset's columns of B.  Subsets that share a prefix share its
-      factor, so the rows are walked down their prefix tree and each
-      subset adds one Cholesky row to its prefix's.  Rounding costs the
-      score about eps * cond(G_S) * tr R, and cond(G_S) <= bound =
-      tr G_S * tr G_S^-1, so the score is kept only where bound * tr R <=
-      _GRAM_BOUND * score.  The +inf rule stays on the plain columns: with
-      A_S = B_S T, cond(A_S* A_S) <= bound * ||T||_F^2 * ||T^-1||_F^2, in
-      closed form at the leaves from the subset's twins, and the score is
-      kept only where that is within COND_LIMIT / 100, the margin of every
-      certified COND_LIMIT decision.  A set takes the route only when at
-      least ``_GRAM_MIN_LIVE`` of its subsets are live.
-    * QR route (``_qr_scores``): every other live subset of the set.
-      Forming G_S squares the condition number of A_S, so the
-      ill-conditioned subsets are scored from a stacked QR of their
-      steering columns, A_S = Q R_A, as tr R - tr(Q* R Q).
+    * Gram route (``_tree_scores``), where n = C(K, r) is at least
+      ``_GRAM_MIN_SUBSETS``: every set walks the subset table together,
+      in fixed blocks of contiguous rows, each block down its cached plan
+      tiled once per set (``_block_plan``), so that a block holds at most
+      ``_TREE_BLOCK`` W and N entries (r * r per subset) across its sets.
+      A score is kept where it is certified, and a subset holding a pair
+      of consecutive candidates under 1e-12 apart (zero spread in
+      ``_divided_differences``) is +inf there.
+    * QR route (``_qr_scores``): every subset of a call under the limit,
+      and each set's uncertified rows of the Gram route, ``_SUBSET_BLOCK``
+      at a time, with that set's own A and G.
 
-    A, G, the live mask (``_live_mask``) and the Gram route's G_B, M_B and
-    spreads are built once for the whole stack, as (S, ...) stacks.  The
-    Gram-route sets walk the table together, in fixed blocks of
-    contiguous rows, each block down its cached plan tiled once per set
-    (``_block_plan``), so that a block holds at most ``_TREE_BLOCK`` W and
-    N entries (r * r per subset) across its sets; the walk covers the dead
-    rows too and keeps the live rows' scores.  The QR route takes each
-    set's rest of its live subsets ``_SUBSET_BLOCK`` at a time, with that
-    set's own A and G.  So the stacked temporaries stay small whatever the
-    subset count, and a Gram-route score depends neither on the block size
-    nor on which rows or sets share its block.
+    So the stacked temporaries stay small whatever the subset count, and a
+    score depends neither on the block size nor on which rows or sets
+    share its block.
     """
     R = np.asarray(cov)
     m = R.shape[0]
@@ -469,49 +455,25 @@ def _score_subsets(candidates, cov, r):
     G = hermitian_gram(A.conj().swapaxes(-1, -2))
     subsets = _subset_table(K, r)
     n = len(subsets)
-    live = _live_mask(stack, subsets)
     scores = np.full((S, n), np.inf)
     trace_r = np.real(np.trace(R))
-    on_gram = np.count_nonzero(live, axis=1) >= _GRAM_MIN_LIVE
-    gram = np.flatnonzero(on_gram)
-    # Each set's rows for the QR route: all its live rows off the Gram
-    # route, else the live rows the Gram route left uncertified.
-    rest = [[] if g else [np.flatnonzero(row)] for row, g in zip(live, on_gram)]
-    if gram.size:
-        G_B, M_B, spread2 = _gram_basis(A[gram], stack[gram], R)
-        block = max(1, _TREE_BLOCK // (r * r * gram.size))
+    # The rows each set sends down the QR route.
+    rest = np.ones((S, n), dtype=bool)
+    if n >= _GRAM_MIN_SUBSETS:
+        G_B, M_B, spread2 = _gram_basis(A, stack, R)
+        block = max(1, _TREE_BLOCK // (r * r * S))
         for start in range(0, n, block):
             stop = min(start + block, n)
-            plan = _block_plan(K, r, start, stop, gram.size)
+            plan = _block_plan(K, r, start, stop, S)
             score, certified = _tree_scores(G_B, M_B, spread2.ravel(), plan, trace_r)
-            tiles = zip(gram, score.reshape(gram.size, -1), certified.reshape(gram.size, -1))
-            for s, score_s, certified_s in tiles:
-                alive = live[s, start:stop]
-                kept = alive & certified_s
-                scores[s, start:stop][kept] = score_s[kept]
-                rest[s].append(start + np.flatnonzero(alive & ~certified_s))
-    for s, parts in enumerate(rest):
-        rows_s = np.concatenate(parts)
+            scores[:, start:stop] = score.reshape(S, -1)
+            rest[:, start:stop] = ~certified.reshape(S, -1)
+    for s in range(S):
+        rows_s = np.flatnonzero(rest[s])
         for start in range(0, rows_s.size, _SUBSET_BLOCK):
             rows = rows_s[start : start + _SUBSET_BLOCK]
             scores[s, rows] = _qr_scores(A[s], G[s], R, subsets[rows], trace_r)
     return subsets, (scores if np.ndim(candidates) > 1 else scores[0])
-
-
-def _live_mask(stack, subsets):
-    """(S, n) mask of the subsets of each set whose consecutive candidates are >= 1e-12 apart.
-
-    A set whose own consecutive gaps all pass ascends, so every subset of
-    it passes too (rounding is monotone, so c_j - c_i >= c_(i+1) - c_i
-    for j > i); its row is all true without a look at the subsets.  Any
-    other set reads apart[i, j], c_j - c_i >= 1e-12, off a K x K table
-    instead of n x r float copies.
-    """
-    live = np.ones((len(stack), len(subsets)), dtype=bool)
-    for s in np.flatnonzero(~np.all(np.diff(stack, axis=1) >= 1e-12, axis=1)):
-        apart = stack[s, None, :] - stack[s, :, None] >= 1e-12
-        live[s] = np.all(apart[subsets[:, :-1], subsets[:, 1:]], axis=1)
-    return live
 
 
 @functools.lru_cache(maxsize=4)
@@ -599,16 +561,18 @@ def _divided_differences(candidates, m):
     formed without cancellation as exp(jk (c_i + c_(i+1)) / 2) * 2j
     sin(k delta / 2) / delta and scaled to the columns' norm sqrt(m).  So
     a_(i+1) = a_i + s_i d_i with s_i = ||a_(i+1) - a_i|| / sqrt(m), the
-    spread, and s_i^2 is returned.  Pairs closer than 1e-12 are never
-    scored; their column is formed at delta = 1 so that it stays finite.
-    An (S, K) stack of candidate sets gives (S, m, K - 1) and (S, K - 1).
+    spread, and s_i^2 is returned.  A pair under 1e-12 apart has spread 0,
+    and its column is formed at delta = 1 so that it stays finite.  An
+    (S, K) stack of candidate sets gives (S, m, K - 1) and (S, K - 1).
     """
     k = np.arange(m)[:, None]
     gap = np.diff(candidates)[..., None, :]
-    half = np.sin(k * np.where(gap >= 1e-12, gap, 1.0) / 2)
+    apart = gap >= 1e-12
+    half = np.sin(k * np.where(apart, gap, 1.0) / 2)
     half2 = np.sum(half**2, axis=-2)
     mid = np.exp(0.5j * k * (candidates[..., None, :-1] + candidates[..., None, 1:]))
-    return 1j * mid * (half * np.sqrt(m / half2)[..., None, :]), 4 * half2 / m
+    spread2 = np.where(apart[..., 0, :], 4 * half2 / m, 0.0)
+    return 1j * mid * (half * np.sqrt(m / half2)[..., None, :]), spread2
 
 
 def _gram_basis(A, candidates, R):
@@ -632,12 +596,13 @@ def _tree_scores(G_B, M_B, spread2, plan, trace_r):
     state, by one Cholesky row of its new column of B (``_extend``).  A
     prefix's bits do not depend on which rows share the call: every entry
     is an elementwise array operation, summed in a fixed order.  A leaf's
-    score is tr R - fit, certified as in ``_score_subsets`` with bound =
-    tr G_S * ||W||_F^2 and bound * ||T||_F^2 ||T^-1||_F^2 within
-    COND_LIMIT / 100.  A_S = B_S T depends only on the leaf's twins, so T's
-    factors are formed at the leaves, position by position: ||T||_F^2 - r
-    adds the running sum of s^2 at each twin, and ||T^-1||_F^2 adds 2 / s^2
-    per twin and 1 per steering column.
+    score is tr R - fit, certified where bound = tr G_S * ||W||_F^2 has
+    bound * tr R within _GRAM_BOUND * score, and bound * ||T||_F^2
+    ||T^-1||_F^2, a bound on cond(A_S* A_S) with A_S = B_S T, within
+    CERTIFY_LIMIT.  T's factors are formed at the leaves from its twins:
+    ||T||_F^2 - r adds the running sum of s^2 at each twin, and
+    ||T^-1||_F^2 adds 2 / s^2 per twin and 1 per steering column.  A twin
+    of spread 0 makes that +inf: the leaf scores +inf, certified.
     """
     pair, twin, levels = plan
     r = len(levels)
@@ -655,10 +620,12 @@ def _tree_scores(G_B, M_B, spread2, plan, trace_r):
             inv_frob2 = inv_frob2 + np.where(t, 2 / s2, 1.0)
         bound = trace_g * inv_trace
         score = trace_r - fit
-        certified = (bound * trace_r <= _GRAM_BOUND * score) & (
-            bound * (frob2 + r) * inv_frob2 <= COND_LIMIT / 100
+        dead = np.isinf(inv_frob2)
+        certified = dead | (
+            (bound * trace_r <= _GRAM_BOUND * score)
+            & (bound * (frob2 + r) * inv_frob2 <= CERTIFY_LIMIT)
         )
-    return score, certified
+    return np.where(dead, np.inf, score), certified
 
 
 def _extend(state, parent, b, m, internal):
@@ -737,7 +704,7 @@ def _qr_scores(A, G, R, idx, trace_r):
 
     The COND_LIMIT guard is read off the QR first: with A_S = Q R_A,
     cond(A* A) <= ||R_A||_F^(2r) / prod |R_A,kk|^2, so a subset whose bound
-    is within COND_LIMIT / 100 passes.  Only the undecided rest go through
+    is within CERTIFY_LIMIT passes.  Only the undecided rest go through
     ``condition_number`` of their Gram, gathered from G.
     """
     scores = np.full(len(idx), np.inf)
@@ -746,7 +713,7 @@ def _qr_scores(A, G, R, idx, trace_r):
     diag2 = np.abs(np.diagonal(R_A, axis1=1, axis2=2)) ** 2
     with np.errstate(divide="ignore", over="ignore"):
         bound = np.prod(frob2[:, None] / diag2, axis=1)
-    ok = bound <= COND_LIMIT / 100
+    ok = bound <= CERTIFY_LIMIT
     if not np.all(ok):
         gram = G[idx[~ok, :, None], idx[~ok, None, :]]
         ok[~ok] = condition_number(gram) <= COND_LIMIT

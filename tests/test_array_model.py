@@ -267,6 +267,7 @@ class TestGuardedInverse:
     def test_raises_exactly_where_guarded_gram_raises(self, monkeypatch, limit):
         if limit is not None:
             monkeypatch.setattr(array_model, "COND_LIMIT", limit)
+            monkeypatch.setattr(array_model, "CERTIFY_LIMIT", limit / 100)
         cond_limit = array_model.COND_LIMIT
         undecided = []
         condition_number = array_model.condition_number

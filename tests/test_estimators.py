@@ -375,6 +375,7 @@ class TestReweightedLoop:
             for c in [step(quadratic_form_matrix(decomp, weight, np.eye(6 - q), q))]
         )
         monkeypatch.setattr(array_model, "COND_LIMIT", first / 2)
+        monkeypatch.setattr(array_model, "CERTIFY_LIMIT", first / 200)
         solves = []
         hankel_slices = estimators._hankel_slices
 
@@ -914,11 +915,11 @@ def _all_qr_score_subsets(candidates, cov, r):
     return subsets, scores
 
 
-def _score_subsets_and_route(candidates, cov, r, min_live=1):
+def _score_subsets_and_route(candidates, cov, r, min_subsets=1):
     """``_score_subsets`` and a mask of the subsets it sent down the QR route.
 
-    ``min_live`` stands in for ``_GRAM_MIN_LIVE``; the default 1 sends even
-    the small candidate sets drawn here through the Gram route.
+    ``min_subsets`` stands in for ``_GRAM_MIN_SUBSETS``; the default 1 sends
+    even the small candidate sets drawn here through the Gram route.
     """
     routed = set()
     qr_scores = estimators._qr_scores
@@ -928,7 +929,7 @@ def _score_subsets_and_route(candidates, cov, r, min_live=1):
         return qr_scores(A, G, R, idx, trace_r)
 
     with mock.patch.object(estimators, "_qr_scores", spy), mock.patch.object(
-        estimators, "_GRAM_MIN_LIVE", min_live
+        estimators, "_GRAM_MIN_SUBSETS", min_subsets
     ):
         subsets, scores = _score_subsets(candidates, cov, r)
     return subsets, scores, np.array([tuple(S) in routed for S in subsets.tolist()], dtype=bool)
@@ -999,9 +1000,9 @@ class TestGramRoute:
         # The paper geometry: 6 candidates, r = 2, 15 subsets.
         candidates = np.array([-0.41, -0.4, 0.69, 0.7, 1.9, 2.8])
         cov = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)[0]
-        assert estimators._GRAM_MIN_LIVE > 15
+        assert estimators._GRAM_MIN_SUBSETS > 15
         subsets, scores, qr = _score_subsets_and_route(
-            candidates, cov, 2, min_live=estimators._GRAM_MIN_LIVE
+            candidates, cov, 2, min_subsets=estimators._GRAM_MIN_SUBSETS
         )
         assert np.all(qr)
         assert np.array_equal(scores, _all_qr_score_subsets(candidates, cov, 2)[1])
@@ -1082,10 +1083,10 @@ class TestDividedDifferenceRoute:
         cov = noisy_pipeline(m, 3, base, 10.0, 100, seed=0)[0]
         candidates = _twin_candidates(base + [2.4], gap)
         subsets, scores, qr = _score_subsets_and_route(
-            candidates, cov, 3, min_live=estimators._GRAM_MIN_LIVE
+            candidates, cov, 3, min_subsets=estimators._GRAM_MIN_SUBSETS
         )
         gram = ~qr
-        assert np.sum(gram) >= estimators._GRAM_MIN_LIVE
+        assert np.sum(gram) >= estimators._GRAM_MIN_SUBSETS
         reference = _extended_precision_scores(candidates, cov, subsets[gram])
         error = np.abs(scores[gram] - reference)
         trace_r = np.real(np.trace(cov))
@@ -1104,7 +1105,7 @@ class TestDividedDifferenceRoute:
             )
         )
         subsets, scores, qr = _score_subsets_and_route(
-            candidates, cov, 4, min_live=estimators._GRAM_MIN_LIVE
+            candidates, cov, 4, min_subsets=estimators._GRAM_MIN_SUBSETS
         )
         holds_twins = np.any(np.diff(candidates[subsets], axis=1) < 0.02, axis=1)
         assert len(subsets) == 1001 and np.sum(holds_twins) == 258
@@ -1197,7 +1198,7 @@ class TestPrefixTree:
                 _assert_same_bits(routed, _score_subsets_and_route(candidates, cov, 4))
 
 
-def _score_stack_and_routes(stack, cov, r, min_live):
+def _score_stack_and_routes(stack, cov, r, min_subsets):
     """``_score_subsets`` of ``stack`` (one set or a stack), and the QR-route rows of each set.
 
     The routes are keyed by the bytes of the steering matrix each QR call
@@ -1211,21 +1212,21 @@ def _score_stack_and_routes(stack, cov, r, min_live):
         return qr_scores(A, G, R, idx, trace_r)
 
     with mock.patch.object(estimators, "_qr_scores", spy), mock.patch.object(
-        estimators, "_GRAM_MIN_LIVE", min_live
+        estimators, "_GRAM_MIN_SUBSETS", min_subsets
     ):
         subsets, scores = _score_subsets(stack, cov, r)
     return subsets, scores, routed
 
 
-def _assert_stack_scores_as_alone(stack, cov, r, min_live=None):
+def _assert_stack_scores_as_alone(stack, cov, r, min_subsets=None):
     """Each set of ``stack`` scores bit for bit, and down the same routes, as alone."""
-    if min_live is None:
-        min_live = estimators._GRAM_MIN_LIVE
-    subsets, scores, routed = _score_stack_and_routes(stack, cov, r, min_live)
+    if min_subsets is None:
+        min_subsets = estimators._GRAM_MIN_SUBSETS
+    subsets, scores, routed = _score_stack_and_routes(stack, cov, r, min_subsets)
     assert scores.shape == (len(stack), len(subsets))
     alone_routes = {}
     for candidates, row in zip(stack, scores):
-        alone_subsets, alone, route = _score_stack_and_routes(candidates, cov, r, min_live)
+        alone_subsets, alone, route = _score_stack_and_routes(candidates, cov, r, min_subsets)
         assert alone_subsets is subsets
         assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
         alone_routes.update(route)
@@ -1255,15 +1256,15 @@ def candidate_stacks(draw):
 
 
 class TestStackedScoring:
-    # A stack of candidate sets on one covariance shares A, G, the live
-    # mask, the Gram basis and one walk of the prefix tree, and must score
-    # each set bit for bit as alone, down the same routes.
+    # A stack of candidate sets on one covariance shares A, G, the Gram
+    # basis and one walk of the prefix tree, and must score each set bit
+    # for bit as alone, down the same routes.
 
     @settings(max_examples=150, deadline=None)
     @given(candidate_stacks(), st.sampled_from([1, None]))
-    def test_each_set_scores_as_alone(self, drawn, min_live):
+    def test_each_set_scores_as_alone(self, drawn, min_subsets):
         stack, cov, r = drawn
-        _assert_stack_scores_as_alone(stack, cov, r, min_live)
+        _assert_stack_scores_as_alone(stack, cov, r, min_subsets)
 
     @settings(max_examples=40, deadline=None)
     @given(candidate_stacks(), st.integers(1, 7))
@@ -1272,27 +1273,35 @@ class TestStackedScoring:
         # sets: here ``leaves`` rows or fewer in all, so the blocks split.
         stack, cov, r = drawn
         with mock.patch.object(estimators, "_TREE_BLOCK", leaves * r * r):
-            _assert_stack_scores_as_alone(stack, cov, r, min_live=1)
+            _assert_stack_scores_as_alone(stack, cov, r, min_subsets=1)
 
     def test_a_stack_mixes_routes_and_dead_pairs(self):
-        # m=8, K=8, r=3 (56 subsets).  The scattered set has every subset
-        # live and takes the Gram route.  The dead set holds pairs and a
-        # triple under 1e-12 apart: 28 live subsets, under _GRAM_MIN_LIVE,
-        # so it takes the QR route whole.  The clustered set takes the Gram
-        # route and sends its cluster's subsets down the QR route.
+        # m=8, K=8, r=3: 56 subsets, at least _GRAM_MIN_SUBSETS, so all three
+        # sets walk the Gram route.  The scattered set certifies every
+        # subset.  The dead set holds pairs and a triple under 1e-12 apart
+        # (28 dead subsets): a subset with a twin pair of them scores +inf
+        # on the Gram route, and one that holds only the triple's ends, no
+        # twins, reaches the QR route's guard.  The clustered set sends its
+        # cluster's subsets down the QR route.
         cov = _CLUSTERED_COVS[0]
         scattered = np.array([-2.9, -2.0, -1.1, -0.3, 0.4, 1.2, 2.1, 2.8])
         dead = np.array([-2.0, -1.0, -1.0 + 1e-13, 0.2, 0.2 + 1e-13, 0.2 + 2e-13, 1.5, 1.5 + 1e-13])
         clustered = np.array([-2.0, -0.9, 0.1, 0.18, 0.26, 1.2, 2.0, 2.6])
         stack = np.array([scattered, dead, clustered])
         _assert_stack_scores_as_alone(stack, cov, 3)
-        subsets, scores, routed = _score_stack_and_routes(stack, cov, 3, estimators._GRAM_MIN_LIVE)
-        live = estimators._live_mask(stack, subsets)
-        assert np.count_nonzero(live, axis=1).tolist() == [56, 28, 56]
-        assert np.all(np.isinf(scores[1][~live[1]]))
+        subsets, scores, routed = _score_stack_and_routes(
+            stack, cov, 3, estimators._GRAM_MIN_SUBSETS
+        )
+        close = np.diff(dead[subsets], axis=1) < 1e-12
+        twin = close & (np.diff(subsets, axis=1) == 1)
+        dead_rows = np.any(close, axis=1)
+        twin_rows = np.any(twin, axis=1)
+        assert np.sum(dead_rows) == 28 and np.sum(dead_rows & ~twin_rows) == 5
+        assert np.all(np.isinf(scores[1][dead_rows]))
+        assert np.all(np.isfinite(scores[1][~dead_rows]))
         key = [np.exp(1j * np.outer(np.arange(8), c)).tobytes() for c in stack]
         assert key[0] not in routed
-        assert routed[key[1]] == set(map(tuple, subsets[live[1]].tolist()))
+        assert routed[key[1]] == set(map(tuple, subsets[dead_rows & ~twin_rows].tolist()))
         assert 0 < len(routed[key[2]]) < 56
 
     def test_a_set_below_the_gram_minimum_takes_the_qr_route_whole(self):
@@ -1302,7 +1311,7 @@ class TestStackedScoring:
         candidates = np.array([-0.41, -0.4, 0.69, 0.7, 1.9, 2.8])
         stack = np.array([candidates, candidates + 0.05])
         _assert_stack_scores_as_alone(stack, cov, 2)
-        subsets, _, routed = _score_stack_and_routes(stack, cov, 2, estimators._GRAM_MIN_LIVE)
+        subsets, _, routed = _score_stack_and_routes(stack, cov, 2, estimators._GRAM_MIN_SUBSETS)
         assert len(routed) == 2
         assert all(rows == set(map(tuple, subsets.tolist())) for rows in routed.values())
 
@@ -1332,22 +1341,52 @@ class TestStackedScoring:
             stack = np.sort(rng.uniform(-3.0, 3.0, (3, K)), axis=1)
             _assert_stack_scores_as_alone(stack, cov, 3)
 
-    def test_the_live_mask_matches_the_gap_table(self):
-        # The all-gaps-pass shortcut gives the same mask as the K x K gap
-        # table, which every set past it still reads.
-        rng = np.random.default_rng(3)
-        stack = np.sort(rng.uniform(-3.0, 3.0, (4, 9)), axis=1)
-        stack[1, 4] = stack[1, 3] + 1e-13
-        stack[2, 6] = stack[2, 5]
-        stack[3] = stack[3][::-1]
-        subsets = _subset_table(9, 3)
-        apart = stack[:, None, :] - stack[:, :, None] >= 1e-12
-        table = np.array(
-            [np.all(gaps[subsets[:, :-1], subsets[:, 1:]], axis=1) for gaps in apart]
-        )
-        live = estimators._live_mask(stack, subsets)
-        assert np.array_equal(live, table)
-        assert live[0].all() and not live[1:].all(axis=1).any()
+
+@st.composite
+def near_coincident_stacks(draw):
+    """A stack of 1 to 4 sorted candidate sets of one length K, on one
+    covariance, with pairs and runs of candidates 0 to 2e-12 apart, and
+    r < m; C(K, r) falls on either side of ``_GRAM_MIN_SUBSETS``."""
+    m = draw(st.sampled_from([6, 8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
+    cov = X @ X.conj().T / (m + 2)
+    K = draw(st.integers(2, 10))
+    r = draw(st.integers(1, min(4, K, m - 1)))
+    gaps = st.sampled_from([0.0, 1e-16, 1e-13, 5e-13, 1e-12, 2e-12])
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = list(rng.uniform(-3.0, 3.0, K))
+        for k in draw(st.lists(st.integers(1, K - 1), max_size=4)):
+            base[k] = base[k - 1] + draw(gaps)
+        sets.append(np.sort(_wrap(base)))
+    return np.array(sets), cov, r
+
+
+# A coincident pair, a twin 1e-13 apart and a near twin 3e-4 apart (m=8,
+# r=3, 56 subsets on the Gram route): without the twin's zero spread, its
+# dead subsets are certified from a well-conditioned B_S and score finite.
+_NEAR_COINCIDENT = np.array([[-2.0, -0.5, -0.5, 0.1, 0.1 + 1e-13, 0.1 + 3e-4, 1.2, 2.4]])
+
+
+class TestOneInfRule:
+    # Near-coincident candidates score +inf through the conditioning guard
+    # alone, or through a zero-spread twin on the Gram route: the +inf set
+    # of every set is that of the all-QR scoring, which still holds a rule
+    # of its own for pairs under 1e-12 apart.
+    @settings(max_examples=150, deadline=None)
+    @given(near_coincident_stacks())
+    @example((_NEAR_COINCIDENT, _CLUSTERED_COVS[0], 3))
+    @example((_NEAR_COINCIDENT, _CLUSTERED_COVS[1], 3))
+    @example((_NEAR_COINCIDENT, _CLUSTERED_COVS[2], 3))
+    def test_the_inf_set_is_the_all_qr_scorings(self, drawn):
+        stack, cov, r = drawn
+        subsets, scores = _score_subsets(stack, cov, r)
+        for candidates, row in zip(stack, scores):
+            reference = _all_qr_score_subsets(candidates, cov, r)[1]
+            assert np.array_equal(np.isinf(row), np.isinf(reference))
+            close = np.any(np.diff(candidates[subsets], axis=1) < 1e-12, axis=1)
+            assert np.all(np.isinf(row[close]))
 
 
 @pytest.mark.parametrize("r, K, m", [(8, 19, 24), (4, 38, 36)])
@@ -1373,10 +1412,11 @@ def test_scoring_near_the_subset_limit_stays_small(r, K, m):
     assert peak <= 16e6
 
 
-def test_the_live_mask_copies_no_subset_sized_floats():
-    # At r=8, K=19 (75 582 subsets) the live mask is read off a K x K table
-    # of candidate gaps, not n x r float copies of the candidates.  8 MB is
-    # this scoring's measured 7.83 MB whole-call peak, rounded up; the n x r
+def test_the_scoring_copies_no_subset_sized_floats():
+    # At r=8, K=19 (75 582 subsets) the scoring keeps the n x r index table
+    # and one n-row mask of QR rows per set, and makes no n x r float copy
+    # of the candidates.  8 MB is the whole-call peak measured when a live
+    # mask was read off a K x K gap table (7.83 MB), rounded up; the n x r
     # index array alone is 4.84 MB.
     r, K, m = 8, 19, 24
     rng = np.random.default_rng(7)
@@ -1502,6 +1542,19 @@ class TestEstimatorConfig:
         cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
         assert estimate(cov, decomp, weight, 2, plain).candidate_log is None
         assert len(estimate(cov, decomp, weight, 2, extended).candidate_log) == 1
+
+    @pytest.mark.parametrize("p_extra", [2.5, 2.0, True, False, "2"])
+    def test_a_p_extra_that_is_not_an_integer(self, p_extra):
+        with pytest.raises(ValidationError, match="p_extra must be an integer or None"):
+            EstimatorConfig("PUMA", p_extra)
+
+    def test_a_numpy_integer_p_extra_is_that_integer(self):
+        config, plain = EstimatorConfig("PUMA", np.int64(2)), EstimatorConfig("PUMA", 2)
+        assert config == plain and hash(config) == hash(plain)
+        assert bench.method_label(config) == "epuma:2"
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        got, want = (estimate(cov, decomp, weight, 2, c) for c in (config, plain))
+        assert np.array_equal(got.angles, want.angles) and got.candidate_log == want.candidate_log
 
     def test_a_solver_without_a_token_is_rejected(self, monkeypatch):
         monkeypatch.setitem(estimators._SOLVERS, "IMODE", estimators._SOLVERS["MODE"])
@@ -1714,7 +1767,7 @@ def _live_rows_score_subsets(candidates, cov, r):
     scores = np.full(len(subsets), np.inf)
     trace_r = np.real(np.trace(R))
     rest = np.flatnonzero(live)
-    if rest.size >= estimators._GRAM_MIN_LIVE:
+    if rest.size >= estimators._GRAM_MIN_SUBSETS:
         G_B, M_B, spread2 = _gram_basis(A, candidates, R)
         block = max(1, estimators._TREE_BLOCK // (r * r))
         uncertified = []
@@ -1733,19 +1786,25 @@ def _live_rows_score_subsets(candidates, cov, r):
     return subsets, scores, qr
 
 
-def _assert_walks_agree(candidates, cov, r, min_live=1):
-    with mock.patch.object(estimators, "_GRAM_MIN_LIVE", min_live):
+def _assert_walks_agree(candidates, cov, r, min_subsets=1):
+    """The same subsets and score bits as the walk over live rows, and the
+    same routes on the live rows, the rows it scored: a dead row may reach
+    the QR route's guard, and scores +inf there."""
+    with mock.patch.object(estimators, "_GRAM_MIN_SUBSETS", min_subsets):
         reference = _live_rows_score_subsets(candidates, cov, r)
-    routed = _score_subsets_and_route(candidates, cov, r, min_live)
-    _assert_same_bits(routed, reference)
-    assert np.array_equal(np.isinf(routed[1]), np.isinf(reference[1]))
+    routed = _score_subsets_and_route(candidates, cov, r, min_subsets)
+    subsets, scores, qr = routed
+    live = np.all(np.diff(candidates[subsets], axis=1) >= 1e-12, axis=1)
+    assert np.array_equal(subsets, reference[0])
+    assert np.array_equal(scores.view(np.uint64), reference[1].view(np.uint64))
+    assert np.array_equal(qr[live], reference[2][live])
     return routed
 
 
 class TestTreePlan:
     # The cached plans walk every row of fixed blocks of the subset table,
-    # dead rows included; a live row's bits and route must be those of the
-    # walk over live rows alone.
+    # dead rows included; a live row's bits and route, and a dead row's
+    # +inf, must be those of the walk over live rows alone.
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(near_limit_candidates(), clustered_candidates(), twin_candidate_sets()))
     def test_matches_the_walk_over_live_rows(self, drawn):
@@ -1767,7 +1826,9 @@ class TestTreePlan:
         pairs = [0.5, 0.5, 1.5, 1.5 + 1e-3, -1.0, -1.0 + 2e-5]
         candidates = np.sort(np.concatenate([rng.uniform(-3.0, 3.0, 7), pairs]))
         assert len(_subset_table(13, 8)) == 1287 and estimators._TREE_BLOCK // 64 == 512
-        _, scores, qr = _assert_walks_agree(candidates, cov, 8, min_live=estimators._GRAM_MIN_LIVE)
+        _, scores, qr = _assert_walks_agree(
+            candidates, cov, 8, min_subsets=estimators._GRAM_MIN_SUBSETS
+        )
         gram = np.isfinite(scores) & ~qr
         assert np.any(np.isinf(scores)) and np.any(gram) and np.any(qr)
 
@@ -1781,7 +1842,7 @@ class TestTreePlan:
             plain = estimators._roots(estimators._reweighted_solve(decomp, weight, 3, *solver)[0])
             extra = estimators._roots(estimators._reweighted_solve(decomp, weight, 6, *solver)[0])
             candidates = np.sort(np.concatenate([plain, extra]))
-            _assert_walks_agree(candidates, cov, 3, min_live=estimators._GRAM_MIN_LIVE)
+            _assert_walks_agree(candidates, cov, 3, min_subsets=estimators._GRAM_MIN_SUBSETS)
 
     def test_cached_plans_are_read_only_and_equal_to_a_fresh_build(self):
         assert _block_plan.cache_info().maxsize is not None
