@@ -34,7 +34,7 @@ from .criteria import (
     v_puma,
     vec_matrix_identity_residual,
 )
-from .errors import SingularityError, ValidationError, read_text_lines
+from .errors import SingularityError, ValidationError, check_integer, read_text_lines
 from .estimators import (
     _TOKENS,
     _TYPED_ERRORS,
@@ -46,6 +46,7 @@ from .estimators import (
 from .sample_stats import (
     Scenario,
     SubspaceDecomposition,
+    check_draw_size,
     sample_covariance,
     signal_weight,
     simulate_snapshots,
@@ -81,13 +82,15 @@ class SweepSpec:
     def __post_init__(self):
         if not self.snr_db_list or not self.snapshots_list or not self.methods:
             raise ValidationError("sweep lists must be non-empty")
+        check_integer("n_trials", self.n_trials)
+        check_integer("base_seed", self.base_seed)
         if self.n_trials < 1:
             raise ValidationError("need n_trials >= 1")
         if self.base_seed < 0:
             raise ValidationError(f"need base_seed >= 0, got {self.base_seed}")
         for key in ("snr_db_list", "snapshots_list", "methods"):
             try:
-                _check_list(key, getattr(self, key), self.base)
+                _check_list(key, getattr(self, key), (self.base.m, self.base.r))
             except ValueError as exc:
                 raise ValidationError(f"bad {key}: {exc}") from None
 
@@ -323,24 +326,29 @@ def _finite_float(text):
     return value
 
 
-def _check_list(key, values, base=None):
+def _check_list(key, values, shape=None):
     """The non-empty sweep list ``key``'s ``values``, or a ValueError naming its first bad entry.
 
-    A repeated entry would write two sets of rows under one key, a
-    snapshot count must be at least 1, and a method must fit the scenario
-    ``base``: every trial of a MODEX size that ``check_modex_size`` rejects
-    would fail.
+    A repeated entry would write two sets of rows under one key.  A
+    snapshot count must be an integer of at least 1, and a count and a
+    method must fit the scenario's ``shape``, its (m, r): every trial of a
+    simulation that ``check_draw_size`` rejects, or of a MODEX size that
+    ``check_modex_size`` rejects, would fail.
     """
     label = method_label if key == "methods" else repr
     for k, value in enumerate(values):
         if value in values[:k]:
             raise ValueError(f"repeated entry {label(value)}")
-    if key == "snapshots_list" and min(values) < 1:
-        raise ValueError(f"need at least one snapshot, got {min(values)}")
+    if key == "snapshots_list":
+        for T in values:
+            check_integer("a snapshot count", T)
+        if min(values) < 1:
+            raise ValueError(f"need at least one snapshot, got {min(values)}")
+        check_draw_size(*shape, max(values))
     if key == "methods":
         for config in values:
             if config.p_extra is not None:
-                check_modex_size(base.m, base.r, config.p_extra)
+                check_modex_size(*shape, config.p_extra)
     return values
 
 
@@ -373,6 +381,7 @@ def parse_sweep_config(path):
 
     floats = lambda s: tuple(_finite_float(v) for v in s.split(","))
 
+    m = parsed("m", int)
     r = parsed("r", int)
     if r < 1:
         raise ValidationError(f"{path}:{lines['r']}: need r >= 1, got {r}")
@@ -387,11 +396,11 @@ def parse_sweep_config(path):
         P = np.diag(np.asarray(diag, dtype=complex))
     snapshots_list = parsed(
         "snapshots_list",
-        lambda s: _check_list("snapshots_list", tuple(int(v) for v in s.split(","))),
+        lambda s: _check_list("snapshots_list", tuple(int(v) for v in s.split(",")), (m, r)),
     )
     # run_sweep sets each trial's noise power, snapshot count and seed: placeholders.
     base = Scenario(
-        m=parsed("m", int),
+        m=m,
         r=r,
         angles=parsed("angles", lambda s: as_angles(floats(s))),
         source_cov=P,
@@ -406,7 +415,7 @@ def parse_sweep_config(path):
         snapshots_list=snapshots_list,
         methods=parsed(
             "methods",
-            lambda s: _check_list("methods", tuple(map(parse_method_token, s.split(","))), base),
+            lambda s: _check_list("methods", tuple(map(parse_method_token, s.split(","))), (m, r)),
         ),
         n_trials=parsed("n_trials", int),
         base_seed=parsed("base_seed", int),

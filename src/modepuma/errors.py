@@ -1,5 +1,8 @@
-"""Exception hierarchy shared across the toolkit, and the text-file reader
-that turns undecodable input into one of its errors."""
+"""Exception hierarchy shared across the toolkit, the integer check of its
+input types, and the text-file reader that turns undecodable input into
+one of its errors."""
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -16,6 +19,16 @@ class SingularityError(ArithmeticError):
 
 class NumericalError(ArithmeticError):
     """An iterative numerical procedure failed to produce a usable result."""
+
+
+def check_integer(name, value, kind="an integer"):
+    """A ValidationError naming *name* unless *value* is an integer.
+
+    Any ``numbers.Integral`` is one (``np.int64`` included) but a bool, so
+    a float is rejected, not truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
 
 
 def read_text_lines(path):

@@ -12,20 +12,16 @@ Omega at c.  They differ only in the constraint step and the tolerance:
 * ``puma_iterative`` — ``_gauge_step``, the linear solve under the
   c_0 = 1 gauge, run until c / c_0 stops changing.
 * MODEX, a config ``(solver, p)`` over either — Enhanced PUMA over PUMA —
-  solves at degrees r and r + p, then picks the best r of the 2r + p
-  pooled roots by the ML criterion over all subsets (``_score_subsets``:
-  subsets that share a prefix share its Cholesky factor, so each adds one
-  row to it).  The degree-r solve keeps its solver's rule.  The
-  degree-(r + p) solve is a two-step for both solvers: V_MODE is flat
-  along the p directions c_r h there, so reweighting creeps instead of
-  reaching a fixed point.  Over PUMA it starts from the weight of the
-  plain solve's c.
+  solves at degrees r and r + p (README, "Library", gives the rule), then
+  picks the best r of the 2r + p pooled roots by the ML criterion over
+  all subsets (``_score_subsets``: subsets that share a prefix share its
+  Cholesky factor, so each adds one row to it).
 
 ``estimate_many`` runs a trial's configs on one sample covariance: each
-config's solves as alone, then the MODEX candidate sets of equal length
-scored in one stacked ``_score_subsets`` call, which builds the subset
-basis once and walks the subset tree once for all of them.  ``estimate``
-is a batch of one.
+config's solves and roots in ``_solve``, as alone, then the MODEX
+candidate sets of equal length scored in one stacked ``_score_subsets``
+call, which builds the subset basis once and walks the subset tree once
+for all of them.  ``estimate`` is a batch of one.
 
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
@@ -42,7 +38,6 @@ cached (``_block_plan``).
 import functools
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -58,7 +53,7 @@ from .array_model import (
     hermitian_gram,
 )
 from .criteria import v_mode
-from .errors import NumericalError, SingularityError, ValidationError
+from .errors import NumericalError, SingularityError, ValidationError, check_integer
 
 # Subsets per stacked block of ``_score_subsets``'s QR route, and W and
 # N entries per block of leaves of its Gram route (r * r per leaf: 2048
@@ -99,8 +94,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         p = self.p_extra
-        if p is not None and (isinstance(p, bool) or not isinstance(p, numbers.Integral)):
-            raise ValidationError(f"p_extra must be an integer or None, got {p!r}")
+        if p is not None:
+            check_integer("p_extra", p, "an integer or None")
         if (self.solver, p is not None) not in _TOKENS:
             raise ValidationError(f"no method runs solver {self.solver!r} at p_extra={p}")
         if p is not None and p < 0:
@@ -199,12 +194,10 @@ def _conjugate_symmetric_basis(n):
 def _omega_from_coefs(c, m):
     """(T T*)^-1 at c and a bound on its condition number, through ``guarded_inverse``.
 
-    A T T* past COND_LIMIT is a SingularityError.  c is a step's solution,
-    complex and of degree q < m, so only c_0 != 0 is checked before T is
-    written.
+    A T T* past COND_LIMIT is a SingularityError.  c is complex, of degree
+    q < m and with c_0 != 0: a step's solution, which ``_reweighted_solve``
+    checks, or a start padded from one.  So T is written unchecked.
     """
-    if c[0] == 0:
-        raise ValidationError("leading coefficient c_0 must be nonzero")
     return guarded_inverse(_toeplitz(c, m), "T T*")
 
 
@@ -254,7 +247,8 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     ``_MAX_ITERATIONS`` solves the last one, both not converged.  Returns
     ``(c, iterations, converged, history)``; ``history`` holds V_MODE of
     every iterate before the last, read as c* Q c off the next solve's
-    quadratic form.  Each base's ``step`` and ``tolerance`` are in
+    quadratic form.  A step's c with c_0 = 0 is a ValidationError before
+    c / c_0 is formed.  Each base's ``step`` and ``tolerance`` are in
     ``_SOLVERS``.
 
     Every solve is ``step(Q, bound)`` with a certified bound on the
@@ -291,6 +285,8 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
             Q = _quadratic_form(Phi, PhiH, g, omega)
             history.append(float(np.real(c.conj() @ Q @ c)))
         prev, c = a, step(Q, base * omega_cond)
+        if c[0] == 0:
+            raise ValidationError("leading coefficient c_0 must be nonzero")
         a = c / c[0]
         if prev is not None and np.linalg.norm(a - prev) <= tolerance * np.linalg.norm(a):
             return c, iters, True, history
@@ -326,13 +322,11 @@ def _roots(c):
     return angles_from_coefs(ends)
 
 
-def _coef_estimate(decomp, weight, r, solver):
-    """Run ``solver``'s solve at degree r; V_MODE of c computed once."""
-    c, iterations, converged, history = _reweighted_solve(decomp, weight, r, *_SOLVERS[solver])
-    angles = _roots(c)
+def _plain_result(decomp, weight, candidates, c, iterations, converged, history):
+    """A plain config's result from ``_solve``'s tuple; V_MODE of c computed once."""
     value = v_mode(c, decomp, weight).value
     return EstimationResult(
-        angles=angles,
+        angles=candidates,
         coefs=c,
         criterion_value=value,
         iterations_used=iterations,
@@ -347,7 +341,7 @@ def mode_two_step(decomp, weight, r):
     Solves with Omega = I, then once more with Omega = (T T*)^-1 at that
     solution, and returns the second solution.
     """
-    return _coef_estimate(decomp, weight, r, "MODE")
+    return _plain_result(decomp, weight, *_solve(decomp, weight, r, EstimatorConfig("MODE")))
 
 
 def puma_iterative(decomp, weight, r):
@@ -356,7 +350,7 @@ def puma_iterative(decomp, weight, r):
     Returns the last iterate; ``criterion_history`` holds V_MODE of every
     iterate, and a stop at the iteration cap is flagged not converged.
     """
-    return _coef_estimate(decomp, weight, r, "PUMA")
+    return _plain_result(decomp, weight, *_solve(decomp, weight, r, EstimatorConfig("PUMA")))
 
 
 def _check_degree(decomp, q):
@@ -378,44 +372,31 @@ def check_modex_size(m, r, p):
         )
 
 
-def _modex_solve(decomp, weight, r, config):
-    """MODEX's two solves: (pooled candidates, sorted when p > 0, c, iterations, converged).
+def _solve(decomp, weight, r, config):
+    """A config's solves and roots: ``(candidates, c, iterations, converged, history)``.
 
-    The degree-(r + p) solve is a two-step, from Omega = I, or over PUMA
-    from Omega at the plain c padded with p zeros; ``iterations`` adds
-    both solves' counts, and ``converged`` needs both (README, "Library").
+    A plain config runs its solver's degree-r loop: ``candidates`` are the
+    roots of its c, and ``history`` is the loop's.  MODEX checks its size
+    (``check_modex_size``) first, and at p > 0 adds the degree-(r + p)
+    solve: ``candidates`` pools both solves' roots, sorted, c is the
+    extended one, ``iterations`` adds both counts, ``converged`` needs
+    both, and ``history`` stays the degree-r loop's.
     """
-    p = config.p_extra
-    check_modex_size(decomp.m, r, p)
     step, tolerance = _SOLVERS[config.solver]
-    c, iters, converged, _ = _reweighted_solve(decomp, weight, r, step, tolerance)
+    p = config.p_extra
+    if p is not None:
+        check_modex_size(decomp.m, r, p)
+    c, iterations, converged, history = _reweighted_solve(decomp, weight, r, step, tolerance)
     candidates = _roots(c)
-    if p > 0:
+    if p:
         start = np.concatenate([c, np.zeros(p)]) if config.solver == "PUMA" else None
         c, extra_iters, extra_conv, _ = _reweighted_solve(
             decomp, weight, r + p, step, np.inf, start=start
         )
-        iters += extra_iters
+        iterations += extra_iters
         converged = converged and extra_conv
         candidates = np.sort(np.concatenate([candidates, _roots(c)]))
-    return candidates, c, iters, converged
-
-
-def _modex_pick(subsets, scores, candidates, c, iters, converged):
-    """MODEX's result from its subsets' scores: the first finite minimum."""
-    finite = np.isfinite(scores)
-    if not np.any(finite):
-        raise SingularityError("no valid candidate subset (all rank-deficient)")
-    phi = candidates[subsets]
-    best = int(np.argmin(np.where(finite, scores, np.inf)))
-    return EstimationResult(
-        angles=phi[best].copy(),
-        coefs=c,
-        criterion_value=float(scores[best]),
-        iterations_used=iters,
-        converged=converged,
-        _candidates=(phi, scores),
-    )
+    return candidates, c, iterations, converged, history
 
 
 def _score_subsets(candidates, cov, r):
@@ -743,14 +724,14 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
     clock = time.perf_counter
     outcomes = [None] * len(configs)
     seconds = [0.0] * len(configs)
-    pooled = {}  # K -> [(config index, _modex_solve's tuple), ...]
+    pooled = {}  # K -> [(config index, _solve's tuple), ...]
     for i, config in enumerate(configs):
         t0 = clock()
         try:
+            solved = _solve(decomp, weight, r, config)
             if config.p_extra is None:
-                outcomes[i] = _coef_estimate(decomp, weight, r, config.solver)
+                outcomes[i] = _plain_result(decomp, weight, *solved)
             else:
-                solved = _modex_solve(decomp, weight, r, config)
                 pooled.setdefault(len(solved[0]), []).append((i, solved))
         except _TYPED_ERRORS as exc:
             outcomes[i] = exc
@@ -759,12 +740,23 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
         t0 = clock()
         subsets, scores = _score_subsets(np.stack([solved[0] for _, solved in group]), cov, r)
         shared = clock() - t0
-        for (i, solved), row in zip(group, scores):
+        for (i, (candidates, c, iterations, converged, _)), row in zip(group, scores):
             t0 = clock()
-            try:
-                outcomes[i] = _modex_pick(subsets, row.copy(), *solved)
-            except SingularityError as exc:
-                outcomes[i] = exc
+            # The first finite minimum; a set with none fails its config.
+            finite = np.isfinite(row)
+            if np.any(finite):
+                phi = candidates[subsets]
+                best = int(np.argmin(np.where(finite, row, np.inf)))
+                outcomes[i] = EstimationResult(
+                    angles=phi[best].copy(),
+                    coefs=c,
+                    criterion_value=float(row[best]),
+                    iterations_used=iterations,
+                    converged=converged,
+                    _candidates=(phi, row.copy()),
+                )
+            else:
+                outcomes[i] = SingularityError("no valid candidate subset (all rank-deficient)")
             seconds[i] += shared + clock() - t0
     if timings is not None:
         timings.extend(seconds)

@@ -7,17 +7,37 @@ into signal subspace / noise power, and the diagonal signal weights
 g_i = (lambda_i - sigma^2)^2 / lambda_i used by the weighted subspace fit.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .array_model import as_angles, steering_matrix
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_integer
+
+# Most complex draws of one simulation, T (r + m): ``simulate_snapshots``
+# draws them as a (T, 2 (r + m)) block of floats, 256 MiB at the cap, and
+# peaks near 1 GiB.
+_MAX_DRAWS = 2**24
+
+
+def check_draw_size(m, r, n_snapshots):
+    """The simulation's size rule, shared with the sweep parser: T (r + m) <= _MAX_DRAWS."""
+    draws = n_snapshots * (r + m)
+    if draws > _MAX_DRAWS:
+        raise ValidationError(
+            f"simulating {n_snapshots} snapshots at m={m}, r={r} would draw "
+            f"T (r + m) = {draws} complex values, over the limit of {_MAX_DRAWS}"
+        )
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete description of one simulated experiment."""
+    """Complete description of one simulated experiment.
+
+    m, r, n_snapshots and seed are integers (``check_integer``), and the
+    simulation's draws fit ``check_draw_size``.
+    """
 
     m: int
     r: int
@@ -28,6 +48,8 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
+        for name in ("m", "r", "n_snapshots", "seed"):
+            check_integer(name, getattr(self, name))
         object.__setattr__(self, "angles", as_angles(self.angles))
         if self.r != self.angles.size:
             raise ValidationError("r does not match the number of angles")
@@ -48,10 +70,13 @@ class Scenario:
         if w.size and w[0] < -1e-10 * max(w[-1], 1.0):
             raise ValidationError("source covariance must be positive semidefinite")
         object.__setattr__(self, "source_cov", P)
+        if not isinstance(self.noise_power, numbers.Real):
+            raise ValidationError(f"noise power must be a real number, got {self.noise_power!r}")
         if not (np.isfinite(self.noise_power) and self.noise_power >= 0):
             raise ValidationError("noise power must be finite and >= 0")
         if self.n_snapshots < 1:
             raise ValidationError("need at least one snapshot")
+        check_draw_size(self.m, self.r, self.n_snapshots)
         if not (0 <= int(self.seed) < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
 

@@ -174,9 +174,17 @@ class TestSweepConfig:
                 (parse_method_token("modex:9"),),
                 "bad methods: p_extra must satisfy p < m - r, got p=9, m=6, r=2",
             ),
+            # Counts and seeds are integers: a float base_seed would be
+            # truncated to the rows of its integer part.
+            ("n_trials", 2.5, "n_trials must be an integer, got 2.5"),
+            ("base_seed", 1.5, "base_seed must be an integer, got 1.5"),
+            ("base_seed", "3", "base_seed must be an integer, got '3'"),
+            ("base_seed", True, "base_seed must be an integer, got True"),
+            ("snapshots_list", (50.5,), "bad snapshots_list: a snapshot count must be an integer, got 50.5"),
         ],
         ids=[
-            "repeated-snr", "repeated-snapshots", "zero-snapshots", "repeated-method", "modex-size"
+            "repeated-snr", "repeated-snapshots", "zero-snapshots", "repeated-method", "modex-size",
+            "float-trials", "float-seed", "str-seed", "bool-seed", "float-snapshots",
         ],
     )
     def test_a_spec_built_in_code_rejects_the_same_entries(self, tmp_path, key, value, message):
@@ -188,6 +196,22 @@ class TestSweepConfig:
         with pytest.raises(ValidationError) as info:
             replace(sweep, **{key: value})
         assert str(info.value) == message
+
+    def test_numpy_integer_counts_and_seeds_are_accepted(self, tmp_path):
+        sweep = replace(_sweep_from_text(tmp_path), n_trials=2, base_seed=7)
+        numpy_ints = replace(sweep, n_trials=np.int64(2), base_seed=np.int64(7))
+        assert run_sweep(numpy_ints) == run_sweep(sweep)
+
+    def test_a_snapshot_count_past_the_draw_cap_names_its_line(self, tmp_path):
+        # Nothing is allocated: the parser rejects the count before any trial.
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_TEXT.replace("m = 6", "m = 300000000"))
+        with pytest.raises(ValidationError) as info:
+            parse_sweep_config(path)
+        assert str(info.value) == (
+            f"{path}:8: bad snapshots_list value: simulating 50 snapshots at m=300000000, r=2 "
+            "would draw T (r + m) = 15000000100 complex values, over the limit of 16777216"
+        )
 
     def test_the_template_scenario_takes_the_first_snapshot_count(self, tmp_path):
         # No trial reads n_snapshots, so a count a Scenario would reject there
@@ -1002,6 +1026,28 @@ class TestBadArguments:
                        "--angles", "0.1", "--snr-db", "4000")
         assert proc.returncode == 1
         assert "SNR 4000.0 dB" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_simulate_past_the_draw_cap_exits_with_validation_code(self, tmp_path):
+        # Run under a 2 GiB address-space limit, so that a build that did
+        # allocate the draws would end in a MemoryError, not exhaust memory.
+        resource = pytest.importorskip("resource")
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        limit = 2 * 1024**3 if hard == resource.RLIM_INFINITY else min(2 * 1024**3, hard)
+        out = tmp_path / "snaps.txt"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "modepuma.cli", "simulate",
+             "--out", str(out), "--m", "300000000", "--angles=0.1", "--snapshots", "5"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: simulating 5 snapshots at m=300000000, r=1 would draw "
+            "T (r + m) = 1500000005 complex values, over the limit of 16777216\n"
+        )
         assert not out.exists()
 
     def test_help_exits_zero(self):

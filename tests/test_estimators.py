@@ -664,6 +664,21 @@ class TestEstimateMany:
         for k in (0, 1, 3):
             _assert_same_result(outcomes[k], alone[k])
 
+    def test_a_zero_leading_coefficient_fails_its_config_alone(self):
+        # At U = (1, 0, 0, 1) / sqrt(2) the extended symmetric step returns
+        # c = (0, 1, 0).  Its c_0 is checked before c / c_0 is formed, so no
+        # divide-by-zero warning escapes the call, and plain MODE returns.
+        U = np.array([[1], [0], [0], [1]], dtype=complex) / np.sqrt(2)
+        decomp = SubspaceDecomposition(u_signal=U, lambdas=np.array([2.0]), sigma2=1.0)
+        cov = np.eye(4) + 2 * U @ U.conj().T
+        configs = (EstimatorConfig("MODE"), EstimatorConfig("MODE", 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plain, extended = estimators.estimate_many(cov, decomp, [0.5], 1, configs)
+        _assert_same_result(plain, mode_two_step(decomp, [0.5], 1))
+        assert isinstance(extended, ValidationError)
+        assert str(extended) == "leading coefficient c_0 must be nonzero"
+
     def test_a_size_past_the_limit_fails_alone(self):
         # modex:7 at m=10, r=3 breaks p < m - r: a ValidationError entry.
         configs = tuple(bench.parse_method_token(t) for t in ("modex:2", "modex:7", "puma"))

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -51,11 +52,42 @@ class TestScenario:
         assert sc.source_cov[0, 0] == 1
         assert not np.shares_memory(sc.source_cov, P)
 
-    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), "1"])
     def test_rejects_noise_power_not_finite_non_negative(self, noise):
         with pytest.raises(ValidationError, match="noise power"):
             make_scenario(noise=noise)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", "3"), ("seed", True), ("m", 6.0), ("r", 1.0), ("n_snapshots", 2.5)],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # A float seed would be truncated to the same draws as its integer
+        # part, and a float count would fail later as a bare TypeError.
+        fields = dict(
+            m=6, r=1, angles=(0.5,), source_cov=np.eye(1), noise_power=1.0, n_snapshots=10, seed=1,
+        )
+        fields[field] = value
+        with pytest.raises(ValidationError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            Scenario(**fields)
+
+    def test_numpy_integers_are_integers(self):
+        sc = Scenario(
+            m=np.int64(4), r=np.int64(1), angles=[0.5], source_cov=np.eye(1),
+            noise_power=1.0, n_snapshots=np.int64(10), seed=np.uint64(2**63 + 5),
+        )
+        ref = make_scenario(m=4, T=10, seed=2**63 + 5)
+        assert np.array_equal(simulate_snapshots(sc), simulate_snapshots(ref))
+
+    def test_the_draws_are_capped(self):
+        # T (r + m) up to 2**24 is accepted; one snapshot more is rejected
+        # before anything is allocated.
+        make_scenario(m=15, T=2**20)
+        message = "would draw T (r + m) = 16777232 complex values, over the limit of 16777216"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make_scenario(m=15, T=2**20 + 1)
+        with pytest.raises(ValidationError, match="simulating 5 snapshots at m=300000000, r=1"):
+            make_scenario(m=300_000_000, T=5)
 
     @pytest.mark.parametrize("power", [1e160, 1e300])
     def test_huge_diagonal_source_cov_accepted_without_warning(self, power):
