@@ -22,8 +22,6 @@ from .estimators import (
     estimate,
     estimate_many,
     match_angles,
-    mode_two_step,
-    puma_iterative,
     quadratic_form_matrix,
 )
 from .sample_stats import (
@@ -53,10 +51,8 @@ __all__ = [
     "estimate",
     "estimate_many",
     "match_angles",
-    "mode_two_step",
     "projector_from_annihilator",
     "projector_from_steering",
-    "puma_iterative",
     "quadratic_form_matrix",
     "sample_covariance",
     "signal_weight",

@@ -13,6 +13,7 @@ per-source power over noise power.
 """
 
 import itertools
+import numbers
 import os
 import time
 from dataclasses import dataclass, replace
@@ -46,6 +47,7 @@ from .estimators import (
 from .sample_stats import (
     Scenario,
     SubspaceDecomposition,
+    check_covariance_size,
     check_draw_size,
     sample_covariance,
     signal_weight,
@@ -93,6 +95,7 @@ class SweepSpec:
                 _check_list(key, getattr(self, key), (self.base.m, self.base.r))
             except ValueError as exc:
                 raise ValidationError(f"bad {key}: {exc}") from None
+        check_covariance_size(self.base.m)
 
 
 def noise_power_for_snr(source_cov, r, snr_db):
@@ -183,11 +186,17 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
     RMSE, mean criterion value, convergence rate, and success rate.
     ``jobs > 1`` runs the tasks in a pool of at most ``jobs`` processes,
     and no more than there are chunks of 8 tasks or usable CPUs; the rows
-    are the same whatever ``jobs``.  A NaN or negative
-    ``success_threshold``, or ``jobs < 1``, is a ValidationError.
+    are the same whatever ``jobs``.  A ``success_threshold`` that is not a
+    real number, or is NaN or negative, is a ValidationError; so is a
+    ``jobs`` that is not an integer (``check_integer``) or is below 1.
     """
+    if not isinstance(success_threshold, numbers.Real):
+        raise ValidationError(
+            f"success threshold must be a real number, got {success_threshold!r}"
+        )
     if not success_threshold >= 0:
         raise ValidationError(f"success threshold must be >= 0, got {success_threshold}")
+    check_integer("jobs", jobs)
     if jobs < 1:
         raise ValidationError(f"need jobs >= 1, got {jobs}")
     base = sweep.base
@@ -398,6 +407,8 @@ def parse_sweep_config(path):
         "snapshots_list",
         lambda s: _check_list("snapshots_list", tuple(int(v) for v in s.split(",")), (m, r)),
     )
+    # After the draw cap, whose messages name the snapshots_list line.
+    parsed("m", lambda s: check_covariance_size(m))
     # run_sweep sets each trial's noise power, snapshot count and seed: placeholders.
     base = Scenario(
         m=m,
@@ -477,13 +488,17 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
     """Run all numerical property suites; returns a list of PropertyReport.
 
     Instances draw m from 3 ... max_m and r from 1 ... min(max_r, m - 1).
-    A negative ``n_instances`` or ``seed`` is a ValidationError; zero
-    instances run none.  So is a ``max_m`` / ``max_r`` at which an
-    instance's V_PUMA Kronecker weight could exceed ``_MAX_KRON_ENTRIES``
-    entries, checked before any instance.  ``fault_scale`` scales G in the
+    ``n_instances``, ``seed``, ``max_m`` and ``max_r`` are integers
+    (``check_integer``).  A negative ``n_instances`` or ``seed`` is a
+    ValidationError; zero instances run none.  So is a ``max_m`` /
+    ``max_r`` at which an instance's V_PUMA Kronecker weight could exceed
+    ``_MAX_KRON_ENTRIES`` entries, checked before any instance.  ``fault_scale`` scales G in the
     V_PUMA path alone, so a value other than 1 must fail
     ``criterion_equivalence``.
     """
+    counts = {"n_instances": n_instances, "seed": seed, "max_m": max_m, "max_r": max_r}
+    for name, value in counts.items():
+        check_integer(name, value)
     if n_instances < 0:
         raise ValidationError(f"need n_instances >= 0, got {n_instances}")
     if seed < 0:

@@ -4,13 +4,14 @@ Minimizers of the weighted subspace-fitting criterion.
 MODE and PUMA minimize the same criterion, V_MODE(c) = c* Q(Omega) c at
 Omega = (T T*)^-1, and run one reweighted loop, ``_reweighted_solve``:
 solve for c at the current Omega, stop at the fixed point, else reweight
-Omega at c.  They differ only in the constraint step and the tolerance:
+Omega at c.  They differ only in the constraint step and the tolerance,
+one ``_SOLVERS`` row each:
 
-* ``mode_two_step`` — ``_symmetric_step``, the eigenvector solve over
-  conjugate-symmetric, unit-norm c, stopped after its one reweight (the
-  classic two-step scheme).
-* ``puma_iterative`` — ``_gauge_step``, the linear solve under the
-  c_0 = 1 gauge, run until c / c_0 stops changing.
+* ``EstimatorConfig("MODE")`` — ``_symmetric_step``, the eigenvector solve
+  over conjugate-symmetric, unit-norm c, stopped after its one reweight
+  (the classic two-step scheme).
+* ``EstimatorConfig("PUMA")`` — ``_gauge_step``, the linear solve under
+  the c_0 = 1 gauge, run until c / c_0 stops changing.
 * MODEX, a config ``(solver, p)`` over either — Enhanced PUMA over PUMA —
   solves at degrees r and r + p (README, "Library", gives the rule), then
   picks the best r of the 2r + p pooled roots by the ML criterion over
@@ -191,16 +192,6 @@ def _conjugate_symmetric_basis(n):
     return J
 
 
-def _omega_from_coefs(c, m):
-    """(T T*)^-1 at c and a bound on its condition number, through ``guarded_inverse``.
-
-    A T T* past COND_LIMIT is a SingularityError.  c is complex, of degree
-    q < m and with c_0 != 0: a step's solution, which ``_reweighted_solve``
-    checks, or a start padded from one.  So T is written unchecked.
-    """
-    return guarded_inverse(_toeplitz(c, m), "T T*")
-
-
 def _symmetric_step(Q, bound=None):
     """MODE's step: the conjugate-symmetric, unit-norm c minimizing c* Q c; ``bound`` is unused."""
     J = _conjugate_symmetric_basis(Q.shape[0])
@@ -268,9 +259,10 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     Q = _quadratic_form(Phi, PhiH, g, np.eye(m - q, dtype=complex))
     base = condition_number(Q[1:, 1:]) if step is _gauge_step and np.all(g >= 0) else np.inf
     omega_cond = 1.0
+    # T is written unchecked: c is a checked step or a start padded from one.
     if start is not None:
         try:
-            omega, omega_cond = _omega_from_coefs(start, m)
+            omega, omega_cond = guarded_inverse(_toeplitz(start, m), "T T*")
         except SingularityError:
             pass
         else:
@@ -279,7 +271,7 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     for iters in range(1, _MAX_ITERATIONS + 1):
         if iters > 1:
             try:
-                omega, omega_cond = _omega_from_coefs(c, m)
+                omega, omega_cond = guarded_inverse(_toeplitz(c, m), "T T*")
             except SingularityError:
                 return c, iters - 1, False, history
             Q = _quadratic_form(Phi, PhiH, g, omega)
@@ -320,37 +312,6 @@ def _roots(c):
         if abs(ends[k]) < floor:
             ends[k] = floor
     return angles_from_coefs(ends)
-
-
-def _plain_result(decomp, weight, candidates, c, iterations, converged, history):
-    """A plain config's result from ``_solve``'s tuple; V_MODE of c computed once."""
-    value = v_mode(c, decomp, weight).value
-    return EstimationResult(
-        angles=candidates,
-        coefs=c,
-        criterion_value=value,
-        iterations_used=iterations,
-        converged=converged,
-        criterion_history=history + [value],
-    )
-
-
-def mode_two_step(decomp, weight, r):
-    """MODE: the reweighted symmetric solve, stopped after its one reweight.
-
-    Solves with Omega = I, then once more with Omega = (T T*)^-1 at that
-    solution, and returns the second solution.
-    """
-    return _plain_result(decomp, weight, *_solve(decomp, weight, r, EstimatorConfig("MODE")))
-
-
-def puma_iterative(decomp, weight, r):
-    """PUMA: the reweighted c_0 = 1 solve at degree r, run to its fixed point.
-
-    Returns the last iterate; ``criterion_history`` holds V_MODE of every
-    iterate, and a stop at the iteration cap is flagged not converged.
-    """
-    return _plain_result(decomp, weight, *_solve(decomp, weight, r, EstimatorConfig("PUMA")))
 
 
 def _check_degree(decomp, q):
@@ -399,16 +360,15 @@ def _solve(decomp, weight, r, config):
     return candidates, c, iterations, converged, history
 
 
-def _score_subsets(candidates, cov, r):
-    """ML criterion tr{ P_A_perp R } of every r-subset of the candidates, or of each set of a stack.
+def _score_subsets(stack, cov, r):
+    """ML criterion tr{ P_A_perp R } of every r-subset of each candidate set of a stack.
 
-    ``candidates`` is one ascending set of K angles, or an (S, K) stack of
-    them scored on the one covariance ``cov``, with r < m.  Returns
-    ``(subsets, scores)``: the index rows of
-    ``itertools.combinations(range(K), r)`` in its order (the shared,
-    read-only ``_subset_table``), and one score per row, or an (S, n)
-    array of them for a stack.  A set of a stack scores bit for bit as it
-    does alone.  A subset scores +inf when its Gram A* A fails the
+    ``stack`` is an (S, K) array of ascending sets of K angles, scored on
+    the one covariance ``cov``, with r < m.  Returns ``(subsets, scores)``:
+    the index rows of ``itertools.combinations(range(K), r)`` in its order
+    (the shared, read-only ``_subset_table``), and an (S, n) array of
+    scores, one per set and row.  A set scores bit for bit as it does in a
+    stack of one.  A subset scores +inf when its Gram A* A fails the
     COND_LIMIT guard of ``v_ml_angles``; the rest score tr R -
     tr{ (A* A)^-1 A* R A }.  The route is chosen once per call:
 
@@ -430,7 +390,6 @@ def _score_subsets(candidates, cov, r):
     """
     R = np.asarray(cov)
     m = R.shape[0]
-    stack = np.atleast_2d(candidates)
     S, K = stack.shape
     A = np.exp(1j * (np.arange(m)[:, None] * stack[:, None, :]))
     G = hermitian_gram(A.conj().swapaxes(-1, -2))
@@ -454,7 +413,7 @@ def _score_subsets(candidates, cov, r):
         for start in range(0, rows_s.size, _SUBSET_BLOCK):
             rows = rows_s[start : start + _SUBSET_BLOCK]
             scores[s, rows] = _qr_scores(A[s], G[s], R, subsets[rows], trace_r)
-    return subsets, (scores if np.ndim(candidates) > 1 else scores[0])
+    return subsets, scores
 
 
 @functools.lru_cache(maxsize=4)
@@ -714,7 +673,9 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
     An outcome is the config's ``EstimationResult``, or the typed error
     (``ValidationError``, ``SingularityError``, ``NumericalError``) that
     failed it, which fails that entry alone.  Each config's solves and
-    roots run as they would alone; then the MODEX configs' candidate sets
+    roots run as they would alone.  A plain config's result is its loop's
+    last c and that c's roots, and V_MODE of c, which also ends
+    ``criterion_history``.  Then the MODEX configs' candidate sets
     of equal length are scored in one stacked ``_score_subsets`` call,
     which scores each set bit for bit as alone, so every outcome is that
     of the config's own ``estimate``.  A list ``timings`` receives each
@@ -730,7 +691,16 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
         try:
             solved = _solve(decomp, weight, r, config)
             if config.p_extra is None:
-                outcomes[i] = _plain_result(decomp, weight, *solved)
+                candidates, c, iterations, converged, history = solved
+                value = v_mode(c, decomp, weight).value
+                outcomes[i] = EstimationResult(
+                    angles=candidates,
+                    coefs=c,
+                    criterion_value=value,
+                    iterations_used=iterations,
+                    converged=converged,
+                    criterion_history=history + [value],
+                )
             else:
                 pooled.setdefault(len(solved[0]), []).append((i, solved))
         except _TYPED_ERRORS as exc:
@@ -764,7 +734,11 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
 
 
 def estimate(cov, decomp, weight, r, config):
-    """Run one config, raising its typed error: a batch of one of ``estimate_many``."""
+    """Run one config, raising its typed error: a batch of one of ``estimate_many``.
+
+    Only MODEX's subset scoring reads ``cov``; MODE and PUMA fit the
+    decomposition and weight alone.
+    """
     (outcome,) = estimate_many(cov, decomp, weight, r, (config,))
     if isinstance(outcome, Exception):
         raise outcome

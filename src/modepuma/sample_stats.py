@@ -17,7 +17,8 @@ from .errors import NumericalError, ValidationError, check_integer
 
 # Most complex draws of one simulation, T (r + m): ``simulate_snapshots``
 # draws them as a (T, 2 (r + m)) block of floats, 256 MiB at the cap, and
-# peaks near 1 GiB.
+# peaks near 1 GiB.  It also caps the m^2 entries of a sample covariance
+# (m <= 4096, 256 MiB).
 _MAX_DRAWS = 2**24
 
 
@@ -28,6 +29,15 @@ def check_draw_size(m, r, n_snapshots):
         raise ValidationError(
             f"simulating {n_snapshots} snapshots at m={m}, r={r} would draw "
             f"T (r + m) = {draws} complex values, over the limit of {_MAX_DRAWS}"
+        )
+
+
+def check_covariance_size(m):
+    """The sample covariance's size rule, shared with the readers: m^2 <= _MAX_DRAWS."""
+    if m * m > _MAX_DRAWS:
+        raise ValidationError(
+            f"a sample covariance at m={m} would hold m^2 = {m * m} complex values, "
+            f"over the limit of {_MAX_DRAWS}"
         )
 
 
@@ -137,10 +147,14 @@ def simulate_snapshots(scenario):
 
 
 def sample_covariance(snapshots):
-    """(1/T) sum_t y(t) y*(t), exactly Hermitian; NumericalError past float range."""
+    """(1/T) sum_t y(t) y*(t), exactly Hermitian; NumericalError past float range.
+
+    An m past ``check_covariance_size`` is a ValidationError before anything is formed.
+    """
     Y = np.asarray(snapshots)
     if Y.ndim != 2 or Y.shape[1] < 1:
         raise ValidationError("need an m x T snapshot matrix with T >= 1")
+    check_covariance_size(Y.shape[0])
     T = Y.shape[1]
     with np.errstate(all="ignore"):
         R = (Y @ Y.conj().T) / T

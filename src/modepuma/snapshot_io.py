@@ -10,6 +10,7 @@ import re
 import numpy as np
 
 from .errors import ValidationError, read_text_lines
+from .sample_stats import check_covariance_size
 
 
 def write_snapshots(path, Y):
@@ -49,6 +50,10 @@ def read_snapshots(path):
         raise ValidationError(f"{path}:1: malformed header: {exc}") from exc
     if T < 1 or m < 1:
         raise ValidationError(f"{path}:1: need m >= 1 and T >= 1")
+    try:  # before the body is parsed
+        check_covariance_size(m)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:1: {exc}") from None
     rows = _c_rows(lines, m)  # row t = snapshot t
     if rows is None:
         rows = _token_rows(path, lines, m)

@@ -152,8 +152,8 @@ def test_5_exact_recovery(m, angles):
     decomp = mp.subspace_decomposition(cov, r)
     weight = mp.signal_weight(decomp)
     results = {
-        "MODE": mp.mode_two_step(decomp, weight, r),
-        "PUMA": mp.puma_iterative(decomp, weight, r),
+        "MODE": mp.estimate(cov, decomp, weight, r, mp.EstimatorConfig("MODE")),
+        "PUMA": mp.estimate(cov, decomp, weight, r, mp.EstimatorConfig("PUMA")),
         "MODEX": mp.estimate(
             cov, decomp, weight, r, mp.EstimatorConfig("MODE", 2)
         ),
@@ -172,14 +172,15 @@ def test_5_exact_recovery(m, angles):
 def test_6_statistical_consistency():
     t0 = time.time()
     rmse = {}
+    mode, puma = mp.EstimatorConfig("MODE"), mp.EstimatorConfig("PUMA")
     for T in (100, 400):
         se = {"mode": [], "puma": []}
         for trial in range(500):
-            _, decomp, weight = noisy_pipeline(
+            cov, decomp, weight = noisy_pipeline(
                 6, 2, TRUTH, 10.0, T, trial_seed(2026, 0, T, trial)
             )
-            _, a = mp.match_angles(mp.mode_two_step(decomp, weight, 2).angles, TRUTH)
-            _, b = mp.match_angles(mp.puma_iterative(decomp, weight, 2).angles, TRUTH)
+            _, a = mp.match_angles(mp.estimate(cov, decomp, weight, 2, mode).angles, TRUTH)
+            _, b = mp.match_angles(mp.estimate(cov, decomp, weight, 2, puma).angles, TRUTH)
             se["mode"].append(a**2)
             se["puma"].append(b**2)
         rmse[T] = {k: float(np.sqrt(np.mean(v))) for k, v in se.items()}
@@ -197,13 +198,14 @@ def test_6_statistical_consistency():
 
 def test_7_modex_threshold_behavior():
     cfg = mp.EstimatorConfig("MODE", 2)
+    mode = mp.EstimatorConfig("MODE")
     succ_mode = 0
     succ_modex = 0
     for trial in range(500):
         cov, decomp, weight = noisy_pipeline(
             6, 2, TRUTH, 0.0, 50, trial_seed(777, 0, 0, trial)
         )
-        e, _ = mp.match_angles(mp.mode_two_step(decomp, weight, 2).angles, TRUTH)
+        e, _ = mp.match_angles(mp.estimate(cov, decomp, weight, 2, mode).angles, TRUTH)
         succ_mode += bool(np.all(np.abs(e) <= 0.1))
         try:
             e, _ = mp.match_angles(mp.estimate(cov, decomp, weight, 2, cfg).angles, TRUTH)

@@ -53,6 +53,22 @@ def run_cli(*args):
     )
 
 
+def _run_cli_in_2_gib(*args):
+    """``run_cli`` on one BLAS thread under a 2 GiB address-space limit, so
+    that a build that did allocate an oversized array would end in a
+    MemoryError, not exhaust memory."""
+    resource = pytest.importorskip("resource")
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 2 * 1024**3 if hard == resource.RLIM_INFINITY else min(2 * 1024**3, hard)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "modepuma.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+    )
+
+
 class TestSweepConfig:
     def test_parse(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -181,10 +197,14 @@ class TestSweepConfig:
             ("base_seed", "3", "base_seed must be an integer, got '3'"),
             ("base_seed", True, "base_seed must be an integer, got True"),
             ("snapshots_list", (50.5,), "bad snapshots_list: a snapshot count must be an integer, got 50.5"),
+            ("snr_db_list", (), "sweep lists must be non-empty"),
+            ("snapshots_list", (), "sweep lists must be non-empty"),
+            ("methods", (), "sweep lists must be non-empty"),
         ],
         ids=[
             "repeated-snr", "repeated-snapshots", "zero-snapshots", "repeated-method", "modex-size",
             "float-trials", "float-seed", "str-seed", "bool-seed", "float-snapshots",
+            "empty-snr", "empty-snapshots", "empty-methods",
         ],
     )
     def test_a_spec_built_in_code_rejects_the_same_entries(self, tmp_path, key, value, message):
@@ -212,6 +232,35 @@ class TestSweepConfig:
             f"{path}:8: bad snapshots_list value: simulating 50 snapshots at m=300000000, r=2 "
             "would draw T (r + m) = 15000000100 complex values, over the limit of 16777216"
         )
+
+    def test_a_covariance_past_the_cap_names_the_m_line(self, tmp_path):
+        # m = 100000 is within the draw cap at T = 50 (about 5e6 draws), but
+        # its m x m sample covariance would hold 1e10 complex values.
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_TEXT.replace("m = 6", "m = 100000"))
+        with pytest.raises(ValidationError) as info:
+            parse_sweep_config(path)
+        assert str(info.value) == (
+            f"{path}:2: bad m value: a sample covariance at m=100000 would hold "
+            "m^2 = 10000000000 complex values, over the limit of 16777216"
+        )
+        sweep = _sweep_from_text(tmp_path)
+        with pytest.raises(ValidationError, match="at m=4097 would hold m"):
+            replace(sweep, base=replace(sweep.base, m=4097))
+
+    def test_a_line_without_equals_names_its_line(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_TEXT.replace("r = 2", "r 2"))
+        with pytest.raises(ValidationError) as info:
+            parse_sweep_config(path)
+        assert str(info.value) == f"{path}:3: expected 'key = value'"
+
+    def test_a_key_given_twice_names_the_second_line(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_TEXT + "m = 8\n")
+        with pytest.raises(ValidationError) as info:
+            parse_sweep_config(path)
+        assert str(info.value) == f"{path}:12: duplicate key 'm'"
 
     def test_the_template_scenario_takes_the_first_snapshot_count(self, tmp_path):
         # No trial reads n_snapshots, so a count a Scenario would reject there
@@ -314,6 +363,17 @@ class TestSnapshotIO:
         path.write_text("# m=2 T=0\n")
         with pytest.raises(ValidationError):
             read_snapshots(path)
+
+    def test_a_covariance_past_the_cap_names_the_header_before_the_body(self, tmp_path):
+        # The body is one line short; the header's m is rejected first.
+        path = tmp_path / "big.txt"
+        path.write_text("# m=4097 T=1\n")
+        with pytest.raises(ValidationError) as info:
+            read_snapshots(path)
+        assert str(info.value) == (
+            f"{path}:1: a sample covariance at m=4097 would hold m^2 = 16785409 complex "
+            "values, over the limit of 16777216"
+        )
 
 
 def reference_read_snapshots(path):
@@ -753,6 +813,21 @@ class TestMcCommand:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"jobs": 2.5}, "jobs must be an integer, got 2.5"),
+            ({"jobs": "2"}, "jobs must be an integer, got '2'"),
+            ({"jobs": True}, "jobs must be an integer, got True"),
+            ({"success_threshold": "0.1"}, "success threshold must be a real number, got '0.1'"),
+        ],
+        ids=["float-jobs", "str-jobs", "bool-jobs", "str-threshold"],
+    )
+    def test_jobs_and_threshold_types_rejected(self, tmp_path, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            run_sweep(_sweep_from_text(tmp_path), **kwargs)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
         sweep = _sweep_from_text(tmp_path)
@@ -932,11 +1007,18 @@ class TestEstimateCommand:
                 "bad.txt:4: expected 2 snapshot lines, got 3",
             ),
             (
+                "# m=4096 T=1\n1+0j\n",
+                "bad.txt:2: expected 4096 entries, got 1",
+            ),
+            (
                 "# m=10000000000000 T=1\n1+0j\n",
-                "bad.txt:2: expected 10000000000000 entries, got 1",
+                "bad.txt:1: a sample covariance at m=10000000000000 would hold",
             ),
         ],
-        ids=["header-T-above-line-count", "line-past-header-T", "header-m-above-token-count"],
+        ids=[
+            "header-T-above-line-count", "line-past-header-T", "header-m-above-token-count",
+            "header-m-past-covariance-cap",
+        ],
     )
     def test_header_counts_checked_against_file(self, tmp_path, text, message):
         bad = tmp_path / "bad.txt"
@@ -1029,19 +1111,9 @@ class TestBadArguments:
         assert not out.exists()
 
     def test_simulate_past_the_draw_cap_exits_with_validation_code(self, tmp_path):
-        # Run under a 2 GiB address-space limit, so that a build that did
-        # allocate the draws would end in a MemoryError, not exhaust memory.
-        resource = pytest.importorskip("resource")
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
-        limit = 2 * 1024**3 if hard == resource.RLIM_INFINITY else min(2 * 1024**3, hard)
         out = tmp_path / "snaps.txt"
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "modepuma.cli", "simulate",
-             "--out", str(out), "--m", "300000000", "--angles=0.1", "--snapshots", "5"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)),
+        proc = _run_cli_in_2_gib(
+            "simulate", "--out", str(out), "--m", "300000000", "--angles=0.1", "--snapshots", "5"
         )
         assert proc.returncode == 1
         assert proc.stderr == (
@@ -1049,6 +1121,37 @@ class TestBadArguments:
             "T (r + m) = 1500000005 complex values, over the limit of 16777216\n"
         )
         assert not out.exists()
+
+    def test_mc_past_the_covariance_cap_exits_with_validation_code(self, tmp_path):
+        # m = 100000 at T = 100 is within the draw cap; its sample covariance
+        # (1e10 complex values) is not.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            SWEEP_TEXT.replace("m = 6", "m = 100000")
+            .replace("r = 2", "r = 1")
+            .replace("angles = -0.4, 0.7", "angles = 0.1")
+            .replace("snapshots_list = 50", "snapshots_list = 100")
+        )
+        out = tmp_path / "out.csv"
+        proc = _run_cli_in_2_gib("mc", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {cfg}:2: bad m value: a sample covariance at m=100000 would hold "
+            "m^2 = 10000000000 complex values, over the limit of 16777216\n"
+        )
+        assert not out.exists()
+
+    def test_estimate_past_the_covariance_cap_exits_with_validation_code(self, tmp_path):
+        # A well-formed file of one snapshot at m = 100000.
+        path = tmp_path / "snaps.txt"
+        path.write_text("# m=100000 T=1\n" + " ".join(["1+0j"] * 100000) + "\n")
+        proc = _run_cli_in_2_gib("estimate", str(path), "--r", "1")
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: {path}:1: a sample covariance at m=100000 would hold "
+            "m^2 = 10000000000 complex values, over the limit of 16777216\n"
+        )
+        assert proc.stdout == ""
 
     def test_help_exits_zero(self):
         proc = run_cli("simulate", "--help")
@@ -1077,6 +1180,22 @@ class TestBadArguments:
 
 
 class TestVerifyProperties:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_instances": 2.5}, "n_instances must be an integer, got 2.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"max_m": 12.5}, "max_m must be an integer, got 12.5"),
+            ({"max_r": 2.5}, "max_r must be an integer, got 2.5"),
+        ],
+        ids=["float-instances", "float-seed", "bool-seed", "float-max-m", "float-max-r"],
+    )
+    def test_counts_and_seed_must_be_integers(self, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            verify_properties(**{"n_instances": 2, **kwargs})
+        assert str(info.value) == message
+
     def test_reports_cover_all_suites(self):
         reports = verify_properties(n_instances=25, seed=1)
         names = {r.name for r in reports}

@@ -20,8 +20,6 @@ from modepuma import (
     ValidationError,
     estimate,
     match_angles,
-    mode_two_step,
-    puma_iterative,
     quadratic_form_matrix,
     sample_covariance,
     signal_weight,
@@ -49,13 +47,15 @@ from modepuma.estimators import (
     _conjugate_symmetric_basis,
     _gauge_step,
     _gram_basis,
-    _omega_from_coefs,
     _score_subsets,
     _subset_table,
     _symmetric_step,
     _tree_plan,
     _tree_scores,
 )
+
+
+MODE, PUMA = EstimatorConfig("MODE"), EstimatorConfig("PUMA")
 
 
 def noiseless_decomp(m, angles):
@@ -78,6 +78,12 @@ def noisy_pipeline(m, r, angles, snr_db, T, seed):
     cov = sample_covariance(simulate_snapshots(sc))
     decomp = subspace_decomposition(cov, r)
     return cov, decomp, signal_weight(decomp)
+
+
+def _score_set(candidates, cov, r):
+    """``_score_subsets`` of one candidate set, a stack of one: its subsets and scores."""
+    subsets, scores = _score_subsets(candidates[None], cov, r)
+    return subsets, scores[0]
 
 
 class TestQuadraticFormMatrix:
@@ -208,21 +214,21 @@ class TestCachedTables:
 class TestModeTwoStep:
     def test_noiseless_exact_recovery(self):
         truth = [-0.4, 0.7]
-        _, decomp, weight = noiseless_decomp(6, truth)
-        res = mode_two_step(decomp, weight, 2)
+        cov, decomp, weight = noiseless_decomp(6, truth)
+        res = estimate(cov, decomp, weight, 2, MODE)
         assert np.max(np.abs(res.angles - truth)) <= 1e-6
         assert res.converged
 
     def test_unique_annihilator_single_source(self):
-        _, decomp, weight = noiseless_decomp(2, [0.0])
-        res = mode_two_step(decomp, weight, 1)
+        cov, decomp, weight = noiseless_decomp(2, [0.0])
+        res = estimate(cov, decomp, weight, 1, MODE)
         c = res.coefs / res.coefs[0]
         assert np.allclose(c, [1, -1], atol=1e-10)
         assert np.allclose(res.angles, [0.0], atol=1e-10)
 
     def test_conjugate_symmetric_coefficients(self):
-        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 200, seed=3)
-        res = mode_two_step(decomp, weight, 2)
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 200, seed=3)
+        res = estimate(cov, decomp, weight, 2, MODE)
         c = res.coefs
         assert np.max(np.abs(c - np.conj(c[::-1]))) <= 1e-10
 
@@ -234,7 +240,7 @@ class TestModeTwoStep:
             cov, decomp, weight = noisy_pipeline(
                 6, 2, truth, 10.0, 200, seed=trial_seed(77, 0, 0, trial)
             )
-            res = mode_two_step(decomp, weight, 2)
+            res = estimate(cov, decomp, weight, 2, MODE)
             _, rmse = match_angles(res.angles, truth)
             rmses.append(rmse)
             from modepuma import coefs_from_angles
@@ -246,8 +252,8 @@ class TestModeTwoStep:
         assert np.sqrt(np.mean(np.square(rmses))) <= 0.05
 
     def test_optimality_certificate(self):
-        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 200, seed=5)
-        res = mode_two_step(decomp, weight, 2)
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 200, seed=5)
+        res = estimate(cov, decomp, weight, 2, MODE)
         rng = np.random.default_rng(6)
         c_hat = res.coefs
         J = _conjugate_symmetric_basis(c_hat.size)
@@ -264,20 +270,20 @@ class TestModeTwoStep:
 class TestPumaIterative:
     def test_noiseless_exact_recovery(self):
         truth = [-0.4, 0.7]
-        _, decomp, weight = noiseless_decomp(6, truth)
-        res = puma_iterative(decomp, weight, 2)
+        cov, decomp, weight = noiseless_decomp(6, truth)
+        res = estimate(cov, decomp, weight, 2, PUMA)
         assert np.max(np.abs(res.angles - truth)) <= 1e-6
 
     def test_final_criterion_reproducible(self):
-        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 200, seed=8)
-        res = puma_iterative(decomp, weight, 2)
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 200, seed=8)
+        res = estimate(cov, decomp, weight, 2, PUMA)
         again = v_mode(res.coefs, decomp, weight).value
         assert abs(res.criterion_value - again) <= 1e-10 * max(1.0, again)
 
     def test_criterion_history_non_increasing(self):
         for seed in range(10):
-            _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 5.0, 100, seed=seed)
-            res = puma_iterative(decomp, weight, 2)
+            cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 5.0, 100, seed=seed)
+            res = estimate(cov, decomp, weight, 2, PUMA)
             h = res.criterion_history
             for a, b in zip(h, h[1:]):
                 if b > a * (1 + 1e-12):
@@ -291,8 +297,8 @@ class TestPumaIterative:
             cov, decomp, weight = noisy_pipeline(
                 6, 2, truth, 10.0, 200, seed=trial_seed(99, 0, 0, trial)
             )
-            _, a = match_angles(mode_two_step(decomp, weight, 2).angles, truth)
-            _, b = match_angles(puma_iterative(decomp, weight, 2).angles, truth)
+            _, a = match_angles(estimate(cov, decomp, weight, 2, MODE).angles, truth)
+            _, b = match_angles(estimate(cov, decomp, weight, 2, PUMA).angles, truth)
             rm.append(a**2)
             rp.append(b**2)
         rmse_mode = np.sqrt(np.mean(rm))
@@ -300,9 +306,9 @@ class TestPumaIterative:
         assert abs(rmse_puma - rmse_mode) <= 0.10 * rmse_mode
 
     def test_gauge_independence_vs_mode(self):
-        _, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
-        a = mode_two_step(decomp, weight, 2).angles
-        b = puma_iterative(decomp, weight, 2).angles
+        cov, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
+        a = estimate(cov, decomp, weight, 2, MODE).angles
+        b = estimate(cov, decomp, weight, 2, PUMA).angles
         assert np.max(np.abs(a - b)) <= 1e-6
 
 
@@ -325,8 +331,8 @@ def _mode_reference(decomp, weight, r):
 class TestReweightedLoop:
     @pytest.mark.parametrize("seed", range(20))
     def test_mode_is_the_two_step(self, seed):
-        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 5.0, 50, seed=seed)
-        res = mode_two_step(decomp, weight, 2)
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 5.0, 50, seed=seed)
+        res = estimate(cov, decomp, weight, 2, MODE)
         ref = _mode_reference(decomp, weight, 2)
         assert np.array_equal(res.coefs, ref)
         assert res.criterion_value == v_mode(ref, decomp, weight).value
@@ -339,15 +345,15 @@ class TestReweightedLoop:
         # point, where one more reweighted step leaves c where it is.
         converged = 0
         for seed in range(40):
-            _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=seed)
-            res = puma_iterative(decomp, weight, 2)
+            cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=seed)
+            res = estimate(cov, decomp, weight, 2, PUMA)
             assert len(res.criterion_history) == res.iterations_used
             assert res.criterion_history[-1] == res.criterion_value
             if not res.converged:
                 continue
             converged += 1
             c = res.coefs
-            omega = _omega_from_coefs(c, decomp.m)[0]  # raises past COND_LIMIT
+            omega = guarded_inverse(toeplitz_annihilator(c, decomp.m), "T T*")[0]  # raises past COND_LIMIT
             again = _gauge_step(quadratic_form_matrix(decomp, weight, omega, 2))
             assert np.linalg.norm(again - c) <= 1e-8 * np.linalg.norm(c), seed
         assert converged >= 38
@@ -355,13 +361,13 @@ class TestReweightedLoop:
     def test_history_is_vmode_of_each_iterate(self):
         # Each history value is read off the next quadratic form, which
         # equals V_MODE at that iterate.
-        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 0.0, 100, seed=2)
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 0.0, 100, seed=2)
         omega = np.eye(4, dtype=complex)
-        for value in puma_iterative(decomp, weight, 2).criterion_history:
+        for value in estimate(cov, decomp, weight, 2, PUMA).criterion_history:
             c = _gauge_step(quadratic_form_matrix(decomp, weight, omega, 2))
             expected = v_mode(c, decomp, weight).value
             assert abs(value - expected) <= 1e-12 * expected
-            omega = _omega_from_coefs(c, decomp.m)[0]
+            omega = guarded_inverse(toeplitz_annihilator(c, decomp.m), "T T*")[0]
 
     def test_gram_past_cond_limit_ends_the_loop(self, monkeypatch):
         # With COND_LIMIT below every first reweight's cond(T T*), each
@@ -392,13 +398,13 @@ class TestReweightedLoop:
             assert res.iterations_used == 2 and not res.converged
         # PUMA's returned c then fails the same guard in v_mode.
         with pytest.raises(SingularityError, match="T T"):
-            puma_iterative(decomp, weight, 2)
+            estimate(cov, decomp, weight, 2, PUMA)
 
     def test_reweight_runs_no_eigenvalue_check_on_t_grams(self, monkeypatch):
         # The reweight certifies each T T* from the inverse it forms anyway;
         # a certified Gram never reaches condition_number.  Only V_MODE's
         # check of the returned c is left.
-        _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
         checked = []
         in_criterion = []
         condition_number = array_model.condition_number
@@ -419,15 +425,15 @@ class TestReweightedLoop:
         monkeypatch.setattr(array_model, "condition_number", counted)
         monkeypatch.setattr(estimators, "condition_number", counted)
         monkeypatch.setattr(estimators, "v_mode", v_mode_outside)
-        res = puma_iterative(decomp, weight, 2)
+        res = estimate(cov, decomp, weight, 2, PUMA)
         assert res.iterations_used >= 3
         # PUMA's Q_11 (2 x 2) is checked once per loop, at Omega = I, and
         # certified on every reweight after it; no T T* (4 x 4) is checked.
         assert checked == [(2, 2)]
 
     def test_clustered_puma_stops_at_the_iteration_cap(self):
-        _, decomp, weight = noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 10.0, 50, seed=0)
-        res = puma_iterative(decomp, weight, 3)
+        cov, decomp, weight = noisy_pipeline(8, 3, [0.1, 0.18, 0.26], 10.0, 50, seed=0)
+        res = estimate(cov, decomp, weight, 3, PUMA)
         assert res.iterations_used == 20 == len(res.criterion_history)
         assert not res.converged
         assert res.criterion_history[-1] == res.criterion_value
@@ -446,9 +452,9 @@ class TestReweightedLoop:
             return np.concatenate(([1.0], x[:2] + 1j * x[2:]))
 
         for seed in range(10):
-            _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=seed)
-            mode = mode_two_step(decomp, weight, 2)
-            puma = puma_iterative(decomp, weight, 2)
+            cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=seed)
+            mode = estimate(cov, decomp, weight, 2, MODE)
+            puma = estimate(cov, decomp, weight, 2, PUMA)
             x_mode = np.real(np.linalg.lstsq(J, mode.coefs, rcond=None)[0])
             x_puma = np.concatenate((puma.coefs[1:].real, puma.coefs[1:].imag))
             for res, coefs, x0 in ((mode, symmetric, x_mode), (puma, gauged, x_puma)):
@@ -479,8 +485,8 @@ class TestPumaFixedPointAgainstTheModeMinimum:
         for T in (50, 400):
             gaps, errors = [], []
             for seed in range(20):
-                _, decomp, weight = noisy_pipeline(6, 2, truth, snr_db, T, seed)
-                puma = puma_iterative(decomp, weight, 2)
+                cov, decomp, weight = noisy_pipeline(6, 2, truth, snr_db, T, seed)
+                puma = estimate(cov, decomp, weight, 2, PUMA)
                 x0 = np.concatenate((puma.coefs[1:].real, puma.coefs[1:].imag))
                 found = scipy.optimize.minimize(
                     lambda x: v_mode(gauged(x), decomp, weight).value,
@@ -497,7 +503,7 @@ class TestPumaFixedPointAgainstTheModeMinimum:
 class TestModex:
     def test_p_zero_reduces_to_base(self):
         cov, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
-        base = mode_two_step(decomp, weight, 2)
+        base = estimate(cov, decomp, weight, 2, MODE)
         res = estimate(cov, decomp, weight, 2, EstimatorConfig("MODE", 0))
         assert np.allclose(res.angles, base.angles, atol=1e-10)
         assert len(res.candidate_log) == 1
@@ -554,7 +560,7 @@ class TestModex:
         c, *_ = estimators._reweighted_solve(decomp, weight, 4, step, np.inf, start=start)
         extra = estimators._roots(c)
         candidates = np.sort(np.concatenate([plain, extra]))
-        subsets, scores = _score_subsets(candidates, cov, 2)
+        subsets, scores = _score_set(candidates, cov, 2)
         eager = list(zip(map(tuple, candidates[subsets].tolist()), scores.tolist()))
         log = res.candidate_log
         assert log == eager
@@ -606,7 +612,7 @@ class TestModex:
         for seed in range(20):
             cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=seed)
             res = estimate(cov, decomp, weight, 2, cfg)
-            ref = puma_iterative(decomp, weight, 2)
+            ref = estimate(cov, decomp, weight, 2, PUMA)
             assert np.array_equal(res.angles, ref.angles), seed
             assert res.converged == ref.converged, seed
             assert res.iterations_used == ref.iterations_used, seed
@@ -675,7 +681,7 @@ class TestEstimateMany:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             plain, extended = estimators.estimate_many(cov, decomp, [0.5], 1, configs)
-        _assert_same_result(plain, mode_two_step(decomp, [0.5], 1))
+        _assert_same_result(plain, estimate(cov, decomp, [0.5], 1, MODE))
         assert isinstance(extended, ValidationError)
         assert str(extended) == "leading coefficient c_0 must be nonzero"
 
@@ -723,7 +729,7 @@ class TestExtendedTwoStep:
             plain = estimators._roots(estimators._reweighted_solve(decomp, weight, r, *puma)[0])
             extra = estimators._roots(estimators._reweighted_solve(decomp, weight, r + p, *puma)[0])
             candidates = np.sort(np.concatenate([plain, extra]))
-            subsets, scores = _score_subsets(candidates, cov, r)
+            subsets, scores = _score_set(candidates, cov, r)
             old = match_angles(candidates[subsets[np.argmin(scores)]], truth)[1]
             new = match_angles(estimate(cov, decomp, weight, r, cfg).angles, truth)[1]
             wins += new < old
@@ -736,7 +742,7 @@ class TestExtendedTwoStep:
         for seed in range(5):
             cov, decomp, weight = noisy_pipeline(16, 4, _WIDE_ANGLES, snr, 200, seed=seed)
             res = estimate(cov, decomp, weight, 4, cfg)
-            plain = puma_iterative(decomp, weight, 4)
+            plain = estimate(cov, decomp, weight, 4, PUMA)
             assert res.iterations_used == plain.iterations_used + 2, seed
             assert res.converged == plain.converged, seed
 
@@ -745,7 +751,7 @@ class TestExtendedTwoStep:
         _, decomp, weight = noisy_pipeline(36, 4, _WIDE_ANGLES, 10.0, 200, seed=0)
         start = np.poly(np.exp(1j * np.full(12, 0.3)))[::-1]
         with pytest.raises(SingularityError):
-            _omega_from_coefs(start, 36)
+            guarded_inverse(toeplitz_annihilator(start, 36), "T T*")
         for tolerance in (np.inf, estimators._RELATIVE_TOLERANCE):
             got = estimators._reweighted_solve(decomp, weight, 12, _gauge_step, tolerance, start=start)
             ref = estimators._reweighted_solve(decomp, weight, 12, _gauge_step, tolerance)
@@ -793,7 +799,7 @@ class TestScoreSubsets:
     def test_matches_per_subset_criterion(self, drawn, which):
         candidates, r = drawn
         R = _CLUSTERED_COVS[which]
-        subsets, scores = _score_subsets(candidates, R, r)
+        subsets, scores = _score_set(candidates, R, r)
         combos = list(itertools.combinations(range(candidates.size), r))
         assert subsets.tolist() == [list(S) for S in combos]
         for S, score in zip(combos, scores):
@@ -822,7 +828,7 @@ class TestScoreSubsets:
             assert abs(score - ref) <= 1e-12 * abs(ref)
 
     def test_all_coincident_scores_inf(self):
-        subsets, scores = _score_subsets(np.array([0.3, 0.3, 0.3]), np.eye(8), 2)
+        subsets, scores = _score_set(np.array([0.3, 0.3, 0.3]), np.eye(8), 2)
         assert len(subsets) == 3 and np.all(scores == np.inf)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -946,7 +952,7 @@ def _score_subsets_and_route(candidates, cov, r, min_subsets=1):
     with mock.patch.object(estimators, "_qr_scores", spy), mock.patch.object(
         estimators, "_GRAM_MIN_SUBSETS", min_subsets
     ):
-        subsets, scores = _score_subsets(candidates, cov, r)
+        subsets, scores = _score_set(candidates, cov, r)
     return subsets, scores, np.array([tuple(S) in routed for S in subsets.tolist()], dtype=bool)
 
 
@@ -1214,7 +1220,7 @@ class TestPrefixTree:
 
 
 def _score_stack_and_routes(stack, cov, r, min_subsets):
-    """``_score_subsets`` of ``stack`` (one set or a stack), and the QR-route rows of each set.
+    """``_score_subsets`` of ``stack``, and the QR-route rows of each set.
 
     The routes are keyed by the bytes of the steering matrix each QR call
     gets, so equal sets share a key, as they share their routes.
@@ -1241,9 +1247,9 @@ def _assert_stack_scores_as_alone(stack, cov, r, min_subsets=None):
     assert scores.shape == (len(stack), len(subsets))
     alone_routes = {}
     for candidates, row in zip(stack, scores):
-        alone_subsets, alone, route = _score_stack_and_routes(candidates, cov, r, min_subsets)
+        alone_subsets, alone, route = _score_stack_and_routes(candidates[None], cov, r, min_subsets)
         assert alone_subsets is subsets
-        assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
+        assert np.array_equal(row.view(np.uint64), alone[0].view(np.uint64))
         alone_routes.update(route)
     assert routed == alone_routes
 
@@ -1419,7 +1425,7 @@ def test_scoring_near_the_subset_limit_stays_small(r, K, m):
     estimators._block_plan.cache_clear()
     tracemalloc.start()
     try:
-        _, scores = _score_subsets(candidates, cov, r)
+        _, scores = _score_set(candidates, cov, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1443,7 +1449,7 @@ def test_the_scoring_copies_no_subset_sized_floats():
     estimators._block_plan.cache_clear()
     tracemalloc.start()
     try:
-        _score_subsets(candidates, cov, r)
+        _score_set(candidates, cov, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1600,14 +1606,14 @@ def test_roots_nudge_a_zero_end_coefficient_on_a_copy(q):
         assert np.array_equal(c.view(np.uint64), before.view(np.uint64))
 
 
-@pytest.mark.parametrize("solver", [mode_two_step, puma_iterative])
+@pytest.mark.parametrize("solver", [MODE, PUMA], ids=["MODE", "PUMA"])
 @pytest.mark.parametrize("r", [-1, 0, 6, 7])
 def test_degree_out_of_range_is_a_validation_error(solver, r):
     # The solvers size their Omega = I start by m - r before the first
     # quadratic form, so the degree must be checked before that.
-    _, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
+    cov, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
     with pytest.raises(ValidationError, match="need 0 < q < m"):
-        solver(decomp, weight, r)
+        estimate(cov, decomp, weight, r, solver)
 
 
 @st.composite
@@ -1631,9 +1637,9 @@ def gauge_instances(draw):
     return SubspaceDecomposition(U, np.ones(r), 0.0), g, q, c
 
 
-def _uncertified_omega(c, m):
-    """``_omega_from_coefs`` with no bound on cond(T T*): every block is checked."""
-    return _omega_from_coefs(c, m)[0], np.inf
+def _uncertified_inverse(T, what):
+    """``guarded_inverse`` with no bound on cond(T T*): every block is checked."""
+    return guarded_inverse(T, what)[0], np.inf
 
 
 class TestGaugeCertificate:
@@ -1678,7 +1684,7 @@ class TestGaugeCertificate:
         for base in ("MODE", "PUMA"):
             solver = estimators._SOLVERS[base]
             got = estimators._reweighted_solve(decomp, weight, q, *solver)
-            with mock.patch.object(estimators, "_omega_from_coefs", _uncertified_omega):
+            with mock.patch.object(estimators, "guarded_inverse", _uncertified_inverse):
                 ref = estimators._reweighted_solve(decomp, weight, q, *solver)
             for got_bits, ref_bits in ((got[0], ref[0]), (np.array(got[3]), np.array(ref[3]))):
                 assert np.array_equal(got_bits.view(np.uint64), ref_bits.view(np.uint64)), base
@@ -1698,7 +1704,7 @@ class TestGaugeCertificate:
         start = np.concatenate([c, np.zeros(q - r)])
         for tolerance in (np.inf, estimators._RELATIVE_TOLERANCE):
             got = estimators._reweighted_solve(decomp, weight, q, _gauge_step, tolerance, start=start)
-            with mock.patch.object(estimators, "_omega_from_coefs", _uncertified_omega):
+            with mock.patch.object(estimators, "guarded_inverse", _uncertified_inverse):
                 ref = estimators._reweighted_solve(
                     decomp, weight, q, _gauge_step, tolerance, start=start
                 )
@@ -1710,6 +1716,7 @@ class TestGaugeCertificate:
         _, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
         c, *_ = estimators._reweighted_solve(decomp, weight, 2, *estimators._SOLVERS["PUMA"])
         start = np.concatenate([c, np.zeros(2)])
+        start_t = toeplitz_annihilator(start, 6)
         checked = []
         condition_number = array_model.condition_number
 
@@ -1717,12 +1724,12 @@ class TestGaugeCertificate:
             checked.append(np.shape(gram))
             return condition_number(gram)
 
-        def reported(coefs, m):
-            omega, bound = _omega_from_coefs(coefs, m)
-            return omega, COND_LIMIT if inflated and coefs is start else bound
+        def reported(T, what):
+            omega, bound = guarded_inverse(T, what)
+            return omega, COND_LIMIT if inflated and np.array_equal(T, start_t) else bound
 
         monkeypatch.setattr(estimators, "condition_number", counted)
-        monkeypatch.setattr(estimators, "_omega_from_coefs", reported)
+        monkeypatch.setattr(estimators, "guarded_inverse", reported)
         for inflated, checks in ((False, 1), (True, 2)):
             checked.clear()
             estimators._reweighted_solve(decomp, weight, 4, _gauge_step, np.inf, start=start)

@@ -15,6 +15,7 @@ from modepuma import (
     subspace_decomposition,
     true_covariance,
 )
+from modepuma import sample_stats
 from modepuma.sample_stats import _hermitian_sqrt
 
 
@@ -214,6 +215,17 @@ class TestSimulateSnapshots:
 
 
 class TestSampleCovariance:
+    def test_the_covariance_is_capped(self):
+        # m^2 up to 2**24 (m = 4096) is accepted; at m = 4097 the covariance
+        # is rejected before it is formed.
+        message = (
+            "a sample covariance at m=4097 would hold m^2 = 16785409 complex values, "
+            "over the limit of 16777216"
+        )
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sample_covariance(np.zeros((4097, 1)))
+        sample_stats.check_covariance_size(4096)
+
     def test_single_snapshot_outer_product(self):
         R = sample_covariance(np.array([[1.0], [1j]]))
         assert np.allclose(R, [[1, -1j], [1j, 1]])
