@@ -49,6 +49,7 @@ from .sample_stats import (
     SubspaceDecomposition,
     check_covariance_size,
     check_draw_size,
+    check_source_cov,
     sample_covariance,
     signal_weight,
     simulate_snapshots,
@@ -391,9 +392,13 @@ def parse_sweep_config(path):
     floats = lambda s: tuple(_finite_float(v) for v in s.split(","))
 
     m = parsed("m", int)
+    if m < 2:
+        raise ValidationError(f"{path}:{lines['m']}: need m >= 2, got {m}")
     r = parsed("r", int)
     if r < 1:
         raise ValidationError(f"{path}:{lines['r']}: need r >= 1, got {r}")
+    if r >= m:
+        raise ValidationError(f"{path}:{lines['r']}: need r < m, got r={r}, m={m}")
     if raw.get("source_cov", "identity").strip().lower() == "identity":
         P = np.eye(r, dtype=complex)
     else:
@@ -402,18 +407,21 @@ def parse_sweep_config(path):
             raise ValidationError(
                 f"{path}:{lines['source_cov']}: source_cov needs {r} diagonal entries"
             )
-        P = np.diag(np.asarray(diag, dtype=complex))
+        P = parsed("source_cov", lambda s: check_source_cov(np.diag(diag), r))
     snapshots_list = parsed(
         "snapshots_list",
         lambda s: _check_list("snapshots_list", tuple(int(v) for v in s.split(",")), (m, r)),
     )
     # After the draw cap, whose messages name the snapshots_list line.
     parsed("m", lambda s: check_covariance_size(m))
+    angles = parsed("angles", lambda s: as_angles(floats(s)))
+    if angles.size != r:
+        raise ValidationError(f"{path}:{lines['angles']}: angles needs {r} entries, got {angles.size}")
     # run_sweep sets each trial's noise power, snapshot count and seed: placeholders.
     base = Scenario(
         m=m,
         r=r,
-        angles=parsed("angles", lambda s: as_angles(floats(s))),
+        angles=angles,
         source_cov=P,
         noise_power=1.0,
         n_snapshots=snapshots_list[0],

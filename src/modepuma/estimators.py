@@ -33,12 +33,19 @@ every decision are the same.  PUMA's gauge block is bounded by cond(T T*)
 times cond(S_11), S = Q(I), checked once per loop whether it starts from
 Omega = I or from a given weight.  The subset tree's walk depends only on
 K, r, the block of rows and how many sets walk it together, so it is
-cached (``_block_plan``).
+cached (``_block_plan``).  The walk's arrays live in ``_WORKSPACE``, one
+per thread, kept across calls and only grown, so a warm scoring allocates
+no array data and takes no page faults for it.  It is sized by the largest
+block walked, not by the subset count: at most 16 r^2 + 112 r + 40 bytes
+per leaf, and a block holds at most ``_TREE_BLOCK`` / r^2 leaves (one per
+set where that is under one), so under 3 MB at r >= 2 (0.9 MB for the
+stacked scoring at m = 16, r = 4, p = 6).
 """
 
 import functools
 import itertools
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -58,8 +65,8 @@ from .errors import NumericalError, SingularityError, ValidationError, check_int
 
 # Subsets per stacked block of ``_score_subsets``'s QR route, and W and
 # N entries per block of leaves of its Gram route (r * r per leaf: 2048
-# leaves at r = 4, 512 at r = 8).  Fixed, so the stacked temporaries stay
-# small whatever the subset count.
+# leaves at r = 4, 512 at r = 8).  Fixed, so the stacked temporaries and
+# the walk's ``_WORKSPACE`` stay small whatever the subset count.
 _SUBSET_BLOCK = 64
 _TREE_BLOCK = 32768
 
@@ -386,7 +393,9 @@ def _score_subsets(stack, cov, r):
 
     So the stacked temporaries stay small whatever the subset count, and a
     score depends neither on the block size nor on which rows or sets
-    share its block.
+    share its block.  The Gram route's walk reuses the calling thread's
+    ``_WORKSPACE``, so a score does not depend on what ran before it
+    either.
     """
     R = np.asarray(cov)
     m = R.shape[0]
@@ -528,6 +537,31 @@ def _gram_basis(A, candidates, R):
     return hermitian_gram(BH), BH @ (R @ B), spread2
 
 
+class _Workspace(threading.local):
+    """One thread's scratch arrays for the subset-tree walk, by name, grow-only.
+
+    ``array(name, shape)`` is a C-contiguous view of the first prod(shape)
+    entries of buffer ``name``; the buffer is replaced, by one of exactly
+    that size, only when it is too small, and never shrinks.  So a warm
+    walk allocates no array data, and its working set is not handed back
+    to the OS and faulted in again on every call.  A view is valid until
+    the next request of its name.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def array(self, name, shape, dtype=complex):
+        size = math.prod(shape)
+        buffers = self.buffers
+        if name not in buffers or buffers[name].size < size:
+            buffers[name] = np.empty(size, dtype)
+        return buffers[name][:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
 def _tree_scores(G_B, M_B, spread2, plan, trace_r):
     """Gram-route scores of the subset rows of ``plan``, and which of them are certified.
 
@@ -543,16 +577,36 @@ def _tree_scores(G_B, M_B, spread2, plan, trace_r):
     ||T||_F^2 - r adds the running sum of s^2 at each twin, and
     ||T^-1||_F^2 adds 2 / s^2 per twin and 1 per steering column.  A twin
     of spread 0 makes that +inf: the leaf scores +inf, certified.
+
+    The walk's arrays live in the thread's ``_WORKSPACE``: each level's
+    gathers of G_B and M_B at its columns, its running sums, its map
+    ``anc`` from each prefix to its ancestor at every earlier level, and
+    what ``_extend`` uses.  The two returned arrays are new.
     """
     pair, twin, levels = plan
     r = len(levels)
+    ws = _WORKSPACE
     Gf, Mf = G_B.ravel(), M_B.ravel()
-    empty = np.zeros((0, 1), dtype=complex)
-    state = empty, empty, np.zeros((3, 1))
+    rows, run, anc = [], None, None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j, (parent, at) in enumerate(levels):
-            state = _extend(state, parent, Gf[at], Mf[at], j < r - 1)
-        trace_g, fit, inv_trace = state[2]
+            b, m = ws.array("bm", (2, *at.shape))
+            # Every index is in range; "clip" lets take write into ``out``
+            # directly, where the default "raise" fills a new copy first.
+            Gf.take(at, out=b, mode="clip")
+            Mf.take(at, out=m, mode="clip")
+            # Two of each, by the parity of j: a level reads the last one's.
+            child_run = ws.array(f"run{j % 2}", (3, len(parent)), float)
+            child_anc = ws.array(f"anc{j % 2}", (j, len(parent)), np.intp)
+            if j:
+                run.take(parent, axis=1, out=child_run, mode="clip")
+                anc.take(parent, axis=1, out=child_anc[:-1], mode="clip")
+                child_anc[-1] = parent
+            else:
+                child_run.fill(0.0)
+            run, anc = child_run, child_anc
+            rows.append(_extend(rows, anc, b, m, run, j < r - 1))
+        trace_g, fit, inv_trace = run
         s2_sum, frob2, inv_frob2 = 0.0, 0.0, 1.0
         for t, s2 in zip(twin, spread2[pair]):
             s2_sum = s2_sum + t * s2
@@ -568,75 +622,94 @@ def _tree_scores(G_B, M_B, spread2, plan, trace_r):
     return np.where(dead, np.inf, score), certified
 
 
-def _extend(state, parent, b, m, internal):
-    """Extend each prefix of length j by one column c of B; the children's state.
+def _extend(rows, anc, b, m, run, internal):
+    """Extend each prefix of length j by one column c of B; the rows its W and N gain.
 
-    ``state`` holds per prefix W = L^-1 of its Gram G_S = L L* and
-    N = W M_S W*, lower triangles packed row by row (entry [i, k] in row
-    i (i + 1) / 2 + k; N is Hermitian), and three running sums: tr G_S,
-    the fit tr(G_S^-1 M_S) and ||W||_F^2.  ``parent`` maps each child to
-    its prefix, and ``b`` and ``m`` (j + 1, n) hold G_B and M_B at the
-    prefix's columns and c, then at (c, c).  With l = W b, y = W* l and
-    pivot lambda^2 = G_cc - ||l||^2, the child adds G_cc to tr G_S,
-    (M_cc - 2 Re y* m + l* N l) / lambda^2 to the fit and
+    A prefix's state is W = L^-1 of its Gram G_S = L L* and N = W M_S W*,
+    both lower triangular (N is Hermitian), and three running sums in
+    ``run``: tr G_S, the fit tr(G_S^-1 M_S) and ||W||_F^2.  Row i of W
+    and of N is the one its ancestor at level i gained: ``rows[i]`` holds
+    them, (i + 1, n_i) each, for every prefix of length i + 1, and
+    ``anc[i]`` picks each child's.  ``run`` holds the children's copy of
+    their parents' sums, updated here, and ``b`` and ``m`` (j + 1, n) hold
+    G_B and M_B at the prefix's columns and c, then at (c, c).  With
+    l = W b, y = W* l and pivot lambda^2 = G_cc - ||l||^2, the child adds
+    G_cc to tr G_S, (M_cc - 2 Re y* m + l* N l) / lambda^2 to the fit and
     (||y||^2 + 1) / lambda^2 to ||W||_F^2; W gains the row (-y*, 1) / lambda
-    and N the column (W m - N l) / lambda.  A non-positive pivot gives NaN,
-    which leaves every subset under it uncertified.  Only the running sums
-    are returned unless ``internal``.
+    and N the column (W m - N l) / lambda, returned as ``(W row, N row)``
+    where ``internal``, else None.  A non-positive pivot gives NaN, which
+    leaves every subset under it uncertified.
+
+    Every array is a ``_WORKSPACE`` buffer written with ``out=``, in the
+    order of operations of the expression it stands for, and no complex
+    product is written over one of its factors: numpy's in-place complex
+    multiply rounds differently on arrays of one entry.  Row i of W, then
+    of N, is gathered into one buffer when it is used, and W m is formed
+    while W's row is there.
     """
-    W_rows, N_rows, run = (np.take(part, parent, axis=1) for part in state)
+    ws = _WORKSPACE
     j = len(b) - 1
-    l, yc = [], [None] * j  # yc holds conj(y)
-    pivot = b[j].real
+    n = b.shape[1]
+    if internal:
+        l, yc, Nl, h = ws.array("lyNh", (4, j, n))  # yc holds conj(y), h W m
+    else:
+        # A leaf's y is spent before N l is formed, so N l takes its rows.
+        l, yc = ws.array("lyNh", (2, j, n))
+        Nl = yc
+    row = ws.array("row", (j, n))
+    t, lc = ws.array("scratch", (2, n))
+    pivot, inv2, w2, gain, x, x2, inv = ws.array("reals", (7, n), float)
+    np.copyto(pivot, b[j].real)
     for i in range(j):
-        Wi = W_rows[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]
-        li = Wi[0] * b[0]
+        Wi = rows[i][0].take(anc[i], axis=1, out=row[: i + 1], mode="clip")
+        li = np.multiply(Wi[0], b[0], out=l[i])
         for k in range(1, i + 1):
-            li = li + Wi[k] * b[k]
-        lci = li.conj()
-        pivot = pivot - (lci * li).real
-        for k in range(i + 1):
-            t = Wi[k] * lci
-            yc[k] = t if yc[k] is None else yc[k] + t
-        l.append(li)
-    inv2 = 1 / np.where(pivot > 0, pivot, np.nan)
-    w2 = 1.0
-    gain = m[j].real
+            np.add(li, np.multiply(Wi[k], b[k], out=t), out=li)
+        np.conjugate(li, out=lc)
+        np.subtract(pivot, np.multiply(lc, li, out=t).real, out=pivot)
+        for k in range(i):
+            np.add(yc[k], np.multiply(Wi[k], lc, out=t), out=yc[k])
+        np.multiply(Wi[i], lc, out=yc[i])
+        if internal:
+            hi = np.multiply(Wi[0], m[0], out=h[i])
+            for k in range(1, i + 1):
+                np.add(hi, np.multiply(Wi[k], m[k], out=t), out=hi)
+    inv2.fill(np.nan)
+    np.divide(1, pivot, out=inv2, where=pivot > 0)
+    w2.fill(1.0)
+    np.copyto(gain, m[j].real)
     for k in range(j):
-        w2 = w2 + (yc[k].real ** 2 + yc[k].imag ** 2)
-        gain = gain - 2 * (yc[k] * m[k]).real
-    Nl = [None] * j
+        np.add(np.square(yc[k].real, out=x), np.square(yc[k].imag, out=x2), out=x)
+        np.add(w2, x, out=w2)
+        np.multiply(2, np.multiply(yc[k], m[k], out=t).real, out=x)
+        np.subtract(gain, x, out=gain)
     for i in range(j):
-        Ni = N_rows[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]
+        Ni = rows[i][1].take(anc[i], axis=1, out=row[: i + 1], mode="clip")
+        np.multiply(Ni[0], l[0], out=Nl[i])
         for k in range(i + 1):
-            t = Ni[k] * l[k]
-            Nl[i] = t if Nl[i] is None else Nl[i] + t
+            if k:
+                np.add(Nl[i], np.multiply(Ni[k], l[k], out=t), out=Nl[i])
             if k < i:
-                t = Ni[k].conj() * l[i]
-                Nl[k] = t if Nl[k] is None else Nl[k] + t
+                np.multiply(np.conjugate(Ni[k], out=lc), l[i], out=t)
+                np.add(Nl[k], t, out=Nl[k])
     for i in range(j):
-        gain = gain + (l[i].conj() * Nl[i]).real
-    gain = gain * inv2
+        np.multiply(np.conjugate(l[i], out=lc), Nl[i], out=t)
+        np.add(gain, t.real, out=gain)
+    np.multiply(gain, inv2, out=gain)
     run[0] += b[j].real
     run[1] += gain
-    run[2] += w2 * inv2
+    run[2] += np.multiply(w2, inv2, out=x)
     if not internal:
-        return None, None, run
-    inv = np.sqrt(inv2)
-    tri = j * (j + 1) // 2
-    W_next = np.empty((tri + j + 1, len(parent)), dtype=complex)
-    N_next = np.empty_like(W_next)
-    W_next[:tri], N_next[:tri] = W_rows, N_rows
+        return None
+    W, N = ws.array(f"WN{j}", (2, j + 1, n))
+    np.sqrt(inv2, out=inv)
     for k in range(j):
-        Wk = W_rows[k * (k + 1) // 2 :]
-        hk = Wk[0] * m[0]
-        for i in range(1, k + 1):
-            hk = hk + Wk[i] * m[i]
-        W_next[tri + k] = -inv * yc[k]
-        N_next[tri + k] = ((hk - Nl[k]) * inv).conj()
-    W_next[-1] = inv
-    N_next[-1] = gain
-    return W_next, N_next, run
+        np.multiply(np.negative(inv, out=x), yc[k], out=W[k])
+        np.subtract(h[k], Nl[k], out=h[k])
+        np.conjugate(np.multiply(h[k], inv, out=t), out=N[k])
+    W[j] = inv
+    N[j] = gain
+    return W, N
 
 
 def _qr_scores(A, G, R, idx, trace_r):

@@ -41,6 +41,30 @@ def check_covariance_size(m):
         )
 
 
+def check_source_cov(source_cov, r):
+    """A complex r x r copy of ``source_cov``, which must be finite, Hermitian and PSD; shared with the sweep parser.
+
+    A copy, so a frozen Scenario does not change with the caller's array.
+    """
+    P = np.array(source_cov, dtype=complex)
+    if P.size != r * r:
+        raise ValidationError(f"source covariance must have r^2 = {r * r} entries, got {P.size}")
+    P = P.reshape(r, r)
+    if not np.all(np.isfinite(P)):
+        raise ValidationError("source covariance must be finite")
+    # Norms of P scaled by its largest entry (at least 1), so they cannot overflow.
+    s = max(1.0, float(np.max(np.abs(P), initial=0.0)))
+    Q = P / s
+    if np.linalg.norm(Q - Q.conj().T) > 1e-12 * max(1.0 / s, np.linalg.norm(Q)):
+        raise ValidationError("source covariance must be Hermitian")
+    # Halved before the sum so it cannot overflow; in normal range the bits
+    # equal those of 0.5 * (P + P*).
+    w = np.linalg.eigvalsh(0.5 * P + 0.5 * P.conj().T)
+    if w.size and w[0] < -1e-10 * max(w[-1], 1.0):
+        raise ValidationError("source covariance must be positive semidefinite")
+    return P
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one simulated experiment.
@@ -65,21 +89,7 @@ class Scenario:
             raise ValidationError("r does not match the number of angles")
         if self.r >= self.m:
             raise ValidationError(f"need r < m, got r={self.r}, m={self.m}")
-        # A copy, so the frozen Scenario does not change with the caller's array.
-        P = np.array(self.source_cov, dtype=complex).reshape(self.r, self.r)
-        if not np.all(np.isfinite(P)):
-            raise ValidationError("source covariance must be finite")
-        # Norms of P scaled by its largest entry (at least 1), so they cannot overflow.
-        s = max(1.0, float(np.max(np.abs(P), initial=0.0)))
-        Q = P / s
-        if np.linalg.norm(Q - Q.conj().T) > 1e-12 * max(1.0 / s, np.linalg.norm(Q)):
-            raise ValidationError("source covariance must be Hermitian")
-        # Halved before the sum so it cannot overflow; in normal range the bits
-        # equal those of 0.5 * (P + P*).
-        w = np.linalg.eigvalsh(0.5 * P + 0.5 * P.conj().T)
-        if w.size and w[0] < -1e-10 * max(w[-1], 1.0):
-            raise ValidationError("source covariance must be positive semidefinite")
-        object.__setattr__(self, "source_cov", P)
+        object.__setattr__(self, "source_cov", check_source_cov(self.source_cov, self.r))
         if not isinstance(self.noise_power, numbers.Real):
             raise ValidationError(f"noise power must be a real number, got {self.noise_power!r}")
         if not (np.isfinite(self.noise_power) and self.noise_power >= 0):

@@ -116,6 +116,33 @@ class TestSweepConfig:
         with pytest.raises(ValidationError, match=f"sweep.cfg:{line}: "):
             parse_sweep_config(path)
 
+    @pytest.mark.parametrize(
+        "edits, line, message",
+        [
+            ({"m = 6": "m = 3", "r = 2": "r = 3", "-0.4, 0.7": "-0.4, 0.3, 0.7"}, 3, "need r < m, got r=3, m=3"),
+            ({"m = 6": "m = 0"}, 2, "need m >= 2, got 0"),
+            ({"-0.4, 0.7": "-0.4, 0.3, 0.7"}, 4, "angles needs 2 entries, got 3"),
+            (
+                {"source_cov = identity": "source_cov = -1, 1"},
+                5,
+                "bad source_cov value: source covariance must be positive semidefinite",
+            ),
+        ],
+        ids=["r-not-below-m", "m-zero", "angle-count", "negative-source-power"],
+    )
+    def test_values_no_scenario_takes_name_their_line(self, tmp_path, edits, line, message):
+        # Each parses, but the Scenario built from the config would reject it.
+        text = SWEEP_TEXT
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert f"sweep.cfg:{line}: {message}\n" in proc.stderr
+        assert "Traceback" not in proc.stderr and not out.exists()
+
     def test_bad_value_exits_with_validation_code(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_TEXT.replace("0.7", "abc"))

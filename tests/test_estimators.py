@@ -1,5 +1,9 @@
+import concurrent.futures
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from math import comb
@@ -1420,9 +1424,11 @@ def test_scoring_near_the_subset_limit_stays_small(r, K, m):
     X = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
     cov = X @ X.conj().T / (2 * m)
     candidates = np.sort(rng.uniform(-3.0, 3.0, K))
-    # A cold call, whatever ran before: the cached index table and plans count.
+    # A cold call, whatever ran before: the cached index table and plans,
+    # and the walk's workspace, count.
     estimators._subset_table.cache_clear()
     estimators._block_plan.cache_clear()
+    estimators._WORKSPACE.buffers.clear()
     tracemalloc.start()
     try:
         _, scores = _score_set(candidates, cov, r)
@@ -1444,9 +1450,11 @@ def test_the_scoring_copies_no_subset_sized_floats():
     X = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
     cov = X @ X.conj().T / (2 * m)
     candidates = np.sort(rng.uniform(-3.0, 3.0, K))
-    # A cold call, whatever ran before: the cached index table and plans count.
+    # A cold call, whatever ran before: the cached index table and plans,
+    # and the walk's workspace, count.
     estimators._subset_table.cache_clear()
     estimators._block_plan.cache_clear()
+    estimators._WORKSPACE.buffers.clear()
     tracemalloc.start()
     try:
         _score_set(candidates, cov, r)
@@ -1454,6 +1462,95 @@ def test_the_scoring_copies_no_subset_sized_floats():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+class TestWalkWorkspace:
+    # The Gram route's walk keeps its arrays in a per-thread workspace that
+    # lives across calls; no score may depend on what it last held.
+
+    def test_a_reused_workspace_scores_as_a_cold_one(self):
+        # A wide stack (S=2, K=14, r=4: 2002 leaves in one block), an
+        # ``estimate``-file-shaped set (S=1, K=9, r=3: 84 subsets) and a set
+        # near the subset cap (r=8, K=19: 148 blocks of 512 leaves), every
+        # set holding a pair 1e-13 apart.
+        rng = np.random.default_rng(29)
+        scorings = []
+        for S, K, r, m in [(2, 14, 4, 16), (1, 9, 3, 10), (1, 19, 8, 24)]:
+            X = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
+            stack = rng.uniform(-3.0, 3.0, (S, K))
+            stack[:, 1] = stack[:, 0] + 1e-13
+            scorings.append((np.sort(stack, axis=1), X @ X.conj().T / (2 * m), r))
+        cold = []
+        for stack, cov, r in scorings:
+            estimators._WORKSPACE.buffers.clear()
+            cold.append(_score_subsets(stack, cov, r)[1])
+            assert np.any(np.isinf(cold[-1])) and np.any(np.isfinite(cold[-1]))
+        # Smaller blocks after larger ones and back, so stale entries would show.
+        for k in (2, 1, 0, 1, 2, 0, 0, 1):
+            stack, cov, r = scorings[k]
+            assert np.array_equal(_score_subsets(stack, cov, r)[1], cold[k])
+
+    def test_threads_score_as_serial(self):
+        # Four threads, each scoring its own two stacks in turn, 20 times,
+        # switched as often as the interpreter allows.
+        rng = np.random.default_rng(31)
+        m = 16
+        X = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
+        cov = X @ X.conj().T / (2 * m)
+        work = [
+            [(np.sort(rng.uniform(-3.0, 3.0, (S, K)), axis=1), r) for S, K, r in ((2, 14, 4), (1, 9, 3))]
+            for _ in range(4)
+        ]
+        serial = [[_score_subsets(stack, cov, r)[1] for stack, r in stacks] for stacks in work]
+
+        def score(stacks):
+            got = []
+            for k in range(20):
+                stack, r = stacks[k % 2]
+                got.append(_score_subsets(stack, cov, r)[1])
+            return got
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(score, stacks) for stacks in work]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for expected, got in zip(serial, threaded):
+            for k, scores in enumerate(got):
+                assert np.array_equal(scores, expected[k % 2])
+
+    def test_a_warm_scoring_takes_no_page_faults(self):
+        # Before the workspace, each wide stacked scoring handed its walk's
+        # arrays (about 1 MB) back to the OS and took 150 to 220 minor page
+        # faults to map them again.  Counted in a fresh interpreter, as the
+        # benchmark's: frees of large arrays earlier in a process can raise
+        # glibc's trim threshold and hide the faults.
+        pytest.importorskip("resource")
+        probe = """
+import resource
+import numpy as np
+from modepuma.estimators import _score_subsets
+rng = np.random.default_rng(29)
+X = rng.standard_normal((16, 32)) + 1j * rng.standard_normal((16, 32))
+cov = X @ X.conj().T / 32
+stack = np.sort(rng.uniform(-3.0, 3.0, (2, 14)), axis=1)
+_score_subsets(stack, cov, 4)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    _score_subsets(stack, cov, 4)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 10
 
 
 class TestScoreSubsetsGuard:

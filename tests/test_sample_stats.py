@@ -43,6 +43,13 @@ class TestScenario:
                 noise_power=1.0, n_snapshots=10, seed=0,
             )
 
+    def test_rejects_source_cov_of_the_wrong_size(self):
+        with pytest.raises(ValidationError, match="r\\^2 = 4 entries, got 9"):
+            Scenario(
+                m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(3),
+                noise_power=1.0, n_snapshots=10, seed=0,
+            )
+
     def test_source_cov_not_shared_with_caller(self):
         P = np.eye(2, dtype=complex)
         sc = Scenario(
