@@ -85,18 +85,26 @@ class SweepSpec:
     def __post_init__(self):
         if not self.snr_db_list or not self.snapshots_list or not self.methods:
             raise ValidationError("sweep lists must be non-empty")
-        check_integer("n_trials", self.n_trials)
-        check_integer("base_seed", self.base_seed)
-        if self.n_trials < 1:
-            raise ValidationError("need n_trials >= 1")
-        if self.base_seed < 0:
-            raise ValidationError(f"need base_seed >= 0, got {self.base_seed}")
+        _check_count("n_trials", self.n_trials, 1)
+        _check_count("base_seed", self.base_seed, 0)
         for key in ("snr_db_list", "snapshots_list", "methods"):
             try:
                 _check_list(key, getattr(self, key), (self.base.m, self.base.r))
             except ValueError as exc:
                 raise ValidationError(f"bad {key}: {exc}") from None
         check_covariance_size(self.base.m)
+
+
+def _check_count(key, value, least):
+    """``value``, or a ValidationError unless it is an integer of at least ``least``.
+
+    The rule of a sweep's ``n_trials`` (1) and ``base_seed`` (0), shared by
+    ``SweepSpec`` and the config parser, whose errors name the key's line.
+    """
+    check_integer(key, value)
+    if value < least:
+        raise ValidationError(f"need {key} >= {least}, got {value}")
+    return value
 
 
 def noise_power_for_snr(source_cov, r, snr_db):
@@ -141,14 +149,14 @@ def _run_trial(args):
     Returns one ``(rmse, criterion, converged, success, wall_ms)`` outcome
     per method; ``wall_ms`` is the shared simulate, covariance,
     decomposition and signal-weight time plus that method's own estimate
-    and angle matching, or None without timing.  The methods run in one
-    ``estimate_many`` call, so a MODEX method's own estimate counts the
-    whole stacked subset scoring it shared, as every row counts the
-    shared simulation.  A typed error in the shared step fails every
-    method's row of the trial; one in a method's estimate fails that
-    method's row.  Neither stops the sweep.
+    and angle matching, measured always and written by ``run_sweep`` only
+    with timing on.  The methods run in one ``estimate_many`` call, so a
+    MODEX method's own estimate counts the whole stacked subset scoring it
+    shared, as every row counts the shared simulation.  A typed error in
+    the shared step fails every method's row of the trial; one in a
+    method's estimate fails that method's row.  Neither stops the sweep.
     """
-    scenario, methods, threshold, timing = args
+    scenario, methods, threshold = args
     failed = (float("nan"), float("nan"), False, False)
     t0 = time.perf_counter()
     try:
@@ -157,7 +165,7 @@ def _run_trial(args):
         weight = signal_weight(decomp)
     except _TYPED_ERRORS:
         wall_ms = (time.perf_counter() - t0) * 1e3
-        return [failed + ((wall_ms if timing else None),)] * len(methods)
+        return [failed + (wall_ms,)] * len(methods)
     shared = time.perf_counter() - t0
     own = []
     results = estimate_many(cov, decomp, weight, scenario.r, methods, timings=own)
@@ -173,7 +181,7 @@ def _run_trial(args):
             except _TYPED_ERRORS:
                 pass
         wall_ms = (shared + seconds + time.perf_counter() - t1) * 1e3
-        outcomes.append(row + ((wall_ms if timing else None),))
+        outcomes.append(row + (wall_ms,))
     return outcomes
 
 
@@ -185,11 +193,13 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
     ordered by (snr, snapshot count, method, trial); each (cell, method)
     is followed by one aggregate row with trial_index = -1 carrying the
     RMSE, mean criterion value, convergence rate, and success rate.
-    ``jobs > 1`` runs the tasks in a pool of at most ``jobs`` processes,
-    and no more than there are chunks of 8 tasks or usable CPUs; the rows
-    are the same whatever ``jobs``.  A ``success_threshold`` that is not a
-    real number, or is NaN or negative, is a ValidationError; so is a
-    ``jobs`` that is not an integer (``check_integer``) or is below 1.
+    ``timing`` fills each trial row's wall_time_ms; without it, and on
+    every aggregate row, that column is empty.  ``jobs > 1`` runs the
+    tasks in a pool of at most ``jobs`` processes, and no more than there
+    are chunks of 8 tasks or usable CPUs; the rows are the same whatever
+    ``jobs``.  A ``success_threshold`` that is not a real number, or is
+    NaN or negative, is a ValidationError; so is a ``jobs`` that is not an
+    integer (``check_integer``) or is below 1.
     """
     if not isinstance(success_threshold, numbers.Real):
         raise ValidationError(
@@ -214,7 +224,7 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
                 n_snapshots=T,
                 seed=trial_seed(sweep.base_seed, si, ti, trial),
             )
-            tasks.append((scenario, sweep.methods, success_threshold, timing))
+            tasks.append((scenario, sweep.methods, success_threshold))
 
     # A process pool starts all of its workers at once, so it is sized to the
     # chunks there are and the CPUs this process may run on; with one worker
@@ -245,7 +255,7 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
                 rows.append(
                     prefix
                     + (trial_id, _fmt(rmse), _fmt(crit), flags[int(conv)], flags[int(succ)])
-                    + ("" if wall is None else f"{wall:.3f}",)
+                    + (f"{wall:.3f}" if timing else "",)
                 )
             rows.append(prefix + ("-1",) + _aggregate(trials))
     return rows
@@ -436,8 +446,8 @@ def parse_sweep_config(path):
             "methods",
             lambda s: _check_list("methods", tuple(map(parse_method_token, s.split(","))), (m, r)),
         ),
-        n_trials=parsed("n_trials", int),
-        base_seed=parsed("base_seed", int),
+        n_trials=parsed("n_trials", lambda s: _check_count("n_trials", int(s), 1)),
+        base_seed=parsed("base_seed", lambda s: _check_count("base_seed", int(s), 0)),
     )
 
 

@@ -77,10 +77,12 @@ _TREE_BLOCK = 32768
 _GRAM_BOUND = 2e3
 
 # Fewest subsets, C(K, r), for the Gram route.  Its fixed cost, r levels of
-# 20 to 80 array operations, measured about 0.2 ms at r = 2 and 0.35 ms at
-# r = 3 on one core, and outweighs the QR work it saves on fewer.  The two
-# routes measured even near 60 subsets at r = 2 and 90 to 120 at r = 3;
-# moving the limit there would change which route scores those calls.
+# 20 to 80 array operations, outweighs the QR work it saves on fewer.  Tree
+# against QR, on one core: 0.14 against 0.08 ms for 15 subsets at r = 2
+# (0.15 against 0.10 ms for two such sets stacked), 0.22 against 0.12 ms
+# for 35 scattered subsets at r = 3, and 0.23 against 0.26 ms for 84.  The
+# tree first wins between 35 and 84 subsets at r = 3; moving the limit
+# there would change which route scores those calls.
 _GRAM_MIN_SUBSETS = 32
 
 # Most candidate subsets MODEX will score; the count grows as
@@ -388,8 +390,10 @@ def _score_subsets(stack, cov, r):
       of consecutive candidates under 1e-12 apart (zero spread in
       ``_divided_differences``) is +inf there.
     * QR route (``_qr_scores``): every subset of a call under the limit,
-      and each set's uncertified rows of the Gram route, ``_SUBSET_BLOCK``
-      at a time, with that set's own A and G.
+      and the uncertified rows of the Gram route, in one pass over the
+      stack's rows in set order, ``_SUBSET_BLOCK`` at a time, so a block
+      may mix the rows of several sets; each row gathers its own set's
+      columns of the stacked A and G.
 
     So the stacked temporaries stay small whatever the subset count, and a
     score depends neither on the block size nor on which rows or sets
@@ -417,11 +421,10 @@ def _score_subsets(stack, cov, r):
             score, certified = _tree_scores(G_B, M_B, spread2.ravel(), plan, trace_r)
             scores[:, start:stop] = score.reshape(S, -1)
             rest[:, start:stop] = ~certified.reshape(S, -1)
-    for s in range(S):
-        rows_s = np.flatnonzero(rest[s])
-        for start in range(0, rows_s.size, _SUBSET_BLOCK):
-            rows = rows_s[start : start + _SUBSET_BLOCK]
-            scores[s, rows] = _qr_scores(A[s], G[s], R, subsets[rows], trace_r)
+    flat = np.flatnonzero(rest)
+    for start in range(0, flat.size, _SUBSET_BLOCK):
+        sets, rows = np.divmod(flat[start : start + _SUBSET_BLOCK], n)
+        scores[sets, rows] = _qr_scores(A, G, R, sets, subsets[rows], trace_r)
     return subsets, scores
 
 
@@ -712,28 +715,29 @@ def _extend(rows, anc, b, m, run, internal):
     return W, N
 
 
-def _qr_scores(A, G, R, idx, trace_r):
-    """QR-route scores of the subsets ``idx``, +inf where the guard fails.
+def _qr_scores(A, G, R, sets, idx, trace_r):
+    """QR-route scores of rows i = subset ``idx[i]`` of set ``sets[i]``, +inf where the guard fails.
 
-    The COND_LIMIT guard is read off the QR first: with A_S = Q R_A,
-    cond(A* A) <= ||R_A||_F^(2r) / prod |R_A,kk|^2, so a subset whose bound
-    is within CERTIFY_LIMIT passes.  Only the undecided rest go through
-    ``condition_number`` of their Gram, gathered from G.
+    Each row gathers its own set's columns of the stacked A, so a block may
+    mix sets.  The COND_LIMIT guard is read off the QR first: with
+    A_S = Q R_A, cond(A* A) <= ||R_A||_F^(2r) / prod |R_A,kk|^2, so a
+    subset whose bound is within CERTIFY_LIMIT passes.  Only the undecided
+    rest go through ``condition_number`` of their Gram, gathered from the
+    stacked G.  The fit is formed for every row, kept where the guard passes.
     """
-    scores = np.full(len(idx), np.inf)
-    Q, R_A = np.linalg.qr(A.T[idx].transpose(0, 2, 1))
+    Q, R_A = np.linalg.qr(A.swapaxes(1, 2)[sets[:, None], idx].transpose(0, 2, 1))
     frob2 = np.sum(np.abs(R_A) ** 2, axis=(1, 2))
     diag2 = np.abs(np.diagonal(R_A, axis1=1, axis2=2)) ** 2
     with np.errstate(divide="ignore", over="ignore"):
         bound = np.prod(frob2[:, None] / diag2, axis=1)
     ok = bound <= CERTIFY_LIMIT
     if not np.all(ok):
-        gram = G[idx[~ok, :, None], idx[~ok, None, :]]
+        gram = G[sets[~ok, None, None], idx[~ok, :, None], idx[~ok, None, :]]
         ok[~ok] = condition_number(gram) <= COND_LIMIT
-    Q = Q[ok]
-    fit = np.real(np.sum(Q.conj() * (R @ Q), axis=(1, 2)))
-    scores[ok] = trace_r - fit
-    return scores
+    # Q is conjugated in place once R Q is formed: one block-sized copy fewer.
+    RQ = R @ Q
+    fit = np.real(np.sum(np.conjugate(Q, out=Q) * RQ, axis=(1, 2)))
+    return np.where(ok, trace_r - fit, np.inf)
 
 
 # The errors that fail one config of ``estimate_many`` rather than the call.
@@ -785,11 +789,10 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
         shared = clock() - t0
         for (i, (candidates, c, iterations, converged, _)), row in zip(group, scores):
             t0 = clock()
-            # The first finite minimum; a set with none fails its config.
-            finite = np.isfinite(row)
-            if np.any(finite):
+            # The first minimum of scores finite or +inf; +inf fails the config.
+            best = int(np.argmin(row))
+            if np.isfinite(row[best]):
                 phi = candidates[subsets]
-                best = int(np.argmin(np.where(finite, row, np.inf)))
                 outcomes[i] = EstimationResult(
                     angles=phi[best].copy(),
                     coefs=c,

@@ -117,6 +117,21 @@ class TestSweepConfig:
             parse_sweep_config(path)
 
     @pytest.mark.parametrize(
+        "old, new, line, message",
+        [
+            ("n_trials = 4", "n_trials = 0", 10, "bad n_trials value: need n_trials >= 1, got 0"),
+            ("base_seed = 42", "base_seed = -1", 11, "bad base_seed value: need base_seed >= 0, got -1"),
+        ],
+        ids=["zero-trials", "negative-seed"],
+    )
+    def test_out_of_range_count_names_its_line(self, tmp_path, old, new, line, message):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(SWEEP_TEXT.replace(old, new))
+        with pytest.raises(ValidationError) as info:
+            parse_sweep_config(path)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize(
         "edits, line, message",
         [
             ({"m = 6": "m = 3", "r = 2": "r = 3", "-0.4, 0.7": "-0.4, 0.3, 0.7"}, 3, "need r < m, got r=3, m=3"),

@@ -949,9 +949,9 @@ def _score_subsets_and_route(candidates, cov, r, min_subsets=1):
     routed = set()
     qr_scores = estimators._qr_scores
 
-    def spy(A, G, R, idx, trace_r):
+    def spy(A, G, R, sets, idx, trace_r):
         routed.update(map(tuple, idx.tolist()))
-        return qr_scores(A, G, R, idx, trace_r)
+        return qr_scores(A, G, R, sets, idx, trace_r)
 
     with mock.patch.object(estimators, "_qr_scores", spy), mock.patch.object(
         estimators, "_GRAM_MIN_SUBSETS", min_subsets
@@ -1226,15 +1226,16 @@ class TestPrefixTree:
 def _score_stack_and_routes(stack, cov, r, min_subsets):
     """``_score_subsets`` of ``stack``, and the QR-route rows of each set.
 
-    The routes are keyed by the bytes of the steering matrix each QR call
-    gets, so equal sets share a key, as they share their routes.
+    The routes are keyed by the bytes of the steering matrix of each QR
+    row's set, so equal sets share a key, as they share their routes.
     """
     routed = {}
     qr_scores = estimators._qr_scores
 
-    def spy(A, G, R, idx, trace_r):
-        routed.setdefault(A.tobytes(), set()).update(map(tuple, idx.tolist()))
-        return qr_scores(A, G, R, idx, trace_r)
+    def spy(A, G, R, sets, idx, trace_r):
+        for s, row in zip(sets.tolist(), map(tuple, idx.tolist())):
+            routed.setdefault(A[s].tobytes(), set()).add(row)
+        return qr_scores(A, G, R, sets, idx, trace_r)
 
     with mock.patch.object(estimators, "_qr_scores", spy), mock.patch.object(
         estimators, "_GRAM_MIN_SUBSETS", min_subsets
@@ -1299,6 +1300,19 @@ class TestStackedScoring:
         stack, cov, r = drawn
         with mock.patch.object(estimators, "_TREE_BLOCK", leaves * r * r):
             _assert_stack_scores_as_alone(stack, cov, r, min_subsets=1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(candidate_stacks())
+    def test_mixed_qr_blocks_score_as_alone(self, drawn):
+        # A QR block takes the next _SUBSET_BLOCK rows of the whole stack, so
+        # it may hold the rows of several sets.  At the default route limit a
+        # small set takes the QR route whole; at 1 the uncertified rows of
+        # the Gram route do.
+        stack, cov, r = drawn
+        for min_subsets in (None, 1):
+            for block in (1, 7, 64):
+                with mock.patch.object(estimators, "_SUBSET_BLOCK", block):
+                    _assert_stack_scores_as_alone(stack, cov, r, min_subsets)
 
     def test_a_stack_mixes_routes_and_dead_pairs(self):
         # m=8, K=8, r=3: 56 subsets, at least _GRAM_MIN_SUBSETS, so all three
@@ -1899,7 +1913,8 @@ def _live_rows_score_subsets(candidates, cov, r):
         rest = np.concatenate(uncertified)
     for start in range(0, rest.size, _SUBSET_BLOCK):
         rows = rest[start : start + _SUBSET_BLOCK]
-        scores[rows] = estimators._qr_scores(A, G, R, subsets[rows], trace_r)
+        sets = np.zeros(rows.size, dtype=np.intp)
+        scores[rows] = estimators._qr_scores(A[None], G[None], R, sets, subsets[rows], trace_r)
     qr = np.zeros(len(subsets), dtype=bool)
     qr[rest] = True
     return subsets, scores, qr
