@@ -35,7 +35,7 @@ from .criteria import (
     v_puma,
     vec_matrix_identity_residual,
 )
-from .errors import SingularityError, ValidationError, check_integer, read_text_lines
+from .errors import SingularityError, ValidationError, check_count, read_text_lines
 from .estimators import (
     _TOKENS,
     _TYPED_ERRORS,
@@ -85,26 +85,14 @@ class SweepSpec:
     def __post_init__(self):
         if not self.snr_db_list or not self.snapshots_list or not self.methods:
             raise ValidationError("sweep lists must be non-empty")
-        _check_count("n_trials", self.n_trials, 1)
-        _check_count("base_seed", self.base_seed, 0)
+        check_count("n_trials", self.n_trials, 1)
+        check_count("base_seed", self.base_seed, 0)
         for key in ("snr_db_list", "snapshots_list", "methods"):
             try:
                 _check_list(key, getattr(self, key), (self.base.m, self.base.r))
             except ValueError as exc:
                 raise ValidationError(f"bad {key}: {exc}") from None
         check_covariance_size(self.base.m)
-
-
-def _check_count(key, value, least):
-    """``value``, or a ValidationError unless it is an integer of at least ``least``.
-
-    The rule of a sweep's ``n_trials`` (1) and ``base_seed`` (0), shared by
-    ``SweepSpec`` and the config parser, whose errors name the key's line.
-    """
-    check_integer(key, value)
-    if value < least:
-        raise ValidationError(f"need {key} >= {least}, got {value}")
-    return value
 
 
 def noise_power_for_snr(source_cov, r, snr_db):
@@ -198,8 +186,9 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
     tasks in a pool of at most ``jobs`` processes, and no more than there
     are chunks of 8 tasks or usable CPUs; the rows are the same whatever
     ``jobs``.  A ``success_threshold`` that is not a real number, or is
-    NaN or negative, is a ValidationError; so is a ``jobs`` that is not an
-    integer (``check_integer``) or is below 1.
+    NaN or negative, is a ValidationError; so is a ``jobs`` that fails
+    ``check_count`` at 1, and an SNR whose noise power is past float range
+    (``noise_power_for_snr``), for a spec built in code.
     """
     if not isinstance(success_threshold, numbers.Real):
         raise ValidationError(
@@ -207,9 +196,7 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
         )
     if not success_threshold >= 0:
         raise ValidationError(f"success threshold must be >= 0, got {success_threshold}")
-    check_integer("jobs", jobs)
-    if jobs < 1:
-        raise ValidationError(f"need jobs >= 1, got {jobs}")
+    check_count("jobs", jobs, 1)
     base = sweep.base
     cells = list(
         itertools.product(enumerate(sweep.snr_db_list), enumerate(sweep.snapshots_list))
@@ -350,7 +337,7 @@ def _check_list(key, values, shape=None):
     """The non-empty sweep list ``key``'s ``values``, or a ValueError naming its first bad entry.
 
     A repeated entry would write two sets of rows under one key.  A
-    snapshot count must be an integer of at least 1, and a count and a
+    snapshot count must pass ``check_count`` at 1, and a count and a
     method must fit the scenario's ``shape``, its (m, r): every trial of a
     simulation that ``check_draw_size`` rejects, or of a MODEX size that
     ``check_modex_size`` rejects, would fail.
@@ -361,9 +348,7 @@ def _check_list(key, values, shape=None):
             raise ValueError(f"repeated entry {label(value)}")
     if key == "snapshots_list":
         for T in values:
-            check_integer("a snapshot count", T)
-        if min(values) < 1:
-            raise ValueError(f"need at least one snapshot, got {min(values)}")
+            check_count("a snapshot count", T, 1)
         check_draw_size(*shape, max(values))
     if key == "methods":
         for config in values:
@@ -373,7 +358,13 @@ def _check_list(key, values, shape=None):
 
 
 def parse_sweep_config(path):
-    """Parse a sweep config file into a SweepSpec."""
+    """Parse a sweep config file into a SweepSpec.
+
+    A value that the spec, its scenario or ``run_sweep`` would reject is a
+    ValidationError naming its ``path:line``: the counts (``check_count``),
+    the scenario's rules, the list entries (``_check_list``) and an SNR
+    whose noise power is past float range (``noise_power_for_snr``).
+    """
     raw = {}
     lines = {}
     for lineno, line in enumerate(read_text_lines(path), 1):
@@ -401,12 +392,8 @@ def parse_sweep_config(path):
 
     floats = lambda s: tuple(_finite_float(v) for v in s.split(","))
 
-    m = parsed("m", int)
-    if m < 2:
-        raise ValidationError(f"{path}:{lines['m']}: need m >= 2, got {m}")
-    r = parsed("r", int)
-    if r < 1:
-        raise ValidationError(f"{path}:{lines['r']}: need r >= 1, got {r}")
+    m = parsed("m", lambda s: check_count("m", int(s), 2))
+    r = parsed("r", lambda s: check_count("r", int(s), 1))
     if r >= m:
         raise ValidationError(f"{path}:{lines['r']}: need r < m, got r={r}, m={m}")
     if raw.get("source_cov", "identity").strip().lower() == "identity":
@@ -427,6 +414,8 @@ def parse_sweep_config(path):
     angles = parsed("angles", lambda s: as_angles(floats(s)))
     if angles.size != r:
         raise ValidationError(f"{path}:{lines['angles']}: angles needs {r} entries, got {angles.size}")
+    snr_db_list = parsed("snr_db_list", lambda s: _check_list("snr_db_list", floats(s)))
+    parsed("snr_db_list", lambda s: [noise_power_for_snr(P, r, snr) for snr in snr_db_list])
     # run_sweep sets each trial's noise power, snapshot count and seed: placeholders.
     base = Scenario(
         m=m,
@@ -440,14 +429,14 @@ def parse_sweep_config(path):
 
     return SweepSpec(
         base=base,
-        snr_db_list=parsed("snr_db_list", lambda s: _check_list("snr_db_list", floats(s))),
+        snr_db_list=snr_db_list,
         snapshots_list=snapshots_list,
         methods=parsed(
             "methods",
             lambda s: _check_list("methods", tuple(map(parse_method_token, s.split(","))), (m, r)),
         ),
-        n_trials=parsed("n_trials", lambda s: _check_count("n_trials", int(s), 1)),
-        base_seed=parsed("base_seed", lambda s: _check_count("base_seed", int(s), 0)),
+        n_trials=parsed("n_trials", lambda s: check_count("n_trials", int(s), 1)),
+        base_seed=parsed("base_seed", lambda s: check_count("base_seed", int(s), 0)),
     )
 
 
@@ -506,25 +495,18 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
     """Run all numerical property suites; returns a list of PropertyReport.
 
     Instances draw m from 3 ... max_m and r from 1 ... min(max_r, m - 1).
-    ``n_instances``, ``seed``, ``max_m`` and ``max_r`` are integers
-    (``check_integer``).  A negative ``n_instances`` or ``seed`` is a
-    ValidationError; zero instances run none.  So is a ``max_m`` /
-    ``max_r`` at which an instance's V_PUMA Kronecker weight could exceed
-    ``_MAX_KRON_ENTRIES`` entries, checked before any instance.  ``fault_scale`` scales G in the
-    V_PUMA path alone, so a value other than 1 must fail
+    ``n_instances`` and ``seed`` must pass ``check_count`` at 0, ``max_m``
+    at 3 and ``max_r`` at 1, in that order; zero instances run none.  A
+    ``max_m`` / ``max_r`` at which an instance's V_PUMA Kronecker weight
+    could exceed ``_MAX_KRON_ENTRIES`` entries is a ValidationError too,
+    checked before any instance.  ``fault_scale`` scales G in the V_PUMA
+    path alone, so a value other than 1 must fail
     ``criterion_equivalence``.
     """
-    counts = {"n_instances": n_instances, "seed": seed, "max_m": max_m, "max_r": max_r}
-    for name, value in counts.items():
-        check_integer(name, value)
-    if n_instances < 0:
-        raise ValidationError(f"need n_instances >= 0, got {n_instances}")
-    if seed < 0:
-        raise ValidationError(f"need seed >= 0, got {seed}")
-    if max_m < 3 or max_r < 1:
-        raise ValidationError(
-            f"need max_m >= 3 and max_r >= 1, got max_m={max_m}, max_r={max_r}"
-        )
+    check_count("n_instances", n_instances, 0)
+    check_count("seed", seed, 0)
+    check_count("max_m", max_m, 3)
+    check_count("max_r", max_r, 1)
     # r (m - r) is largest at m = max_m, r = max_m / 2, within r <= max_r.
     r = min(max_r, max_m // 2)
     kron_entries = (r * (max_m - r)) ** 2

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared across the toolkit, the integer check of its
-input types, and the text-file reader that turns undecodable input into
-one of its errors."""
+"""Exception hierarchy shared across the toolkit, the integer and count
+checks of its input types, and the text-file reader that turns
+undecodable input into one of its errors."""
 
 import numbers
 
@@ -29,6 +29,18 @@ def check_integer(name, value, kind="an integer"):
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
+def check_count(name, value, least):
+    """``value``, or a ValidationError unless it is an integer of at least ``least``.
+
+    The one rule of every lower-bounded integer input: ``check_integer``,
+    then ``need <name> >= <least>, got <value>``.
+    """
+    check_integer(name, value)
+    if value < least:
+        raise ValidationError(f"need {name} >= {least}, got {value}")
+    return value
 
 
 def read_text_lines(path):

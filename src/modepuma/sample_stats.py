@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import as_angles, steering_matrix
-from .errors import NumericalError, ValidationError, check_integer
+from .errors import NumericalError, ValidationError, check_count, check_integer
 
 # Most complex draws of one simulation, T (r + m): ``simulate_snapshots``
 # draws them as a (T, 2 (r + m)) block of floats, 256 MiB at the cap, and
@@ -69,8 +69,9 @@ def check_source_cov(source_cov, r):
 class Scenario:
     """Complete description of one simulated experiment.
 
-    m, r, n_snapshots and seed are integers (``check_integer``), and the
-    simulation's draws fit ``check_draw_size``.
+    m, r and seed are integers (``check_integer``), n_snapshots is a count
+    of at least 1 (``check_count``), and the simulation's draws fit
+    ``check_draw_size``.
     """
 
     m: int
@@ -82,8 +83,9 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        for name in ("m", "r", "n_snapshots", "seed"):
+        for name in ("m", "r", "seed"):
             check_integer(name, getattr(self, name))
+        check_count("n_snapshots", self.n_snapshots, 1)
         object.__setattr__(self, "angles", as_angles(self.angles))
         if self.r != self.angles.size:
             raise ValidationError("r does not match the number of angles")
@@ -94,8 +96,6 @@ class Scenario:
             raise ValidationError(f"noise power must be a real number, got {self.noise_power!r}")
         if not (np.isfinite(self.noise_power) and self.noise_power >= 0):
             raise ValidationError("noise power must be finite and >= 0")
-        if self.n_snapshots < 1:
-            raise ValidationError("need at least one snapshot")
         check_draw_size(self.m, self.r, self.n_snapshots)
         if not (0 <= int(self.seed) < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
@@ -200,12 +200,22 @@ def subspace_decomposition(cov, r):
 
 
 def signal_weight(decomp):
-    """Weights g_i = (lambda_i - sigma^2)^2 / lambda_i; NumericalError past float range."""
+    """Weights g_i = (lambda_i - sigma^2)^2 / lambda_i; NumericalError past float range.
+
+    Past it on either side: a weight that overflows, or a nonzero gap
+    lambda_i - sigma^2 whose square is below normal range (a gap under
+    about 1.5e-154), where the weights lose their bits and then all read 0.
+    A gap of exactly 0 keeps its weight of 0.
+    """
     lam = np.asarray(decomp.lambdas, dtype=float)
     if np.any(lam <= 0):
         raise ValidationError("signal eigenvalues must be positive")
+    gap = lam - decomp.sigma2
     with np.errstate(over="ignore"):
-        g = (lam - decomp.sigma2) ** 2 / lam
+        gap2 = gap**2
+        g = gap2 / lam
     if not np.all(np.isfinite(g)):
         raise NumericalError("signal weights overflow float range")
+    if np.any((gap2 < np.finfo(float).tiny) & (gap != 0)):
+        raise NumericalError("signal weights underflow float range")
     return g

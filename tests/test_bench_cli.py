@@ -132,10 +132,38 @@ class TestSweepConfig:
         assert str(info.value) == f"{path}:{line}: {message}"
 
     @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"snr_db_list = 10": "snr_db_list = 4000"}, "SNR 4000.0 dB is out of float range"),
+            ({"snr_db_list = 10": "snr_db_list = 10, -4000"}, "SNR -4000.0 dB is out of float range"),
+            (
+                {
+                    "source_cov = identity": "source_cov = 1e306, 1e306",
+                    "snr_db_list = 10": "snr_db_list = -30",
+                },
+                "SNR -30.0 dB with source_cov trace 2e+306 gives a noise power out of float range",
+            ),
+        ],
+        ids=["snr-4000", "snr-minus-4000", "noise-power-overflow"],
+    )
+    def test_snr_past_float_range_names_its_line(self, tmp_path, edits, message):
+        text = SWEEP_TEXT
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        expected = f"{cfg}:7: bad snr_db_list value: {message}"
+        with pytest.raises(ValidationError) as info:
+            parse_sweep_config(cfg)
+        assert str(info.value) == expected
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1 and proc.stderr == f"error: {expected}\n"
+
+    @pytest.mark.parametrize(
         "edits, line, message",
         [
             ({"m = 6": "m = 3", "r = 2": "r = 3", "-0.4, 0.7": "-0.4, 0.3, 0.7"}, 3, "need r < m, got r=3, m=3"),
-            ({"m = 6": "m = 0"}, 2, "need m >= 2, got 0"),
+            ({"m = 6": "m = 0"}, 2, "bad m value: need m >= 2, got 0"),
             ({"-0.4, 0.7": "-0.4, 0.3, 0.7"}, 4, "angles needs 2 entries, got 3"),
             (
                 {"source_cov = identity": "source_cov = -1, 1"},
@@ -205,7 +233,7 @@ class TestSweepConfig:
                 "snapshots_list = 50",
                 "snapshots_list = 50, 0",
                 8,
-                "snapshots_list value: need at least one snapshot, got 0",
+                "snapshots_list value: need a snapshot count >= 1, got 0",
             ),
         ],
         ids=["repeated-snr", "repeated-snapshots", "repeated-method", "zero-snapshots"],
@@ -225,7 +253,7 @@ class TestSweepConfig:
         [
             ("snr_db_list", (10.0, 10.0), "bad snr_db_list: repeated entry 10.0"),
             ("snapshots_list", (50, 50), "bad snapshots_list: repeated entry 50"),
-            ("snapshots_list", (50, 0), "bad snapshots_list: need at least one snapshot, got 0"),
+            ("snapshots_list", (50, 0), "bad snapshots_list: need a snapshot count >= 1, got 0"),
             ("methods", "repeat", "bad methods: repeated entry mode"),
             (
                 "methods",
@@ -350,7 +378,7 @@ class TestSweepConfig:
         )
         proc = run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
         assert proc.returncode == 1
-        assert "sweep.cfg:3: need r >= 1, got -2" in proc.stderr
+        assert "sweep.cfg:3: bad r value: need r >= 1, got -2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_negative_source_cov_entry_exits_with_validation_code(self, tmp_path):
@@ -806,6 +834,20 @@ class TestMcCommand:
         assert len(rows) == 4 * (4 + 1)
         assert all(row[6] == row[7] == "nan" for row in rows)
 
+    def test_weights_below_float_range_give_nan_rows(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            SWEEP_TEXT.replace("source_cov = identity", "source_cov = 1e-200, 1e-200")
+            .replace("methods = mode, puma", "methods = mode, puma, modex:2, epuma:2")
+        )
+        out = tmp_path / "out.csv"
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = [l.split(",") for l in out.read_text().splitlines()[3:]]
+        assert len(rows) == 4 * (4 + 1)
+        assert all(row[6] == row[7] == "nan" for row in rows)
+        assert all(row[8:10] == ["0", "0"] for row in rows if row[5] != "-1")
+
     def test_covariance_past_float_range_gives_nan_rows(self, tmp_path):
         # The sample covariance overflows, so every method of every trial fails.
         cfg = tmp_path / "sweep.cfg"
@@ -983,6 +1025,22 @@ class TestEstimateCommand:
         assert proc.returncode == 2
         assert "float range" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("scale", [1e-78, 1e-100])
+    @pytest.mark.parametrize("method", ["mode", "puma", "modex", "epuma"])
+    def test_weights_below_float_range_exit_numerical(self, tmp_path, scale, method):
+        # (lambda - sigma^2)^2 underflows: every weight would read 0, and
+        # with them every Q, so c would be arbitrary.
+        sc = Scenario(
+            m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
+            noise_power=0.1, n_snapshots=100, seed=3,
+        )
+        snaps = tmp_path / "snaps.txt"
+        write_snapshots(snaps, simulate_snapshots(sc) * scale)
+        proc = run_cli("estimate", str(snaps), "--r", "2", "--method", method, "--p-extra",
+                       "2" if method in ("modex", "epuma") else "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "numerical error: signal weights underflow float range\n"
+
     def test_covariance_past_float_range_exits_numerical(self, tmp_path):
         sc = Scenario(
             m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
@@ -1087,17 +1145,17 @@ class TestEstimateCommand:
 
 class TestBadArguments:
     @pytest.mark.parametrize(
-        "args",
+        "args, message",
         [
-            ("verify", "--instances", "5", "--max-m", "2"),
-            ("verify", "--instances", "5", "--max-r", "0"),
+            (("verify", "--instances", "5", "--max-m", "2"), "need max_m >= 3, got 2"),
+            (("verify", "--instances", "5", "--max-r", "0"), "need max_r >= 1, got 0"),
         ],
         ids=["max-m-2", "max-r-0"],
     )
-    def test_verify_bounds(self, args):
+    def test_verify_bounds(self, args, message):
         proc = run_cli(*args)
         assert proc.returncode == 1
-        assert "need max_m >= 3 and max_r >= 1" in proc.stderr
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(

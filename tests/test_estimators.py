@@ -43,7 +43,7 @@ from modepuma.array_model import (
     toeplitz_annihilator,
 )
 from modepuma.bench import _random_instance, noise_power_for_snr, trial_seed
-from modepuma.errors import SingularityError
+from modepuma.errors import NumericalError, SingularityError
 from modepuma.estimators import (
     _GRAM_BOUND,
     _SUBSET_BLOCK,
@@ -699,6 +699,45 @@ class TestEstimateMany:
         _assert_same_result(outcomes[2], estimators.estimate(cov, decomp, weight, 3, configs[2]))
         with pytest.raises(ValidationError, match="p < m - r"):
             estimators.estimate(cov, decomp, weight, 3, configs[1])
+
+
+def _scale_pipeline(Y, r, configs):
+    cov = sample_covariance(Y)
+    decomp = subspace_decomposition(cov, r)
+    return estimators.estimate_many(cov, decomp, signal_weight(decomp), r, configs)
+
+
+class TestScaleInvariance:
+    # Every estimator is invariant to the data's scale, and 2^k scales the
+    # snapshots exactly.  So the angles must not move, unless the pipeline
+    # stops with a NumericalError where a covariance or weight leaves float
+    # range: never silently wrong angles.
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(5, 11), st.integers(1, 4), st.integers(0, 2**32 - 1),
+        st.floats(-2, 1), st.integers(-400, 400),
+    )
+    def test_angles_do_not_depend_on_the_data_scale(self, m, r, seed, log_noise, k):
+        angles = bench.random_angle_set(np.random.default_rng(seed), r, min_separation=0.1)
+        sc = Scenario(
+            m=m, r=r, angles=angles, source_cov=np.eye(r),
+            noise_power=10.0**log_noise, n_snapshots=50, seed=seed,
+        )
+        Y = simulate_snapshots(sc)
+        p = min(2, m - r - 1)
+        configs = (MODE, PUMA, EstimatorConfig("MODE", p), EstimatorConfig("PUMA", p))
+        base = _scale_pipeline(Y, r, configs)
+        try:
+            outcomes = _scale_pipeline(np.ldexp(Y.real, k) + 1j * np.ldexp(Y.imag, k), r, configs)
+        except NumericalError:
+            return
+        for config, got, ref in zip(configs, outcomes, base):
+            if isinstance(ref, Exception):
+                assert type(got) is type(ref), config
+                continue
+            assert not isinstance(got, Exception), (config, got)
+            assert np.max(np.abs(_wrap(got.angles - ref.angles))) <= 1e-9, config
 
 
 _WIDE_ANGLES = [-1.2, -0.3, 0.5, 1.4]

@@ -323,6 +323,18 @@ class TestSignalWeight:
         d = subspace_decomposition(sample_covariance_like(np.eye(3)), 1)
         assert np.allclose(signal_weight(d), [0.0])
 
+    @pytest.mark.parametrize("gap", [1e-155, 1e-160, 1e-300])
+    def test_gap_whose_square_is_below_normal_range_is_numerical_error(self, gap):
+        # The square is subnormal, then 0: the weight would lose its bits.
+        d = subspace_decomposition(sample_covariance_like(np.diag([gap, 0, 0])), 1)
+        with pytest.raises(NumericalError, match="signal weights underflow float range"):
+            signal_weight(d)
+
+    def test_smallest_gap_whose_square_is_normal_keeps_its_weight(self):
+        gap = 2.0**-511  # its square is np.finfo(float).tiny
+        d = subspace_decomposition(sample_covariance_like(np.diag([gap, 0, 0])), 1)
+        assert signal_weight(d)[0] == gap
+
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_weight_past_float_range_is_numerical_error(self, scale):
         # (lambda - sigma^2)^2 overflows; no RuntimeWarning escapes either.
