@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, SingularityError, ValidationError
+from .errors import DimensionError, SingularityError, ValidationError, check_integer
 
 # Condition-number ceiling beyond which Gram matrices are treated as singular.
 COND_LIMIT = 1e12
@@ -119,9 +119,11 @@ def steering_matrix(angles, m):
     ----------
     angles : sequence of radians, checked by ``as_angles``
     m : int
-        Sensor count; must exceed the number of angles.
+        Sensor count (``check_integer``); must exceed the number of angles,
+        else a DimensionError.
     """
     phi = as_angles(angles)
+    check_integer("m", m)
     if m <= phi.size:
         raise DimensionError(f"need m > r, got m={m}, r={phi.size}")
     return np.exp(1j * np.outer(np.arange(m), phi))
@@ -165,9 +167,11 @@ def toeplitz_annihilator(coefs, m):
     """(m-q) x m banded Toeplitz annihilator T, with T @ steering_matrix = 0.
 
     q is the polynomial degree; row i carries the coefficients c_0 ... c_q
-    starting at column i.
+    starting at column i.  m is an integer (``check_integer``) above q,
+    else a DimensionError.
     """
     c = as_coefs(coefs)
+    check_integer("m", m)
     q = c.size - 1
     if m <= q:
         raise DimensionError(f"need m > q, got m={m}, q={q}")

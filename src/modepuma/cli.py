@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench, snapshot_io
-from .errors import NumericalError, SingularityError, ValidationError
+from .errors import NumericalError, SingularityError, ValidationError, check_count
 from .estimators import _TOKENS, estimate as run_estimator
 from .sample_stats import (
     Scenario,
@@ -167,8 +167,7 @@ def _method_config(method, p_extra):
 def _cmd_estimate(args):
     # The arguments are checked before the file is read.
     config = _method_config(args.method, args.p_extra)
-    if args.r < 1:
-        raise ValidationError(f"need 0 < r < m, got r={args.r}")
+    check_count("r", args.r, 1)
     Y = snapshot_io.read_snapshots(args.input)
     cov = sample_covariance(Y)
     decomp = subspace_decomposition(cov, args.r)

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the toolkit, the integer and count
-checks of its input types, and the text-file reader that turns
+"""Exception hierarchy shared across the toolkit, the integer and bounded
+integer checks of its input types, and the text-file reader that turns
 undecodable input into one of its errors."""
 
 import numbers
@@ -21,25 +21,30 @@ class NumericalError(ArithmeticError):
     """An iterative numerical procedure failed to produce a usable result."""
 
 
-def check_integer(name, value, kind="an integer"):
+def check_integer(name, value):
     """A ValidationError naming *name* unless *value* is an integer.
 
     Any ``numbers.Integral`` is one (``np.int64`` included) but a bool, so
     a float is rejected, not truncated.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def check_count(name, value, least):
-    """``value``, or a ValidationError unless it is an integer of at least ``least``.
+def check_count(name, value, least, below=None):
+    """``value``, or a ValidationError unless it is an integer in [least, below).
 
-    The one rule of every lower-bounded integer input: ``check_integer``,
-    then ``need <name> >= <least>, got <value>``.
+    The one rule of every integer size, degree, count and seed:
+    ``check_integer``, then ``need <name> >= <least>, got <value>``, then,
+    where ``below`` is given, ``need <name> < <below>, got <value>``.  The
+    bounds are compared with ``int(value)``, so a numpy integer meets one
+    past its own range (a seed's 2**64) exactly.
     """
     check_integer(name, value)
-    if value < least:
+    if int(value) < least:
         raise ValidationError(f"need {name} >= {least}, got {value}")
+    if below is not None and int(value) >= below:
+        raise ValidationError(f"need {name} < {below}, got {value}")
     return value
 
 

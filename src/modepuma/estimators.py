@@ -61,7 +61,7 @@ from .array_model import (
     hermitian_gram,
 )
 from .criteria import v_mode
-from .errors import NumericalError, SingularityError, ValidationError, check_integer
+from .errors import NumericalError, SingularityError, ValidationError, check_count
 
 # Subsets per stacked block of ``_score_subsets``'s QR route, and W and
 # N entries per block of leaves of its Gram route (r * r per leaf: 2048
@@ -105,11 +105,9 @@ class EstimatorConfig:
     def __post_init__(self):
         p = self.p_extra
         if p is not None:
-            check_integer("p_extra", p, "an integer or None")
+            check_count("p_extra", p, 0)
         if (self.solver, p is not None) not in _TOKENS:
             raise ValidationError(f"no method runs solver {self.solver!r} at p_extra={p}")
-        if p is not None and p < 0:
-            raise ValidationError("p_extra must be >= 0")
 
     # Read by the benchmark's span namer (perfbench/layers.py) alone, which
     # names a span by them; nothing in the package reads them.
@@ -148,9 +146,10 @@ def quadratic_form_matrix(decomp, weight, omega, q):
     The map c -> vec(T U) is linear: vec(T U) = Phi c with
     Phi[l*(m-q) + i, k] = U[i + k, l].  Then Q = Phi* (G kron Omega) Phi,
     summed over the (m-q) x (q+1) Hankel slices Phi_l of ``_hankel_slices``
-    by ``_quadratic_form``.
+    by ``_quadratic_form``.  The degree q is an integer with 0 < q < m
+    (``check_count``).
     """
-    _check_degree(decomp, q)
+    check_count("q", q, 1, decomp.m)
     omega = np.asarray(omega, dtype=complex)
     m = decomp.m
     if omega.shape != (m - q, m - q):
@@ -247,9 +246,11 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     ``_MAX_ITERATIONS`` solves the last one, both not converged.  Returns
     ``(c, iterations, converged, history)``; ``history`` holds V_MODE of
     every iterate before the last, read as c* Q c off the next solve's
-    quadratic form.  A step's c with c_0 = 0 is a ValidationError before
-    c / c_0 is formed.  Each base's ``step`` and ``tolerance`` are in
-    ``_SOLVERS``.
+    quadratic form.  A step's c with c_0 = 0 is a NumericalError naming
+    the degree-q solve, raised before c / c_0 is formed.  Each base's
+    ``step`` and ``tolerance`` are in ``_SOLVERS``.  ``q`` is not checked
+    here: ``_solve``, the only caller, checks r and bounds r + p by
+    ``check_modex_size``.
 
     Every solve is ``step(Q, bound)`` with a certified bound on the
     condition of PUMA's gauge block Q_11 = Q[1:,1:].  With Phi'_l the
@@ -261,7 +262,6 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     ||T T*||_F ||(T T*)^-1||_F >= cond(Omega), or times 1 at Omega = I.
     A negative weight, or MODE's step, which reads no bound, leaves +inf.
     """
-    _check_degree(decomp, q)
     m = decomp.m
     g = np.asarray(weight, dtype=float)
     Phi, PhiH = _hankel_slices(decomp, q)
@@ -287,7 +287,7 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
             history.append(float(np.real(c.conj() @ Q @ c)))
         prev, c = a, step(Q, base * omega_cond)
         if c[0] == 0:
-            raise ValidationError("leading coefficient c_0 must be nonzero")
+            raise NumericalError(f"the degree-{q} solve returned c_0 = 0")
         a = c / c[0]
         if prev is not None and np.linalg.norm(a - prev) <= tolerance * np.linalg.norm(a):
             return c, iters, True, history
@@ -323,13 +323,6 @@ def _roots(c):
     return angles_from_coefs(ends)
 
 
-def _check_degree(decomp, q):
-    # The solver builds its Omega = I start (m - q square) before the first
-    # quadratic form, so it checks q up front too.
-    if not (0 < q < decomp.m):
-        raise ValidationError(f"need 0 < q < m, got q={q}, m={decomp.m}")
-
-
 def check_modex_size(m, r, p):
     """MODEX's size rule, shared with the sweep parser: p < m - r, C(2r + p, r) <= _MAX_SUBSETS."""
     if p >= m - r:
@@ -345,13 +338,17 @@ def check_modex_size(m, r, p):
 def _solve(decomp, weight, r, config):
     """A config's solves and roots: ``(candidates, c, iterations, converged, history)``.
 
-    A plain config runs its solver's degree-r loop: ``candidates`` are the
-    roots of its c, and ``history`` is the loop's.  MODEX checks its size
+    r is checked here, once per config, as an integer with 0 < r < m
+    (``check_count``), before any solve sizes its Omega = I start by
+    m - r and before ``check_modex_size`` counts subsets with it.  A plain
+    config runs its solver's degree-r loop: ``candidates`` are the roots
+    of its c, and ``history`` is the loop's.  MODEX checks its size
     (``check_modex_size``) first, and at p > 0 adds the degree-(r + p)
     solve: ``candidates`` pools both solves' roots, sorted, c is the
     extended one, ``iterations`` adds both counts, ``converged`` needs
     both, and ``history`` stays the degree-r loop's.
     """
+    check_count("r", r, 1, decomp.m)
     step, tolerance = _SOLVERS[config.solver]
     p = config.p_extra
     if p is not None:

@@ -69,8 +69,9 @@ def check_source_cov(source_cov, r):
 class Scenario:
     """Complete description of one simulated experiment.
 
-    m, r and seed are integers (``check_integer``), n_snapshots is a count
-    of at least 1 (``check_count``), and the simulation's draws fit
+    m is an integer (``check_integer``); r, seed and n_snapshots are
+    integers in range (``check_count``): 0 < r < m, 0 <= seed < 2**64 and
+    n_snapshots >= 1.  r counts the angles, and the simulation's draws fit
     ``check_draw_size``.
     """
 
@@ -83,22 +84,19 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        for name in ("m", "r", "seed"):
-            check_integer(name, getattr(self, name))
+        check_integer("m", self.m)
+        check_count("r", self.r, 1, self.m)
+        check_count("seed", self.seed, 0, 2**64)
         check_count("n_snapshots", self.n_snapshots, 1)
         object.__setattr__(self, "angles", as_angles(self.angles))
         if self.r != self.angles.size:
             raise ValidationError("r does not match the number of angles")
-        if self.r >= self.m:
-            raise ValidationError(f"need r < m, got r={self.r}, m={self.m}")
         object.__setattr__(self, "source_cov", check_source_cov(self.source_cov, self.r))
         if not isinstance(self.noise_power, numbers.Real):
             raise ValidationError(f"noise power must be a real number, got {self.noise_power!r}")
         if not (np.isfinite(self.noise_power) and self.noise_power >= 0):
             raise ValidationError("noise power must be finite and >= 0")
         check_draw_size(self.m, self.r, self.n_snapshots)
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -177,14 +175,13 @@ def sample_covariance(snapshots):
 def subspace_decomposition(cov, r):
     """Split a covariance into r principal eigenpairs and the noise floor.
 
-    sigma2 is the mean of the m - r smallest eigenvalues.  Each
-    eigenvector's phase is fixed so its largest-magnitude entry is real
-    positive, making the output deterministic.
+    r is an integer with 0 < r < m (``check_count``).  sigma2 is the mean
+    of the m - r smallest eigenvalues.  Each eigenvector's phase is fixed
+    so its largest-magnitude entry is real positive, making the output
+    deterministic.
     """
     R = np.asarray(cov)
-    m = R.shape[0]
-    if not (0 < r < m):
-        raise ValidationError(f"need 0 < r < m, got r={r}, m={m}")
+    check_count("r", r, 1, R.shape[0])
     try:
         w, V = np.linalg.eigh(0.5 * (R + R.conj().T))
     except np.linalg.LinAlgError as exc:

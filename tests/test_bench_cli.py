@@ -162,7 +162,7 @@ class TestSweepConfig:
     @pytest.mark.parametrize(
         "edits, line, message",
         [
-            ({"m = 6": "m = 3", "r = 2": "r = 3", "-0.4, 0.7": "-0.4, 0.3, 0.7"}, 3, "need r < m, got r=3, m=3"),
+            ({"m = 6": "m = 3", "r = 2": "r = 3", "-0.4, 0.7": "-0.4, 0.3, 0.7"}, 3, "bad r value: need r < 3, got 3"),
             ({"m = 6": "m = 0"}, 2, "bad m value: need m >= 2, got 0"),
             ({"-0.4, 0.7": "-0.4, 0.3, 0.7"}, 4, "angles needs 2 entries, got 3"),
             (
@@ -986,16 +986,17 @@ class TestEstimateCommand:
         assert proc.returncode == 1
         assert "p < m - r" in proc.stderr
 
-    @pytest.mark.parametrize("r", ["0", "4"])
-    def test_source_count_out_of_range(self, tmp_path, r):
+    @pytest.mark.parametrize(
+        "r, message", [("0", "need r >= 1, got 0"), ("4", "need r < 4, got 4")], ids=["0", "4"]
+    )
+    def test_source_count_out_of_range(self, tmp_path, r, message):
         snaps = tmp_path / "snaps.txt"
         run_cli(
             "simulate", "--out", str(snaps), "--m", "4", "--angles", "0.5",
             "--snapshots", "16", "--seed", "1",
         )
         proc = run_cli("estimate", str(snaps), "--r", r)
-        assert proc.returncode == 1
-        assert "need 0 < r < m" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.returncode == 1 and proc.stderr == f"error: {message}\n"
 
     def test_subset_cap_exits_with_validation_code(self, tmp_path):
         snaps = tmp_path / "snaps.txt"
@@ -1041,6 +1042,19 @@ class TestEstimateCommand:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "numerical error: signal weights underflow float range\n"
 
+    def test_a_degenerate_solve_exits_numerical(self, tmp_path):
+        # A valid file on which MODEX's extended symmetric step returns
+        # c_0 = 0: nothing the caller passed is wrong, so it is a numerical
+        # failure, not a validation one, and the other methods run on it.
+        deg = tmp_path / "deg.txt"
+        deg.write_text("# m=4 T=3\n1 0 0 1\n2 0 0 2\n0.5j 0 0 0.5j\n")
+        for p in (1, 2):
+            proc = run_cli("estimate", str(deg), "--r", "1", "--method", "modex", "--p-extra", str(p))
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == f"numerical error: the degree-{1 + p} solve returned c_0 = 0\n"
+        for method in (("mode",), ("puma",), ("epuma", "--p-extra", "1")):
+            assert run_cli("estimate", str(deg), "--r", "1", "--method", *method).returncode == 0
+
     def test_covariance_past_float_range_exits_numerical(self, tmp_path):
         sc = Scenario(
             m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
@@ -1078,7 +1092,7 @@ class TestEstimateCommand:
             (("--r", "1", "--method", "modex:3", "--p-extra", "2"), "give MODEX's p by --p-extra"),
             (("--r", "1", "--method", "EPUMA:2"), "give MODEX's p by --p-extra"),
             (("--r", "1", "--method", "mode:0"), "give MODEX's p by --p-extra"),
-            (("--r", "0"), "need 0 < r < m, got r=0"),
+            (("--r", "0"), "need r >= 1, got 0"),
         ],
         ids=["method", "p-extra", "tagged-p", "tagged-p-and-p-extra", "tagged-epuma", "tagged-mode", "r"],
     )

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 import os
@@ -686,8 +687,8 @@ class TestEstimateMany:
             warnings.simplefilter("error", RuntimeWarning)
             plain, extended = estimators.estimate_many(cov, decomp, [0.5], 1, configs)
         _assert_same_result(plain, estimate(cov, decomp, [0.5], 1, MODE))
-        assert isinstance(extended, ValidationError)
-        assert str(extended) == "leading coefficient c_0 must be nonzero"
+        assert isinstance(extended, NumericalError)
+        assert str(extended) == "the degree-2 solve returned c_0 = 0"
 
     def test_a_size_past_the_limit_fails_alone(self):
         # modex:7 at m=10, r=3 breaks p < m - r: a ValidationError entry.
@@ -1690,8 +1691,9 @@ class TestEstimatorConfig:
 
     @pytest.mark.parametrize("solver", ["MODE", "PUMA"])
     def test_negative_p_extra(self, solver):
-        with pytest.raises(ValidationError, match="p_extra must be >= 0"):
+        with pytest.raises(ValidationError) as info:
             EstimatorConfig(solver, -1)
+        assert str(info.value) == "need p_extra >= 0, got -1"
 
     def test_every_config_round_trips_through_its_label(self):
         configs = [
@@ -1716,8 +1718,9 @@ class TestEstimatorConfig:
 
     @pytest.mark.parametrize("p_extra", [2.5, 2.0, True, False, "2"])
     def test_a_p_extra_that_is_not_an_integer(self, p_extra):
-        with pytest.raises(ValidationError, match="p_extra must be an integer or None"):
+        with pytest.raises(ValidationError) as info:
             EstimatorConfig("PUMA", p_extra)
+        assert str(info.value) == f"p_extra must be an integer, got {p_extra!r}"
 
     def test_a_numpy_integer_p_extra_is_that_integer(self):
         config, plain = EstimatorConfig("PUMA", np.int64(2)), EstimatorConfig("PUMA", 2)
@@ -1757,13 +1760,109 @@ def test_roots_nudge_a_zero_end_coefficient_on_a_copy(q):
 
 
 @pytest.mark.parametrize("solver", [MODE, PUMA], ids=["MODE", "PUMA"])
-@pytest.mark.parametrize("r", [-1, 0, 6, 7])
-def test_degree_out_of_range_is_a_validation_error(solver, r):
+@pytest.mark.parametrize(
+    "r, message",
+    [(-1, "need r >= 1, got -1"), (0, "need r >= 1, got 0"), (6, "need r < 6, got 6"), (7, "need r < 6, got 7")],
+    ids=["-1", "0", "6", "7"],
+)
+def test_degree_out_of_range_is_a_validation_error(solver, r, message):
     # The solvers size their Omega = I start by m - r before the first
     # quadratic form, so the degree must be checked before that.
     cov, decomp, weight = noiseless_decomp(6, [-0.4, 0.7])
-    with pytest.raises(ValidationError, match="need 0 < q < m"):
+    with pytest.raises(ValidationError) as info:
         estimate(cov, decomp, weight, r, solver)
+    assert str(info.value) == message
+
+
+def _bits(x):
+    """``x`` as comparable bits: arrays by dtype, shape and bytes, floats by hex, errors by class and text."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_bits, x))
+    if isinstance(x, Exception):
+        return type(x), str(x)
+    if dataclasses.is_dataclass(x):
+        return type(x), tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    return x
+
+
+def _integer_inputs():
+    """Every integer size, degree and seed input: ``name -> (ints, in_range, call)``.
+
+    ``call(value, v)`` runs the entry point at ``value``, which stands for
+    the Python integer ``v`` (``v`` sizes what the value itself cannot).
+    """
+    phi = [-0.4, 0.7]
+    cov, decomp, weight = noisy_pipeline(6, 2, phi, 10.0, 50, seed=0)
+    configs = tuple(bench.parse_method_token(t) for t in ("mode", "puma", "modex:0", "epuma:1"))
+    small, wide = st.integers(-3, 12), st.integers(-3, 40)
+    seeds = st.one_of(small, st.sampled_from([2**63 - 1, 2**63 + 5, 2**64 - 1, 2**64, 2**64 + 3]))
+
+    def scenario(m=6, r=2, seed=1):
+        sc = Scenario(
+            m=m, r=r, angles=phi, source_cov=np.eye(2), noise_power=0.5, n_snapshots=4, seed=seed,
+        )
+        return sc, simulate_snapshots(sc)
+
+    def estimates(r):
+        outcomes = estimators.estimate_many(cov, decomp, weight, r, configs)
+        # A single run raises the error a batch holds.
+        try:
+            alone = estimate(cov, decomp, weight, r, configs[1])
+        except (ValidationError, SingularityError, NumericalError) as exc:
+            alone = exc
+        return outcomes, alone
+
+    return {
+        "steering_matrix.m": (wide, lambda v: v >= 3, lambda m, v: array_model.steering_matrix(phi, m)),
+        "toeplitz_annihilator.m": (
+            wide,
+            lambda v: v >= 3,
+            lambda m, v: toeplitz_annihilator(array_model.coefs_from_angles(phi), m),
+        ),
+        "subspace_decomposition.r": (small, lambda v: 0 < v < 6, lambda r, v: subspace_decomposition(cov, r)),
+        "quadratic_form_matrix.q": (
+            small,
+            lambda v: 0 < v < 6,
+            lambda q, v: quadratic_form_matrix(decomp, weight, np.eye(max(6 - v, 1)), q),
+        ),
+        "estimate.r": (small, lambda v: 0 < v < 6, lambda r, v: estimates(r)),
+        "Scenario.m": (wide, lambda v: v >= 3, lambda m, v: scenario(m=m)),
+        "Scenario.r": (small, lambda v: v == 2, lambda r, v: scenario(r=r)),
+        "Scenario.seed": (seeds, lambda v: 0 <= v < 2**64, lambda seed, v: scenario(seed=seed)),
+        "EstimatorConfig.p_extra": (small, lambda v: v >= 0, lambda p, v: EstimatorConfig("PUMA", p)),
+    }
+
+
+_INTEGER_INPUTS = _integer_inputs()
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_INPUTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["int", "numpy", "float", "half", "bool", "str"]))
+def test_every_size_degree_and_seed_is_an_integer_in_range(name, data, kind):
+    # An in-range integer, numpy's included, gives the plain int's bits;
+    # anything else is a ValidationError (DimensionError included) and
+    # never another exception.  A batch fails each config on a bad r.
+    ints, in_range, call = _INTEGER_INPUTS[name]
+    v = data.draw(ints, label="v")
+    if kind == "numpy":
+        value = np.int64(v) if -(2**63) <= v < 2**63 else np.uint64(v) if 0 <= v < 2**64 else v
+    else:
+        value = {"int": v, "float": float(v), "half": v + 0.5, "bool": bool(v % 2), "str": str(v)}[kind]
+    if kind in ("int", "numpy") and in_range(v):
+        assert _bits(call(value, v)) == _bits(call(v, v))
+        return
+    if name == "estimate.r":
+        outcomes, alone = call(value, v)
+        assert len(outcomes) == 4 and all(isinstance(o, ValidationError) for o in outcomes)
+        assert isinstance(alone, ValidationError)
+        return
+    with pytest.raises(ValidationError):
+        call(value, v)
 
 
 @st.composite
