@@ -140,7 +140,8 @@ def _run_trial(args):
     and angle matching, measured always and written by ``run_sweep`` only
     with timing on.  The methods run in one ``estimate_many`` call, so a
     MODEX method's own estimate counts the whole stacked subset scoring it
-    shared, as every row counts the shared simulation.  A typed error in
+    shared and the degree-r solve it shared with its base method, as every
+    row counts the shared simulation.  A typed error in
     the shared step fails every method's row of the trial; one in a
     method's estimate fails that method's row.  Neither stops the sweep.
     """
@@ -226,10 +227,13 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
         outcomes = [_run_trial(t) for t in tasks]
 
     rows = []
-    # Each repeated column is formatted once, so the rows share its string.
+    # Each repeated column is formatted once, so the rows share its string,
+    # and each trial value passes through ``shared``, so equal ones (a MODEX
+    # row that picked its base's roots has that row's RMSE) are one string.
     labels = [method_label(config) for config in sweep.methods]
     trial_ids = [str(trial) for trial in range(sweep.n_trials)]
     flags = ("0", "1")
+    shared = {}
     # Consecutive runs of n_trials outcomes belong to one cell.
     per_cell = zip(*[iter(outcomes)] * sweep.n_trials)
     for ((_, snr), (_, T)), cell in zip(cells, per_cell):
@@ -237,10 +241,10 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
         for label, trials in zip(labels, zip(*cell)):
             prefix = (label,) + cell_columns
             for trial_id, (rmse, crit, conv, succ, wall) in zip(trial_ids, trials):
+                values = (_fmt(rmse), _fmt(crit), f"{wall:.3f}" if timing else "")
+                rmse_s, crit_s, wall_s = (shared.setdefault(v, v) for v in values)
                 rows.append(
-                    prefix
-                    + (trial_id, _fmt(rmse), _fmt(crit), flags[int(conv)], flags[int(succ)])
-                    + (f"{wall:.3f}" if timing else "",)
+                    prefix + (trial_id, rmse_s, crit_s, flags[int(conv)], flags[int(succ)], wall_s)
                 )
             rows.append(prefix + ("-1",) + _aggregate(trials))
     return rows

@@ -19,10 +19,12 @@ one ``_SOLVERS`` row each:
   Cholesky factor, so each adds one row to it).
 
 ``estimate_many`` runs a trial's configs on one sample covariance: each
-config's solves and roots in ``_solve``, as alone, then the MODEX
-candidate sets of equal length scored in one stacked ``_score_subsets``
-call, which builds the subset basis once and walks the subset tree once
-for all of them.  ``estimate`` is a batch of one.
+config's solves and roots, as alone, except that each solver's degree-r
+loop and roots run once per call and are shared by its plain and MODEX
+configs (``_base_solve``), then the MODEX candidate sets of equal length
+scored in one stacked ``_score_subsets`` call, which builds the subset
+basis once and walks the subset tree once for all of them.  ``estimate``
+is a batch of one.
 
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
@@ -249,8 +251,8 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     quadratic form.  A step's c with c_0 = 0 is a NumericalError naming
     the degree-q solve, raised before c / c_0 is formed.  Each base's
     ``step`` and ``tolerance`` are in ``_SOLVERS``.  ``q`` is not checked
-    here: ``_solve``, the only caller, checks r and bounds r + p by
-    ``check_modex_size``.
+    here: ``_base_solve`` checks r, and bounds r + p by
+    ``check_modex_size``, before either caller runs it.
 
     Every solve is ``step(Q, bound)`` with a certified bound on the
     condition of PUMA's gauge block Q_11 = Q[1:,1:].  With Phi'_l the
@@ -335,35 +337,60 @@ def check_modex_size(m, r, p):
         )
 
 
-def _solve(decomp, weight, r, config):
-    """A config's solves and roots: ``(candidates, c, iterations, converged, history)``.
+def _base_solve(decomp, weight, r, config, memo):
+    """A config's checks, then its solver's degree-r solve: ``(roots, c, iterations, converged, history), reused``.
 
     r is checked here, once per config, as an integer with 0 < r < m
-    (``check_count``), before any solve sizes its Omega = I start by
-    m - r and before ``check_modex_size`` counts subsets with it.  A plain
-    config runs its solver's degree-r loop: ``candidates`` are the roots
-    of its c, and ``history`` is the loop's.  MODEX checks its size
-    (``check_modex_size``) first, and at p > 0 adds the degree-(r + p)
-    solve: ``candidates`` pools both solves' roots, sorted, c is the
-    extended one, ``iterations`` adds both counts, ``converged`` needs
-    both, and ``history`` stays the degree-r loop's.
+    (``check_count``) equal to ``decomp.r``, and the weight as one entry
+    per signal eigenvalue, before any solve sizes its Omega = I start by
+    m - r and before ``check_modex_size`` counts subsets with it.  A MODEX
+    config then checks its size (``check_modex_size``).
+
+    The degree-r loop and the roots of its c are the same call for a
+    solver's plain and MODEX configs, so ``memo``, one dict per
+    ``estimate_many`` call, keeps them by solver with the seconds they
+    took: the first config to need them runs them, and every config gets
+    copies, so no two outcomes share an array or a list.  ``reused`` is
+    those seconds where this config read them, else 0.0.  A solve that
+    raised is not kept: each config that needs it runs it again, and
+    fails with the same error, as alone.
     """
     check_count("r", r, 1, decomp.m)
-    step, tolerance = _SOLVERS[config.solver]
-    p = config.p_extra
-    if p is not None:
-        check_modex_size(decomp.m, r, p)
-    c, iterations, converged, history = _reweighted_solve(decomp, weight, r, step, tolerance)
-    candidates = _roots(c)
-    if p:
-        start = np.concatenate([c, np.zeros(p)]) if config.solver == "PUMA" else None
-        c, extra_iters, extra_conv, _ = _reweighted_solve(
-            decomp, weight, r + p, step, np.inf, start=start
+    if r != decomp.r:
+        raise ValidationError(f"need r equal to the decomposition's rank {decomp.r}, got {r}")
+    if np.shape(weight) != (r,):
+        raise ValidationError(f"need a weight of {r} entries, got shape {np.shape(weight)}")
+    if config.p_extra is not None:
+        check_modex_size(decomp.m, r, config.p_extra)
+    reused = config.solver in memo
+    if not reused:
+        t0 = time.perf_counter()
+        c, iterations, converged, history = _reweighted_solve(
+            decomp, weight, r, *_SOLVERS[config.solver]
         )
-        iterations += extra_iters
-        converged = converged and extra_conv
-        candidates = np.sort(np.concatenate([candidates, _roots(c)]))
-    return candidates, c, iterations, converged, history
+        memo[config.solver] = (_roots(c), c, iterations, converged, history), time.perf_counter() - t0
+    (roots, c, iterations, converged, history), seconds = memo[config.solver]
+    return (roots.copy(), c.copy(), iterations, converged, list(history)), seconds if reused else 0.0
+
+
+def _solve(decomp, weight, r, config, base):
+    """A config's solves and roots from its ``_base_solve``: ``(candidates, c, iterations, converged, history)``.
+
+    A plain config's, and MODEX's at p = 0, are the degree-r ones: the
+    roots of c, and the loop's ``history``.  MODEX at p > 0 adds the
+    degree-(r + p) solve: ``candidates`` pools both solves' roots, sorted,
+    c is the extended one, ``iterations`` adds both counts, ``converged``
+    needs both, and ``history`` stays the degree-r loop's.
+    """
+    p = config.p_extra
+    if not p:
+        return base
+    candidates, c, iterations, converged, history = base
+    step, _ = _SOLVERS[config.solver]
+    start = np.concatenate([c, np.zeros(p)]) if config.solver == "PUMA" else None
+    c, extra_iters, extra_conv, _ = _reweighted_solve(decomp, weight, r + p, step, np.inf, start=start)
+    candidates = np.sort(np.concatenate([candidates, _roots(c)]))
+    return candidates, c, iterations + extra_iters, converged and extra_conv, history
 
 
 def _score_subsets(stack, cov, r):
@@ -747,23 +774,28 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
     An outcome is the config's ``EstimationResult``, or the typed error
     (``ValidationError``, ``SingularityError``, ``NumericalError``) that
     failed it, which fails that entry alone.  Each config's solves and
-    roots run as they would alone.  A plain config's result is its loop's
-    last c and that c's roots, and V_MODE of c, which also ends
-    ``criterion_history``.  Then the MODEX configs' candidate sets
-    of equal length are scored in one stacked ``_score_subsets`` call,
-    which scores each set bit for bit as alone, so every outcome is that
-    of the config's own ``estimate``.  A list ``timings`` receives each
-    config's seconds: its solves and roots, and for MODEX the whole
-    stacked scoring it shared and its pick.
+    roots run as they would alone, except that a solver's degree-r loop
+    and roots run once per call, in the first config that needs them, and
+    the rest read copies of them from one memo that lives for the call
+    (``_base_solve``).  A plain config's result is its loop's last c and
+    that c's roots, and V_MODE of c, which also ends ``criterion_history``.
+    Then the MODEX configs' candidate sets of equal length are scored in
+    one stacked ``_score_subsets`` call, which scores each set bit for bit
+    as alone, so every outcome is that of the config's own ``estimate``.
+    A list ``timings`` receives each config's seconds: its solves and
+    roots, the degree-r ones counted whether it ran them or read them,
+    and for MODEX the whole stacked scoring it shared and its pick.
     """
     clock = time.perf_counter
     outcomes = [None] * len(configs)
     seconds = [0.0] * len(configs)
+    memo = {}  # solver -> its degree-r solve and roots, and their seconds
     pooled = {}  # K -> [(config index, _solve's tuple), ...]
     for i, config in enumerate(configs):
         t0 = clock()
         try:
-            solved = _solve(decomp, weight, r, config)
+            base, seconds[i] = _base_solve(decomp, weight, r, config, memo)
+            solved = _solve(decomp, weight, r, config, base)
             if config.p_extra is None:
                 candidates, c, iterations, converged, history = solved
                 value = v_mode(c, decomp, weight).value
@@ -779,7 +811,7 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
                 pooled.setdefault(len(solved[0]), []).append((i, solved))
         except _TYPED_ERRORS as exc:
             outcomes[i] = exc
-        seconds[i] = clock() - t0
+        seconds[i] += clock() - t0
     for group in pooled.values():
         t0 = clock()
         subsets, scores = _score_subsets(np.stack([solved[0] for _, solved in group]), cov, r)

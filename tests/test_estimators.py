@@ -3,9 +3,11 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from math import comb
 from unittest import mock
@@ -657,9 +659,10 @@ class TestEstimateMany:
     def test_a_config_whose_subsets_all_score_inf_fails_alone(self, monkeypatch):
         # The second MODEX config's roots are forced to one repeated angle,
         # so every one of its subsets is dead; it shares its stack with the
-        # first, which scores as alone.  Roots calls 1-3 are mode's and
-        # modex:2's two, calls 4-5 epuma:2's two.
-        configs = tuple(bench.parse_method_token(t) for t in ("mode", "modex:2", "epuma:2", "puma"))
+        # first, which scores as alone.  Roots call 1 is mode's degree-r
+        # one, which modex:2 reads from the call's memo, call 2 modex:2's
+        # extended one, and calls 3-4 epuma:2's two.
+        configs = tuple(bench.parse_method_token(t) for t in ("mode", "modex:2", "epuma:2"))
         cov, decomp, weight = noisy_pipeline(10, 3, [-0.8, 0.1, 0.2], 10.0, 50, seed=0)
         alone = [estimators.estimate(cov, decomp, weight, 3, c) for c in configs]
         roots = estimators._roots
@@ -667,12 +670,12 @@ class TestEstimateMany:
 
         def forced(c):
             calls.append(len(c))
-            return np.full(len(c) - 1, 0.3) if len(calls) in (4, 5) else roots(c)
+            return np.full(len(c) - 1, 0.3) if len(calls) in (3, 4) else roots(c)
 
         monkeypatch.setattr(estimators, "_roots", forced)
         outcomes = estimators.estimate_many(cov, decomp, weight, 3, configs)
         assert isinstance(outcomes[2], SingularityError)
-        for k in (0, 1, 3):
+        for k in (0, 1):
             _assert_same_result(outcomes[k], alone[k])
 
     def test_a_zero_leading_coefficient_fails_its_config_alone(self):
@@ -700,6 +703,146 @@ class TestEstimateMany:
         _assert_same_result(outcomes[2], estimators.estimate(cov, decomp, weight, 3, configs[2]))
         with pytest.raises(ValidationError, match="p < m - r"):
             estimators.estimate(cov, decomp, weight, 3, configs[1])
+
+    # An r or a weight that does not match the decomposition fails every
+    # config with a ValidationError naming both sizes, before any solve.
+    @pytest.mark.parametrize(
+        "r, weight, message",
+        [
+            (2, [0.5], r"need a weight of 2 entries, got shape \(1,\)"),
+            (2, [0.5, 0.4, 0.3], r"need a weight of 2 entries, got shape \(3,\)"),
+            (3, None, "need r equal to the decomposition's rank 2, got 3"),
+            (1, None, "need r equal to the decomposition's rank 2, got 1"),
+        ],
+        ids=["short-weight", "long-weight", "r-above", "r-below"],
+    )
+    def test_a_size_other_than_the_decomposition_s_fails_every_config(self, r, weight, message):
+        cov, decomp, own = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        weight = own if weight is None else weight
+        configs = tuple(bench.parse_method_token(t) for t in _PAPER_TOKENS)
+        outcomes = estimators.estimate_many(cov, decomp, weight, r, configs)
+        assert len(outcomes) == len(configs)
+        for outcome in outcomes:
+            assert isinstance(outcome, ValidationError)
+            assert re.fullmatch(message, str(outcome))
+        with pytest.raises(ValidationError, match=message):
+            estimate(cov, decomp, weight, r, MODE)
+
+
+_PAPER_TOKENS = ("mode", "puma", "modex:2", "epuma:2")
+
+
+def _assert_same_outcome(got, ref):
+    """``_assert_same_result`` and the same ``criterion_history``, or the same typed error."""
+    if isinstance(ref, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref)
+        return
+    _assert_same_result(got, ref)
+    assert got.criterion_history == ref.criterion_history
+
+
+def _counting(monkeypatch, name):
+    """Replace ``estimators.<name>`` by a wrapper that counts its calls; the count list."""
+    calls = []
+    original = getattr(estimators, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, name, counted)
+    return calls
+
+
+class TestDegreeRMemo:
+    # A solver's plain and MODEX configs share its degree-r loop and roots
+    # within one ``estimate_many`` call; every outcome must still be the
+    # config's own ``estimate``, own its arrays, and count both solves.
+
+    def test_the_paper_configs_solve_degree_r_once_per_solver(self, monkeypatch):
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        configs = tuple(bench.parse_method_token(t) for t in _PAPER_TOKENS)
+        solves = _counting(monkeypatch, "_reweighted_solve")
+        roots = _counting(monkeypatch, "_roots")
+        estimators.estimate_many(cov, decomp, weight, 2, configs)
+        # mode, puma: one each; modex:2, epuma:2: the extended one each.
+        assert (len(solves), len(roots)) == (4, 4)
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            ("modex:2", "mode", "epuma:2", "puma"),
+            ("epuma:0", "modex:0", "puma", "mode", "modex:2"),
+            ("mode", "mode", "modex:2", "modex:2", "epuma:1", "epuma:1"),
+            ("modex:9", "mode", "modex:9", "modex:1", "epuma:9", "puma", "epuma:3"),
+        ],
+        ids=["modex-first", "p-zero", "duplicated", "too-large-p"],
+    )
+    @pytest.mark.parametrize("snr", [-4.0, 10.0])
+    def test_every_outcome_is_its_own_estimate(self, tokens, snr):
+        configs = tuple(bench.parse_method_token(t) for t in tokens)
+        for seed in range(3):
+            cov, decomp, weight = noisy_pipeline(10, 3, [-0.8, 0.1, 0.2], snr, 50, seed=seed)
+            outcomes = estimators.estimate_many(cov, decomp, weight, 3, configs)
+            for config, got in zip(configs, outcomes):
+                (alone,) = estimators.estimate_many(cov, decomp, weight, 3, (config,))
+                _assert_same_outcome(got, alone)
+            if "modex:9" in tokens:
+                assert all(isinstance(outcomes[k], ValidationError) for k in (0, 2, 4))
+
+    def test_no_two_outcomes_share_memory(self):
+        cov, decomp, weight = noisy_pipeline(10, 3, [-0.8, 0.1, 0.2], 10.0, 50, seed=0)
+        tokens = ("mode", "modex:0", "modex:0", "modex:2", "puma", "epuma:0", "epuma:2", "puma")
+        configs = tuple(bench.parse_method_token(t) for t in tokens)
+        outcomes = estimators.estimate_many(cov, decomp, weight, 3, configs)
+        arrays = []
+        for res in outcomes:
+            arrays += [res.angles, res.coefs, *(res._candidates or ())]
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+        histories = [res.criterion_history for res in outcomes if res.criterion_history is not None]
+        assert len(histories) == 3
+        assert len({id(h) for h in histories}) == len(histories)
+
+    def test_a_degree_r_solve_that_raises_fails_each_config_that_needs_it(self, monkeypatch):
+        # PUMA's degree-r loop is made to raise: puma and epuma:2 each fail
+        # with that error, as alone, and the MODE configs are untouched.
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        solve = estimators._reweighted_solve
+
+        def failing(decomp, weight, q, step, tolerance, **kwargs):
+            if step is _gauge_step and q == 2:
+                raise NumericalError("the degree-2 solve returned c_0 = 0")
+            return solve(decomp, weight, q, step, tolerance, **kwargs)
+
+        monkeypatch.setattr(estimators, "_reweighted_solve", failing)
+        configs = tuple(bench.parse_method_token(t) for t in _PAPER_TOKENS)
+        outcomes = estimators.estimate_many(cov, decomp, weight, 2, configs)
+        for config, got in zip(configs, outcomes):
+            (alone,) = estimators.estimate_many(cov, decomp, weight, 2, (config,))
+            _assert_same_outcome(got, alone)
+        assert all(isinstance(outcomes[k], NumericalError) for k in (1, 3))
+        assert outcomes[1] is not outcomes[3]
+
+    def test_a_modex_config_s_time_counts_the_solve_it_read(self, monkeypatch):
+        # A fake clock that advances 1 s per reweighted loop, and stands
+        # still otherwise: mode runs the degree-r loop, modex:2 reads it and
+        # runs its extended one, and is charged for both, as alone.
+        ticks = [0.0]
+        solve = estimators._reweighted_solve
+
+        def ticking(*args, **kwargs):
+            ticks[0] += 1.0
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_reweighted_solve", ticking)
+        monkeypatch.setattr(estimators, "time", types.SimpleNamespace(perf_counter=lambda: ticks[0]))
+        cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
+        configs = tuple(bench.parse_method_token(t) for t in _PAPER_TOKENS)
+        for batch, want in [(configs, [1.0, 1.0, 2.0, 2.0]), (configs[2:], [2.0, 2.0])]:
+            timings = []
+            estimators.estimate_many(cov, decomp, weight, 2, batch, timings=timings)
+            assert timings == want
 
 
 def _scale_pipeline(Y, r, configs):

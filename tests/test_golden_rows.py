@@ -125,3 +125,20 @@ def test_sweep_rows_match_the_recorded_rows(name):
                 )
             else:
                 assert got == ref, (CSV_COLUMNS[k], row, want)
+
+
+def test_equal_trial_values_of_one_sweep_are_one_string():
+    # A MODEX row that picked its base's roots repeats that row's RMSE; one
+    # sweep holds each such value once, and its rows are still the recorded
+    # bytes.
+    sweep, golden = SWEEPS["paper"]
+    rows = run_sweep(sweep)
+    assert rows == golden
+    trials = [row for row in rows if row[CSV_COLUMNS.index("trial_index")] != "-1"]
+    repeats = 0
+    for k in _FLOAT_COLUMNS:
+        held = {}
+        for row in trials:
+            repeats += row[k] in held
+            assert held.setdefault(row[k], row[k]) is row[k]
+    assert repeats >= 4
