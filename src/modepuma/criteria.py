@@ -23,7 +23,7 @@ from .array_model import (
     steering_matrix,
     toeplitz_annihilator,
 )
-from .errors import DimensionError
+from .errors import DimensionError, check_weight
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,12 @@ def v_ml_coefs(coefs, cov):
 
 
 def v_mode(coefs, decomp, weight):
-    """tr{ (T T*)^-1 T U G U* T* }, the weighted signal-subspace fit."""
+    """tr{ (T T*)^-1 T U G U* T* }, the weighted signal-subspace fit.
+
+    G = diag(weight), of r finite real numbers (``check_weight``).
+    """
     U = decomp.u_signal
-    g = np.asarray(weight, dtype=float)
+    g = check_weight(weight, U.shape[1])
     T = toeplitz_annihilator(coefs, U.shape[0])
     TU = T @ U
     return _trace_gram_inverse(T, (TU * g) @ TU.conj().T)
@@ -73,10 +76,11 @@ def v_puma(coefs, decomp, weight):
 
     This path intentionally materializes the Kronecker weighting matrix
     instead of delegating to :func:`v_mode`; the agreement of the two
-    routes is the property under test elsewhere.
+    routes is the property under test elsewhere.  The weight meets
+    ``check_weight``, as in :func:`v_mode`.
     """
     U = decomp.u_signal
-    g = np.asarray(weight, dtype=float)
+    g = check_weight(weight, U.shape[1])
     T = toeplitz_annihilator(coefs, U.shape[0])
     gram, cond = guarded_gram(T, "T T*")
     W = np.kron(np.diag(g), np.linalg.inv(gram))

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the toolkit, the integer and bounded
-integer checks of its input types, and the text-file reader that turns
-undecodable input into one of its errors."""
+"""Exception hierarchy shared across the toolkit, the integer, bounded
+integer and weight checks of its input types, and the text-file reader that
+turns undecodable input into one of its errors."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -46,6 +49,29 @@ def check_count(name, value, least, below=None):
     if below is not None and int(value) >= below:
         raise ValidationError(f"need {name} < {below}, got {value}")
     return value
+
+
+def check_weight(weight, r):
+    """``weight`` as a float array, or a ValidationError unless it is r finite real numbers.
+
+    The one rule of every weight G = diag(g) of a criterion or solver: a
+    sequence that numpy cannot make an array of, then a shape other than
+    (r,), then entries that are not integers or floats (a bool, a complex
+    number, a string), then a NaN or an infinity.  The sign is not checked.
+    """
+    try:
+        g = np.asarray(weight)
+    except ValueError as exc:
+        raise ValidationError(f"need a weight of {r} entries, got a ragged sequence") from exc
+    if g.shape != (r,):
+        raise ValidationError(f"need a weight of {r} entries, got shape {g.shape}")
+    if g.dtype.kind not in "iuf":
+        raise ValidationError(f"need a weight of real numbers, got dtype {g.dtype}")
+    g = np.asarray(g, dtype=float)
+    values = g.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"need a finite weight, got {values}")
+    return g
 
 
 def read_text_lines(path):

@@ -19,12 +19,11 @@ one ``_SOLVERS`` row each:
   Cholesky factor, so each adds one row to it).
 
 ``estimate_many`` runs a trial's configs on one sample covariance: each
-config's solves and roots, as alone, except that each solver's degree-r
-loop and roots run once per call and are shared by its plain and MODEX
-configs (``_base_solve``), then the MODEX candidate sets of equal length
-scored in one stacked ``_score_subsets`` call, which builds the subset
-basis once and walks the subset tree once for all of them.  ``estimate``
-is a batch of one.
+config's checks, solves and roots in one ``_solve`` call, as alone but for
+the degree-r memo it describes, then the MODEX candidate sets of equal
+length scored in one stacked ``_score_subsets`` call, which builds the
+subset basis once and walks the subset tree once for all of them.
+``estimate`` is a batch of one.
 
 Every Gram meets one rule, ``condition_number`` within ``COND_LIMIT``: the
 reweight ends at the current c on a T T* past it, and nothing is regularized.
@@ -63,7 +62,7 @@ from .array_model import (
     hermitian_gram,
 )
 from .criteria import v_mode
-from .errors import NumericalError, SingularityError, ValidationError, check_count
+from .errors import NumericalError, SingularityError, ValidationError, check_count, check_weight
 
 # Subsets per stacked block of ``_score_subsets``'s QR route, and W and
 # N entries per block of leaves of its Gram route (r * r per leaf: 2048
@@ -149,15 +148,16 @@ def quadratic_form_matrix(decomp, weight, omega, q):
     Phi[l*(m-q) + i, k] = U[i + k, l].  Then Q = Phi* (G kron Omega) Phi,
     summed over the (m-q) x (q+1) Hankel slices Phi_l of ``_hankel_slices``
     by ``_quadratic_form``.  The degree q is an integer with 0 < q < m
-    (``check_count``).
+    (``check_count``), and the weight r finite real numbers (``check_weight``).
     """
     check_count("q", q, 1, decomp.m)
+    g = check_weight(weight, decomp.r)
     omega = np.asarray(omega, dtype=complex)
     m = decomp.m
     if omega.shape != (m - q, m - q):
         raise ValidationError("omega must be (m-q) x (m-q)")
     Phi, PhiH = _hankel_slices(decomp, q)
-    return _quadratic_form(Phi, PhiH, np.asarray(weight, dtype=float), omega)
+    return _quadratic_form(Phi, PhiH, g, omega)
 
 
 def _hankel_slices(decomp, q):
@@ -233,7 +233,7 @@ def _gauge_step(Q, bound=np.inf):
     return np.concatenate(([1.0 + 0.0j], tail))
 
 
-def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
+def _reweighted_solve(decomp, g, q, step, tolerance, *, start=None):
     """Minimize c* Q(Omega) c by ``step``, reweighting Omega = (T T*)^-1 at c.
 
     Starts from Omega = I, or from Omega at the degree-q coefficients
@@ -250,9 +250,9 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     every iterate before the last, read as c* Q c off the next solve's
     quadratic form.  A step's c with c_0 = 0 is a NumericalError naming
     the degree-q solve, raised before c / c_0 is formed.  Each base's
-    ``step`` and ``tolerance`` are in ``_SOLVERS``.  ``q`` is not checked
-    here: ``_base_solve`` checks r, and bounds r + p by
-    ``check_modex_size``, before either caller runs it.
+    ``step`` and ``tolerance`` are in ``_SOLVERS``.  Neither ``q`` nor
+    ``g`` is checked here: ``_solve`` checks r, bounds r + p by
+    ``check_modex_size`` and passes ``check_weight``'s array as ``g``.
 
     Every solve is ``step(Q, bound)`` with a certified bound on the
     condition of PUMA's gauge block Q_11 = Q[1:,1:].  With Phi'_l the
@@ -265,7 +265,6 @@ def _reweighted_solve(decomp, weight, q, step, tolerance, *, start=None):
     A negative weight, or MODE's step, which reads no bound, leaves +inf.
     """
     m = decomp.m
-    g = np.asarray(weight, dtype=float)
     Phi, PhiH = _hankel_slices(decomp, q)
     Q = _quadratic_form(Phi, PhiH, g, np.eye(m - q, dtype=complex))
     base = condition_number(Q[1:, 1:]) if step is _gauge_step and np.all(g >= 0) else np.inf
@@ -337,60 +336,52 @@ def check_modex_size(m, r, p):
         )
 
 
-def _base_solve(decomp, weight, r, config, memo):
-    """A config's checks, then its solver's degree-r solve: ``(roots, c, iterations, converged, history), reused``.
+def _solve(decomp, weight, r, config, memo):
+    """A config's checks, solves and roots: ``(candidates, c, iterations, converged, history), reused``.
 
-    r is checked here, once per config, as an integer with 0 < r < m
-    (``check_count``) equal to ``decomp.r``, and the weight as one entry
-    per signal eigenvalue, before any solve sizes its Omega = I start by
-    m - r and before ``check_modex_size`` counts subsets with it.  A MODEX
-    config then checks its size (``check_modex_size``).
+    The checks run once per config, before any solve sizes its Omega = I
+    start by m - r and before ``check_modex_size`` counts subsets with r:
+    r is an integer with 0 < r < m (``check_count``) equal to
+    ``decomp.r``, the weight r finite real numbers (``check_weight``), and
+    a MODEX config's size within ``check_modex_size``.
 
     The degree-r loop and the roots of its c are the same call for a
     solver's plain and MODEX configs, so ``memo``, one dict per
     ``estimate_many`` call, keeps them by solver with the seconds they
     took: the first config to need them runs them, and every config gets
-    copies, so no two outcomes share an array or a list.  ``reused`` is
-    those seconds where this config read them, else 0.0.  A solve that
-    raised is not kept: each config that needs it runs it again, and
-    fails with the same error, as alone.
-    """
-    check_count("r", r, 1, decomp.m)
-    if r != decomp.r:
-        raise ValidationError(f"need r equal to the decomposition's rank {decomp.r}, got {r}")
-    if np.shape(weight) != (r,):
-        raise ValidationError(f"need a weight of {r} entries, got shape {np.shape(weight)}")
-    if config.p_extra is not None:
-        check_modex_size(decomp.m, r, config.p_extra)
-    reused = config.solver in memo
-    if not reused:
-        t0 = time.perf_counter()
-        c, iterations, converged, history = _reweighted_solve(
-            decomp, weight, r, *_SOLVERS[config.solver]
-        )
-        memo[config.solver] = (_roots(c), c, iterations, converged, history), time.perf_counter() - t0
-    (roots, c, iterations, converged, history), seconds = memo[config.solver]
-    return (roots.copy(), c.copy(), iterations, converged, list(history)), seconds if reused else 0.0
+    copies or arrays of its own, so no two outcomes share an array or a
+    list.  ``reused`` is those seconds where this config read them, else
+    0.0.  A solve that raised is not kept: each config that needs it runs
+    it again, and fails with the same error, as alone.
 
-
-def _solve(decomp, weight, r, config, base):
-    """A config's solves and roots from its ``_base_solve``: ``(candidates, c, iterations, converged, history)``.
-
-    A plain config's, and MODEX's at p = 0, are the degree-r ones: the
-    roots of c, and the loop's ``history``.  MODEX at p > 0 adds the
+    A plain config's result, and MODEX's at p = 0, are the degree-r ones:
+    the roots of c, and the loop's ``history``.  MODEX at p > 0 adds the
     degree-(r + p) solve: ``candidates`` pools both solves' roots, sorted,
     c is the extended one, ``iterations`` adds both counts, ``converged``
     needs both, and ``history`` stays the degree-r loop's.
     """
+    check_count("r", r, 1, decomp.m)
+    if r != decomp.r:
+        raise ValidationError(f"need r equal to the decomposition's rank {decomp.r}, got {r}")
+    g = check_weight(weight, r)
     p = config.p_extra
-    if not p:
-        return base
-    candidates, c, iterations, converged, history = base
-    step, _ = _SOLVERS[config.solver]
-    start = np.concatenate([c, np.zeros(p)]) if config.solver == "PUMA" else None
-    c, extra_iters, extra_conv, _ = _reweighted_solve(decomp, weight, r + p, step, np.inf, start=start)
-    candidates = np.sort(np.concatenate([candidates, _roots(c)]))
-    return candidates, c, iterations + extra_iters, converged and extra_conv, history
+    if p is not None:
+        check_modex_size(decomp.m, r, p)
+    step, tolerance = _SOLVERS[config.solver]
+    reused = config.solver in memo
+    if not reused:
+        t0 = time.perf_counter()
+        c, iterations, converged, history = _reweighted_solve(decomp, g, r, step, tolerance)
+        memo[config.solver] = (_roots(c), c, iterations, converged, history), time.perf_counter() - t0
+    (candidates, c, iterations, converged, history), seconds = memo[config.solver]
+    if p:
+        start = np.concatenate([c, np.zeros(p)]) if config.solver == "PUMA" else None
+        c, extra_iters, extra_conv, _ = _reweighted_solve(decomp, g, r + p, step, np.inf, start=start)
+        candidates = np.sort(np.concatenate([candidates, _roots(c)]))
+        iterations, converged = iterations + extra_iters, converged and extra_conv
+    else:
+        candidates, c = candidates.copy(), c.copy()
+    return (candidates, c, iterations, converged, list(history)), seconds if reused else 0.0
 
 
 def _score_subsets(stack, cov, r):
@@ -773,15 +764,14 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
 
     An outcome is the config's ``EstimationResult``, or the typed error
     (``ValidationError``, ``SingularityError``, ``NumericalError``) that
-    failed it, which fails that entry alone.  Each config's solves and
-    roots run as they would alone, except that a solver's degree-r loop
-    and roots run once per call, in the first config that needs them, and
-    the rest read copies of them from one memo that lives for the call
-    (``_base_solve``).  A plain config's result is its loop's last c and
-    that c's roots, and V_MODE of c, which also ends ``criterion_history``.
-    Then the MODEX configs' candidate sets of equal length are scored in
-    one stacked ``_score_subsets`` call, which scores each set bit for bit
-    as alone, so every outcome is that of the config's own ``estimate``.
+    failed it, which fails that entry alone.  Each config's checks, solves
+    and roots are one ``_solve`` call, as alone but for the degree-r memo
+    it describes, which lives for this call.  A plain config's result is
+    its loop's last c and that c's roots, and V_MODE of c, which also ends
+    ``criterion_history``.  Then the MODEX configs' candidate sets of equal
+    length are scored in one stacked ``_score_subsets`` call, which scores
+    each set bit for bit as alone, so every outcome is that of the
+    config's own ``estimate``.
     A list ``timings`` receives each config's seconds: its solves and
     roots, the degree-r ones counted whether it ran them or read them,
     and for MODEX the whole stacked scoring it shared and its pick.
@@ -794,8 +784,7 @@ def estimate_many(cov, decomp, weight, r, configs, *, timings=None):
     for i, config in enumerate(configs):
         t0 = clock()
         try:
-            base, seconds[i] = _base_solve(decomp, weight, r, config, memo)
-            solved = _solve(decomp, weight, r, config, base)
+            solved, seconds[i] = _solve(decomp, weight, r, config, memo)
             if config.p_extra is None:
                 candidates, c, iterations, converged, history = solved
                 value = v_mode(c, decomp, weight).value

@@ -7,7 +7,9 @@ from modepuma import (
     SubspaceDecomposition,
     coefs_from_angles,
     projector_from_annihilator,
+    quadratic_form_matrix,
     sample_covariance,
+    simulate_snapshots,
     subspace_decomposition,
     toeplitz_annihilator,
     true_covariance,
@@ -254,6 +256,30 @@ class TestVmodeVpuma:
             except SingularityError:
                 continue
             assert abs(val - (m - q)) <= 1e-12 * max(1.0, m - q)
+
+
+class TestWeightRule:
+    # Every entry that takes (decomp, weight) reads a weight of r entries by
+    # one rule, so the two routes of the paper's identity fail alike.
+    @pytest.mark.parametrize("weight", [[0.5], [0.5, 0.4, 0.3]], ids=["one-entry", "three-entries"])
+    def test_every_entry_rejects_a_weight_of_another_size_alike(self, weight):
+        sc = Scenario(
+            m=6, r=2, angles=[-0.4, 0.7], source_cov=np.eye(2),
+            noise_power=0.1, n_snapshots=100, seed=0,
+        )
+        decomp = subspace_decomposition(sample_covariance(simulate_snapshots(sc)), 2)
+        c = coefs_from_angles([-0.4, 0.7])
+        entries = [
+            lambda: v_mode(c, decomp, weight),
+            lambda: v_puma(c, decomp, weight),
+            lambda: quadratic_form_matrix(decomp, weight, np.eye(4), 2),
+        ]
+        messages = []
+        for entry in entries:
+            with pytest.raises(ValidationError) as info:
+                entry()
+            messages.append(str(info.value))
+        assert messages == [f"need a weight of 2 entries, got shape ({len(weight)},)"] * 3
 
 
 class TestVmodeCoefficientCheck:

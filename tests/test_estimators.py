@@ -704,8 +704,9 @@ class TestEstimateMany:
         with pytest.raises(ValidationError, match="p < m - r"):
             estimators.estimate(cov, decomp, weight, 3, configs[1])
 
-    # An r or a weight that does not match the decomposition fails every
-    # config with a ValidationError naming both sizes, before any solve.
+    # An r or a weight that does not match the decomposition, or a weight
+    # that is not r finite real numbers, fails every config with a
+    # ValidationError, before any solve, and prints nothing.
     @pytest.mark.parametrize(
         "r, weight, message",
         [
@@ -713,10 +714,18 @@ class TestEstimateMany:
             (2, [0.5, 0.4, 0.3], r"need a weight of 2 entries, got shape \(3,\)"),
             (3, None, "need r equal to the decomposition's rank 2, got 3"),
             (1, None, "need r equal to the decomposition's rank 2, got 1"),
+            (2, [[1.0, 2.0], [3.0]], "need a weight of 2 entries, got a ragged sequence"),
+            (2, ["a", "b"], "need a weight of real numbers, got dtype <U1"),
+            (2, [1 + 2j, 1.0], "need a weight of real numbers, got dtype complex128"),
+            (2, [np.nan, 1.0], r"need a finite weight, got \[nan, 1\.0\]"),
+            (2, [np.inf, 1.0], r"need a finite weight, got \[inf, 1\.0\]"),
         ],
-        ids=["short-weight", "long-weight", "r-above", "r-below"],
+        ids=[
+            "short-weight", "long-weight", "r-above", "r-below",
+            "ragged-weight", "string-weight", "complex-weight", "nan-weight", "inf-weight",
+        ],
     )
-    def test_a_size_other_than_the_decomposition_s_fails_every_config(self, r, weight, message):
+    def test_a_size_other_than_the_decomposition_s_fails_every_config(self, r, weight, message, capfd):
         cov, decomp, own = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
         weight = own if weight is None else weight
         configs = tuple(bench.parse_method_token(t) for t in _PAPER_TOKENS)
@@ -727,6 +736,7 @@ class TestEstimateMany:
             assert re.fullmatch(message, str(outcome))
         with pytest.raises(ValidationError, match=message):
             estimate(cov, decomp, weight, r, MODE)
+        assert capfd.readouterr().err == ""
 
 
 _PAPER_TOKENS = ("mode", "puma", "modex:2", "epuma:2")
@@ -839,7 +849,13 @@ class TestDegreeRMemo:
         monkeypatch.setattr(estimators, "time", types.SimpleNamespace(perf_counter=lambda: ticks[0]))
         cov, decomp, weight = noisy_pipeline(6, 2, [-0.4, 0.7], 10.0, 100, seed=0)
         configs = tuple(bench.parse_method_token(t) for t in _PAPER_TOKENS)
-        for batch, want in [(configs, [1.0, 1.0, 2.0, 2.0]), (configs[2:], [2.0, 2.0])]:
+        batches = [
+            (configs, [1.0, 1.0, 2.0, 2.0]),
+            (configs[2:], [2.0, 2.0]),
+            # mode reads the degree-r solve that modex:2 ran, and is charged for it.
+            ((configs[2], configs[0]), [2.0, 1.0]),
+        ]
+        for batch, want in batches:
             timings = []
             estimators.estimate_many(cov, decomp, weight, 2, batch, timings=timings)
             assert timings == want
