@@ -7,16 +7,21 @@ snapshot-count cells, writing one CSV row per (method, trial) plus one
 aggregate row per (cell, method).  Each trial is simulated once, from a
 seed derived deterministically from the base seed, and every method is
 fitted to that one sample covariance, so method comparisons are paired.
+A sweep factors its scenario once (the steering matrix and P^{1/2}) and
+each cell its noise amplitude; a trial draws from those factors with
+``simulate_snapshots``'s own draw, and matches all of its methods' angles
+in one stacked ``match_angles`` call.
 
 SNR convention: SNR_dB = 10 log10( tr(P) / (r sigma^2) ), i.e. average
 per-source power over noise power.
 """
 
 import itertools
+import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,12 +52,13 @@ from .estimators import (
 from .sample_stats import (
     Scenario,
     SubspaceDecomposition,
+    _draw_snapshots,
+    _hermitian_sqrt,
     check_covariance_size,
     check_draw_size,
     check_source_cov,
     sample_covariance,
     signal_weight,
-    simulate_snapshots,
     subspace_decomposition,
 )
 
@@ -83,6 +89,8 @@ class SweepSpec:
     base_seed: int
 
     def __post_init__(self):
+        if not isinstance(self.base, Scenario):
+            raise ValidationError(f"sweep base must be a Scenario, got {type(self.base).__name__}")
         if not self.snr_db_list or not self.snapshots_list or not self.methods:
             raise ValidationError("sweep lists must be non-empty")
         check_count("n_trials", self.n_trials, 1)
@@ -98,8 +106,9 @@ class SweepSpec:
 def noise_power_for_snr(source_cov, r, snr_db):
     """sigma^2 = tr(P) / (r * 10^(SNR/10)).
 
-    An SNR past float range, or a sigma^2 that overflows (a huge tr(P) at a
-    low SNR), is a ValidationError naming the SNR.
+    An SNR past float range, a sigma^2 that overflows (a huge tr(P) at a
+    low SNR), or a negative sigma^2 (a tr(P) below 0 within the PSD
+    tolerance of ``check_source_cov``) is a ValidationError naming the SNR.
     """
     with np.errstate(over="ignore"):  # an infinite tr(P) gives an infinite sigma^2
         total = float(np.real(np.trace(np.asarray(source_cov))))
@@ -111,6 +120,10 @@ def noise_power_for_snr(source_cov, r, snr_db):
         raise ValidationError(
             f"SNR {snr_db} dB with source_cov trace {total:g} gives a noise power "
             "out of float range"
+        )
+    if sigma2 < 0:
+        raise ValidationError(
+            f"SNR {snr_db} dB with source_cov trace {total:g} gives a negative noise power"
         )
     return sigma2
 
@@ -134,41 +147,50 @@ _TASKS_PER_CHUNK = 8
 def _run_trial(args):
     """Simulate one trial and run every method on it.
 
-    Returns one ``(rmse, criterion, converged, success, wall_ms)`` outcome
-    per method; ``wall_ms`` is the shared simulate, covariance,
-    decomposition and signal-weight time plus that method's own estimate
-    and angle matching, measured always and written by ``run_sweep`` only
-    with timing on.  The methods run in one ``estimate_many`` call, so a
-    MODEX method's own estimate counts the whole stacked subset scoring it
-    shared and the degree-r solve it shared with its base method, as every
-    row counts the shared simulation.  A typed error in
-    the shared step fails every method's row of the trial; one in a
-    method's estimate fails that method's row.  Neither stops the sweep.
+    ``args`` is the sweep's steering matrix A, P^{1/2} and truth angles,
+    the cell's noise amplitude and snapshot count, the trial's seed, the
+    methods and the success threshold: ``run_sweep`` factors the scenario
+    once, and the draw is ``simulate_snapshots``'s.  Returns one ``(rmse,
+    criterion, converged, success, wall_ms)`` outcome per method;
+    ``wall_ms`` is the shared simulate, covariance, decomposition and
+    signal-weight time, plus that method's own estimate, plus the trial's
+    one stacked ``match_angles`` call, measured always and written by
+    ``run_sweep`` only with timing on.  The methods run in one
+    ``estimate_many`` call, so a MODEX method's own estimate counts the
+    whole stacked subset scoring it shared and the degree-r solve it
+    shared with its base method, as every row counts the shared
+    simulation and match.  A typed error in the shared step fails every
+    method's row of the trial; one in a method's estimate fails that
+    method's row.  Neither stops the sweep.
     """
-    scenario, methods, threshold = args
+    A, L, truth, sigma, T, seed, methods, threshold = args
+    r = truth.size
     failed = (float("nan"), float("nan"), False, False)
     t0 = time.perf_counter()
     try:
-        cov = sample_covariance(simulate_snapshots(scenario))
-        decomp = subspace_decomposition(cov, scenario.r)
+        cov = sample_covariance(_draw_snapshots(A, L, sigma, T, seed))
+        decomp = subspace_decomposition(cov, r)
         weight = signal_weight(decomp)
     except _TYPED_ERRORS:
         wall_ms = (time.perf_counter() - t0) * 1e3
         return [failed + (wall_ms,)] * len(methods)
     shared = time.perf_counter() - t0
     own = []
-    results = estimate_many(cov, decomp, weight, scenario.r, methods, timings=own)
+    results = estimate_many(cov, decomp, weight, r, methods, timings=own)
+    t1 = time.perf_counter()
+    fitted = [result for result in results if not isinstance(result, Exception)]
+    if fitted:
+        # Every result holds r angles, so the stack is (k, r) and match_angles cannot fail.
+        errors, rmses = match_angles(np.array([result.angles for result in fitted]), truth)
+        matched = iter(zip(rmses.tolist(), np.all(np.abs(errors) <= threshold, axis=1).tolist()))
+    shared += time.perf_counter() - t1
     outcomes = []
     for result, seconds in zip(results, own):
-        t1 = time.perf_counter()
         row = failed
         if not isinstance(result, Exception):
-            # Every result holds r angles, so match_angles cannot fail.
-            errors, rmse = match_angles(result.angles, scenario.angles)
-            success = bool(np.all(np.abs(errors) <= threshold))
+            rmse, success = next(matched)
             row = (rmse, result.criterion_value, result.converged, success)
-        wall_ms = (shared + seconds + time.perf_counter() - t1) * 1e3
-        outcomes.append(row + (wall_ms,))
+        outcomes.append(row + ((shared + seconds) * 1e3,))
     return outcomes
 
 
@@ -187,7 +209,7 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
     ``jobs``.  A ``success_threshold`` that is not a real number, or is
     NaN or negative, is a ValidationError; so is a ``jobs`` that fails
     ``check_count`` at 1, and an SNR whose noise power is past float range
-    (``noise_power_for_snr``), for a spec built in code.
+    or negative (``noise_power_for_snr``), for a spec built in code.
     """
     if not isinstance(success_threshold, numbers.Real):
         raise ValidationError(
@@ -200,17 +222,15 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
     cells = list(
         itertools.product(enumerate(sweep.snr_db_list), enumerate(sweep.snapshots_list))
     )
+    # The base scenario was checked when it was built, and each cell's noise
+    # power by noise_power_for_snr, so every trial draws from these factors.
+    model = (steering_matrix(base.angles, base.m), _hermitian_sqrt(base.source_cov), base.angles)
     tasks = []
     for (si, snr), (ti, T) in cells:
-        sigma2 = noise_power_for_snr(base.source_cov, base.r, snr)
+        sigma = np.sqrt(noise_power_for_snr(base.source_cov, base.r, snr))
         for trial in range(sweep.n_trials):
-            scenario = replace(
-                base,
-                noise_power=sigma2,
-                n_snapshots=T,
-                seed=trial_seed(sweep.base_seed, si, ti, trial),
-            )
-            tasks.append((scenario, sweep.methods, success_threshold))
+            seed = trial_seed(sweep.base_seed, si, ti, trial)
+            tasks.append(model + (sigma, T, seed, sweep.methods, success_threshold))
 
     # A process pool starts all of its workers at once, so it is sized to the
     # chunks there are and the CPUs this process may run on; with one worker
@@ -259,17 +279,23 @@ def _usable_cpus():
 
 
 def _aggregate(trials):
-    """RMSE, mean criterion, convergence and success rates of one (cell, method)."""
+    """RMSE, mean criterion, convergence and success rates of one (cell, method).
+
+    The means are ``np.mean``'s arithmetic, ``np.add.reduce(x) / x.size``,
+    without its wrapper.  The finite entries are compacted, not zeroed in
+    place: numpy's pairwise sum groups entries by position from 8 on, so
+    the zeros would change bits.
+    """
     rmses = np.array([t[0] for t in trials])
     crits = np.array([t[1] for t in trials])
-    finite = np.isfinite(rmses)
-    cell_rmse = float(np.sqrt(np.mean(rmses[finite] ** 2))) if finite.any() else float("nan")
-    cell_crit = float(np.mean(crits[np.isfinite(crits)])) if np.isfinite(crits).any() else float("nan")
+    rmses = rmses[np.isfinite(rmses)]
+    crits = crits[np.isfinite(crits)]
+    n = len(trials)
     return (
-        _fmt(cell_rmse),
-        _fmt(cell_crit),
-        _fmt(np.mean([t[2] for t in trials])),
-        _fmt(np.mean([t[3] for t in trials])),
+        _fmt(np.sqrt(np.add.reduce(rmses**2) / rmses.size) if rmses.size else float("nan")),
+        _fmt(np.add.reduce(crits) / crits.size if crits.size else float("nan")),
+        _fmt(sum(t[2] for t in trials) / n),
+        _fmt(sum(t[3] for t in trials) / n),
         "",
     )
 
@@ -365,7 +391,7 @@ def parse_sweep_config(path):
     A value that the spec, its scenario or ``run_sweep`` would reject is a
     ValidationError naming its ``path:line``: the counts (``check_count``),
     the scenario's rules, the list entries (``_check_list``) and an SNR
-    whose noise power is past float range (``noise_power_for_snr``).
+    whose noise power is past float range or negative (``noise_power_for_snr``).
     """
     raw = {}
     lines = {}
@@ -501,12 +527,20 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
     could exceed ``_MAX_KRON_ENTRIES`` entries is a ValidationError too,
     checked before any instance.  ``fault_scale`` scales G in the V_PUMA
     path alone, so a value other than 1 must fail
-    ``criterion_equivalence``.
+    ``criterion_equivalence``; one that is not a finite real number (a
+    bool included, as for a weight) is a ValidationError, checked after
+    the counts.
     """
     check_count("n_instances", n_instances, 0)
     check_count("seed", seed, 0)
     check_count("max_m", max_m, 3)
     check_count("max_r", max_r, 1)
+    if (
+        isinstance(fault_scale, bool)
+        or not isinstance(fault_scale, numbers.Real)
+        or not math.isfinite(fault_scale)
+    ):
+        raise ValidationError(f"fault_scale must be a finite real number, got {fault_scale!r}")
     # r (m - r) is largest at m = max_m, r = max_m / 2, within r <= max_r.
     r = min(max_r, max_m // 2)
     kron_entries = (r * (max_m - r)) ** 2

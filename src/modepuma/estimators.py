@@ -840,23 +840,30 @@ def estimate(cov, decomp, weight, r, config):
 
 
 def match_angles(estimate_angles, truth_angles):
-    """Wrap-aware pairing of two equally sized angle sets.
+    """Wrap-aware pairing of each estimated angle set with one true set.
 
     Both sets are sorted ascending and paired by the cyclic shift of the
     sorted estimates with the least squared error, so sets that straddle
     +-pi pair across the wrap.  The per-pair error is the principal value
     of (estimate - truth) in (-pi, pi], ordered like the sorted truth.
-    Returns (errors, rmse).
+    Returns (errors, rmse).  ``estimate_angles`` may be a (k, n) stack of
+    sets against n true angles: errors is then (k, n) and rmse a (k,)
+    array, and each row gets the same arithmetic as that set alone, so a
+    single set is a stack of one.
     """
-    est = np.sort(np.atleast_1d(np.asarray(estimate_angles, dtype=float)))
+    est = np.asarray(estimate_angles, dtype=float)
+    stacked = est.ndim == 2
+    est = np.sort(est if stacked else np.atleast_1d(est)[None], axis=-1)
     tru = np.sort(np.atleast_1d(np.asarray(truth_angles, dtype=float)))
-    if est.shape != tru.shape:
+    if tru.ndim != 1 or est.shape[1:] != tru.shape:
         raise ValidationError("angle sets must have equal length")
     n = tru.size
     shifts = (np.arange(n)[:, None] + np.arange(n)) % n
-    d = est[shifts] - tru
+    d = est[:, shifts] - tru
     errs = np.mod(d + np.pi, 2 * np.pi) - np.pi
     errs[errs == -np.pi] = np.pi
-    err = errs[np.argmin(np.sum(errs**2, axis=1))]
-    rmse = float(np.sqrt(np.mean(err**2)))
-    return err, rmse
+    best = np.argmin(np.add.reduce(errs**2, axis=-1), axis=-1)
+    err = errs[np.arange(len(est)), best]
+    # np.mean's arithmetic, np.add.reduce(x) / x.size, without its wrapper.
+    rmse = np.sqrt(np.add.reduce(err**2, axis=-1) / n)
+    return (err, rmse) if stacked else (err[0], float(rmse[0]))

@@ -138,12 +138,24 @@ def simulate_snapshots(scenario):
     zero-mean Gaussians with half the target variance; sources are colored
     by the Hermitian square root of P.  One Philox generator keyed on the
     seed draws a T x 2(r + m) block row by row; snapshot t uses row t.
+    The steering matrix A, P^{1/2} and sigma are derived here, and the
+    draw is ``_draw_snapshots``, which ``bench.run_sweep`` calls with
+    those factors built once per sweep (A, P^{1/2}) and per cell (sigma).
     """
-    m, r, T = scenario.m, scenario.r, scenario.n_snapshots
     A = steering_matrix(scenario.angles, scenario.m)
     L = _hermitian_sqrt(scenario.source_cov)
     sigma = np.sqrt(scenario.noise_power)
-    rng = np.random.Generator(np.random.Philox(key=scenario.seed))
+    return _draw_snapshots(A, L, sigma, scenario.n_snapshots, scenario.seed)
+
+
+def _draw_snapshots(A, L, sigma, T, seed):
+    """The m x T snapshots A L w_s(t) + sigma w_n(t) of ``simulate_snapshots``, from its factors.
+
+    A is the m x r steering matrix, L = P^{1/2} and sigma the noise
+    amplitude; the factors are taken as given, unchecked.
+    """
+    m, r = A.shape
+    rng = np.random.Generator(np.random.Philox(key=seed))
     Z = rng.standard_normal((T, 2 * (r + m)))
     W = (Z[:, 0::2] + 1j * Z[:, 1::2]) / np.sqrt(2.0)
     # Row t of Z is snapshot t's draws, so a shorter run is a prefix of a

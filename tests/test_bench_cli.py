@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from modepuma import (
     ValidationError,
     bench,
     cli,
+    sample_covariance,
     simulate_snapshots,
     snapshot_io,
 )
@@ -387,6 +389,34 @@ class TestSweepConfig:
         proc = run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "out.csv"))
         assert proc.returncode == 1
         assert "positive semidefinite" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_a_negative_noise_power_names_the_snr_line(self, tmp_path):
+        # A trace of -2e-11 is within the PSD tolerance, so only the noise
+        # power it gives is checked: it must not reach the draw's sqrt.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_TEXT.replace("source_cov = identity", "source_cov = -1e-11, -1e-11"))
+        out = tmp_path / "out.csv"
+        proc = run_cli("mc", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert (
+            "sweep.cfg:7: bad snr_db_list value: SNR 10.0 dB with source_cov trace -2e-11 "
+            "gives a negative noise power"
+        ) in proc.stderr
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+        with pytest.raises(ValidationError, match="gives a negative noise power"):
+            noise_power_for_snr(np.diag([-1e-11, -1e-11]), 2, 0.0)
+
+    def test_a_base_that_is_not_a_scenario_is_rejected(self, tmp_path):
+        # Its unsorted angles would be simulated unchecked.
+        sweep = _sweep_from_text(tmp_path)
+        base = SimpleNamespace(
+            m=6, r=2, angles=[0.7, -0.4], source_cov=np.eye(2), noise_power=1.0,
+            n_snapshots=50, seed=0,
+        )
+        with pytest.raises(ValidationError) as info:
+            replace(sweep, base=base)
+        assert str(info.value) == "sweep base must be a Scenario, got SimpleNamespace"
 
 
 class TestSnapshotIO:
@@ -777,7 +807,7 @@ class TestMcCommand:
             assert abs(succ - float(cell[9])) <= 1e-12
 
     def test_each_trial_simulated_once(self, tmp_path, monkeypatch):
-        calls = {"simulate_snapshots": 0, "subspace_decomposition": 0}
+        calls = {"_draw_snapshots": 0, "subspace_decomposition": 0}
         for name in calls:
             original = getattr(bench, name)
 
@@ -795,7 +825,72 @@ class TestMcCommand:
         rows = run_sweep(sweep)
         assert len(rows) == 2 * 4 * (3 + 1)
         # One simulation and one decomposition per (cell, trial).
-        assert calls == {"simulate_snapshots": 6, "subspace_decomposition": 6}
+        assert calls == {"_draw_snapshots": 6, "subspace_decomposition": 6}
+
+    def test_each_trial_s_covariance_is_simulate_snapshots_s(self, tmp_path, monkeypatch):
+        # The sweep draws from factors it builds once; a trial must see the
+        # covariance of the Scenario it stands for, bit for bit.
+        covs = []
+        estimate_many = bench.estimate_many
+
+        def captured(cov, *args, **kwargs):
+            covs.append(cov)
+            return estimate_many(cov, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "estimate_many", captured)
+        sweep = replace(
+            _sweep_from_text(tmp_path),
+            snr_db_list=(-3.0, 10.0),
+            snapshots_list=(7, 50),
+            n_trials=2,
+        )
+        sweep = replace(sweep, base=replace(sweep.base, source_cov=np.array([[2.0, 0.5j], [-0.5j, 1.0]])))
+        run_sweep(sweep)
+        base = sweep.base
+        expected = [
+            sample_covariance(
+                simulate_snapshots(
+                    replace(
+                        base,
+                        noise_power=noise_power_for_snr(base.source_cov, base.r, snr),
+                        n_snapshots=T,
+                        seed=bench.trial_seed(sweep.base_seed, si, ti, trial),
+                    )
+                )
+            )
+            for si, snr in enumerate(sweep.snr_db_list)
+            for ti, T in enumerate(sweep.snapshots_list)
+            for trial in range(sweep.n_trials)
+        ]
+        assert len(covs) == len(expected) == 8
+        for got, want in zip(covs, expected):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_aggregate_is_np_mean_s_arithmetic(self, n):
+        rng = np.random.default_rng(n)
+        nan = float("nan")
+        trials = []
+        for k in range(n):
+            failed = rng.random() < 0.3
+            trials.append((
+                nan if failed else float(rng.uniform(0, np.pi)),
+                nan if failed else float(rng.lognormal()),
+                not failed and bool(rng.random() < 0.8),
+                not failed and bool(rng.random() < 0.6),
+                float(k),
+            ))
+        rmses = np.array([t[0] for t in trials])
+        crits = np.array([t[1] for t in trials])
+        finite = np.isfinite(rmses)
+        expected = (
+            repr(float(np.sqrt(np.mean(rmses[finite] ** 2)))) if finite.any() else "nan",
+            repr(float(np.mean(crits[np.isfinite(crits)]))) if np.isfinite(crits).any() else "nan",
+            repr(float(np.mean([t[2] for t in trials]))),
+            repr(float(np.mean([t[3] for t in trials]))),
+            "",
+        )
+        assert bench._aggregate(trials) == expected
 
     def test_failed_trials_write_nan_rows(self, tmp_path):
         # Three sources 0.05 rad apart on m = 4 at -10 dB, T = 5: on 5 of 20
@@ -1309,6 +1404,25 @@ class TestVerifyProperties:
         with pytest.raises(ValidationError) as info:
             verify_properties(**{"n_instances": 2, **kwargs})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "fault_scale",
+        [float("nan"), float("inf"), np.float64("-inf"), "x", 1 + 2j, True, None],
+        ids=["nan", "inf", "np-minus-inf", "string", "complex", "bool", "none"],
+    )
+    def test_fault_scale_must_be_a_finite_real_number(self, fault_scale, monkeypatch):
+        def no_instance(*args):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(bench, "_random_instance", no_instance)
+        with pytest.raises(ValidationError) as info:
+            verify_properties(n_instances=2, fault_scale=fault_scale)
+        assert str(info.value) == f"fault_scale must be a finite real number, got {fault_scale!r}"
+
+    @pytest.mark.parametrize("fault_scale", [1, np.float32(1.0), 1 + 1e-6])
+    def test_a_finite_real_fault_scale_runs(self, fault_scale):
+        reports = {r.name: r for r in verify_properties(n_instances=20, seed=1, fault_scale=fault_scale)}
+        assert reports["criterion_equivalence"].ok == (fault_scale == 1)
 
     def test_reports_cover_all_suites(self):
         reports = verify_properties(n_instances=25, seed=1)

@@ -1841,6 +1841,51 @@ class TestMatchAngles:
         assert abs(rotated - rmse) <= 1e-9
 
 
+def _per_set_match_reference(est, tru):
+    """match_angles of one set, written with np.sum and np.mean as a reference."""
+    est, tru = np.sort(np.asarray(est, dtype=float)), np.sort(np.asarray(tru, dtype=float))
+    n = tru.size
+    shifts = (np.arange(n)[:, None] + np.arange(n)) % n
+    errs = np.mod(est[shifts] - tru + np.pi, 2 * np.pi) - np.pi
+    errs[errs == -np.pi] = np.pi
+    err = errs[np.argmin(np.sum(errs**2, axis=1))]
+    return err, float(np.sqrt(np.mean(err**2)))
+
+
+class TestStackedMatch:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_a_stack_matches_each_set_alone(self, n):
+        # The truth holds pi, and 0 from n = 2 on, so the estimates around pi
+        # straddle +-pi once wrapped, and est - truth is exactly +-pi on some
+        # shift (at n = 1, the zero set's only error is -pi, reported as pi).
+        rng = np.random.default_rng(n)
+        truth = np.sort(np.concatenate([[np.pi, 0.0][:n], rng.uniform(-np.pi, np.pi, max(n - 2, 0))]))
+        noisy = truth + rng.normal(0, 0.05, (4, n))
+        sets = [
+            noisy[0],
+            _wrap(noisy[1]),
+            _wrap(noisy[2][::-1] + 0.02),
+            rng.uniform(-np.pi, np.pi, n),
+            truth.copy(),
+            np.zeros(n),
+            _wrap(truth + np.pi),
+        ]
+        errors, rmses = match_angles(np.array(sets), truth)
+        assert errors.shape == (len(sets), n) and rmses.shape == (len(sets),)
+        for k, angles in enumerate(sets):
+            err, rmse = match_angles(angles, truth)
+            ref_err, ref_rmse = _per_set_match_reference(angles, truth)
+            assert errors[k].tobytes() == err.tobytes() == ref_err.tobytes()
+            assert rmses[k].tobytes() == np.float64(rmse).tobytes() == np.float64(ref_rmse).tobytes()
+            assert isinstance(rmse, float)
+        if n == 1:
+            assert errors[5].tolist() == [np.pi]
+
+    def test_a_stack_of_another_length_is_rejected(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            match_angles(np.zeros((3, 2)), [0.1, 0.2, 0.3])
+
+
 class TestEstimatorConfig:
     @pytest.mark.parametrize("solver", ["MUSIC", "MODEX", "mode"])
     @pytest.mark.parametrize("p_extra", [None, 2])
