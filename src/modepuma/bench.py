@@ -17,8 +17,6 @@ per-source power over noise power.
 """
 
 import itertools
-import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -40,7 +38,7 @@ from .criteria import (
     v_puma,
     vec_matrix_identity_residual,
 )
-from .errors import SingularityError, ValidationError, check_count, read_text_lines
+from .errors import SingularityError, ValidationError, check_count, check_real, read_text_lines
 from .estimators import (
     _TOKENS,
     _TYPED_ERRORS,
@@ -97,7 +95,7 @@ class SweepSpec:
         check_count("base_seed", self.base_seed, 0)
         for key in ("snr_db_list", "snapshots_list", "methods"):
             try:
-                _check_list(key, getattr(self, key), (self.base.m, self.base.r))
+                _check_list(key, getattr(self, key), self.base.m, self.base.source_cov)
             except ValueError as exc:
                 raise ValidationError(f"bad {key}: {exc}") from None
         check_covariance_size(self.base.m)
@@ -106,10 +104,12 @@ class SweepSpec:
 def noise_power_for_snr(source_cov, r, snr_db):
     """sigma^2 = tr(P) / (r * 10^(SNR/10)).
 
-    An SNR past float range, a sigma^2 that overflows (a huge tr(P) at a
-    low SNR), or a negative sigma^2 (a tr(P) below 0 within the PSD
-    tolerance of ``check_source_cov``) is a ValidationError naming the SNR.
+    The SNR is a real number (``check_real``).  One past float range, a
+    sigma^2 that overflows (a huge tr(P) at a low SNR), or a negative
+    sigma^2 (a tr(P) below 0 within the PSD tolerance of
+    ``check_source_cov``) is a ValidationError naming the SNR.
     """
+    snr_db = check_real("SNR", snr_db)
     with np.errstate(over="ignore"):  # an infinite tr(P) gives an infinite sigma^2
         total = float(np.real(np.trace(np.asarray(source_cov))))
     try:
@@ -206,24 +206,17 @@ def run_sweep(sweep, success_threshold=DEFAULT_SUCCESS_THRESHOLD, jobs=1, timing
     every aggregate row, that column is empty.  ``jobs > 1`` runs the
     tasks in a pool of at most ``jobs`` processes, and no more than there
     are chunks of 8 tasks or usable CPUs; the rows are the same whatever
-    ``jobs``.  A ``success_threshold`` that is not a real number, or is
-    NaN or negative, is a ValidationError; so is a ``jobs`` that fails
-    ``check_count`` at 1, and an SNR whose noise power is past float range
-    or negative (``noise_power_for_snr``), for a spec built in code.
+    ``jobs``.  ``success_threshold`` must pass ``check_real`` at 0 and
+    ``jobs`` ``check_count`` at 1.
     """
-    if not isinstance(success_threshold, numbers.Real):
-        raise ValidationError(
-            f"success threshold must be a real number, got {success_threshold!r}"
-        )
-    if not success_threshold >= 0:
-        raise ValidationError(f"success threshold must be >= 0, got {success_threshold}")
+    success_threshold = check_real("success threshold", success_threshold, 0)
     check_count("jobs", jobs, 1)
     base = sweep.base
     cells = list(
         itertools.product(enumerate(sweep.snr_db_list), enumerate(sweep.snapshots_list))
     )
-    # The base scenario was checked when it was built, and each cell's noise
-    # power by noise_power_for_snr, so every trial draws from these factors.
+    # The spec checked its base scenario and each SNR's noise power when it
+    # was built, so every trial draws from these factors.
     model = (steering_matrix(base.angles, base.m), _hermitian_sqrt(base.source_cov), base.angles)
     tasks = []
     for (si, snr), (ti, T) in cells:
@@ -354,34 +347,33 @@ def parse_method_token(token):
     raise ValidationError(f"unknown method {token!r}")
 
 
-def _finite_float(text):
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"non-finite number {text.strip()!r}")
-    return value
-
-
-def _check_list(key, values, shape=None):
+def _check_list(key, values, m, source_cov):
     """The non-empty sweep list ``key``'s ``values``, or a ValueError naming its first bad entry.
 
-    A repeated entry would write two sets of rows under one key.  A
-    snapshot count must pass ``check_count`` at 1, and a count and a
-    method must fit the scenario's ``shape``, its (m, r): every trial of a
-    simulation that ``check_draw_size`` rejects, or of a MODEX size that
-    ``check_modex_size`` rejects, would fail.
+    The scenario has m sensors and the r x r source covariance P.  A
+    repeated entry would write two sets of rows under one key.  An SNR
+    must give a noise power on P (``noise_power_for_snr``).  A snapshot
+    count must pass ``check_count`` at 1, and a count and a method must
+    fit (m, r): every trial of a simulation that ``check_draw_size``
+    rejects, or of a MODEX size that ``check_modex_size`` rejects, would
+    fail.
     """
+    r = len(source_cov)
     label = method_label if key == "methods" else repr
     for k, value in enumerate(values):
         if value in values[:k]:
             raise ValueError(f"repeated entry {label(value)}")
+    if key == "snr_db_list":
+        for snr in values:
+            noise_power_for_snr(source_cov, r, snr)
     if key == "snapshots_list":
         for T in values:
             check_count("a snapshot count", T, 1)
-        check_draw_size(*shape, max(values))
+        check_draw_size(m, r, max(values))
     if key == "methods":
         for config in values:
             if config.p_extra is not None:
-                check_modex_size(*shape, config.p_extra)
+                check_modex_size(m, r, config.p_extra)
     return values
 
 
@@ -390,8 +382,7 @@ def parse_sweep_config(path):
 
     A value that the spec, its scenario or ``run_sweep`` would reject is a
     ValidationError naming its ``path:line``: the counts (``check_count``),
-    the scenario's rules, the list entries (``_check_list``) and an SNR
-    whose noise power is past float range or negative (``noise_power_for_snr``).
+    the scenario's rules and the list entries (``_check_list``).
     """
     raw = {}
     lines = {}
@@ -418,7 +409,8 @@ def parse_sweep_config(path):
         except ValueError as exc:  # ValidationError included
             raise ValidationError(f"{path}:{lines[key]}: bad {key} value: {exc}") from exc
 
-    floats = lambda s: tuple(_finite_float(v) for v in s.split(","))
+    # A NaN or an infinity is left to the check of the list that holds it.
+    floats = lambda s: tuple(float(v) for v in s.split(","))
 
     m = parsed("m", lambda s: check_count("m", int(s), 2))
     r = parsed("r", lambda s: check_count("r", int(s), 1, m))
@@ -433,15 +425,14 @@ def parse_sweep_config(path):
         P = parsed("source_cov", lambda s: check_source_cov(np.diag(diag), r))
     snapshots_list = parsed(
         "snapshots_list",
-        lambda s: _check_list("snapshots_list", tuple(int(v) for v in s.split(",")), (m, r)),
+        lambda s: _check_list("snapshots_list", tuple(int(v) for v in s.split(",")), m, P),
     )
     # After the draw cap, whose messages name the snapshots_list line.
     parsed("m", lambda s: check_covariance_size(m))
     angles = parsed("angles", lambda s: as_angles(floats(s)))
     if angles.size != r:
         raise ValidationError(f"{path}:{lines['angles']}: angles needs {r} entries, got {angles.size}")
-    snr_db_list = parsed("snr_db_list", lambda s: _check_list("snr_db_list", floats(s)))
-    parsed("snr_db_list", lambda s: [noise_power_for_snr(P, r, snr) for snr in snr_db_list])
+    snr_db_list = parsed("snr_db_list", lambda s: _check_list("snr_db_list", floats(s), m, P))
     # run_sweep sets each trial's noise power, snapshot count and seed: placeholders.
     base = Scenario(
         m=m,
@@ -459,7 +450,7 @@ def parse_sweep_config(path):
         snapshots_list=snapshots_list,
         methods=parsed(
             "methods",
-            lambda s: _check_list("methods", tuple(map(parse_method_token, s.split(","))), (m, r)),
+            lambda s: _check_list("methods", tuple(map(parse_method_token, s.split(","))), m, P),
         ),
         n_trials=parsed("n_trials", lambda s: check_count("n_trials", int(s), 1)),
         base_seed=parsed("base_seed", lambda s: check_count("base_seed", int(s), 0)),
@@ -527,20 +518,14 @@ def verify_properties(n_instances=1000, seed=0, max_m=12, max_r=4, fault_scale=1
     could exceed ``_MAX_KRON_ENTRIES`` entries is a ValidationError too,
     checked before any instance.  ``fault_scale`` scales G in the V_PUMA
     path alone, so a value other than 1 must fail
-    ``criterion_equivalence``; one that is not a finite real number (a
-    bool included, as for a weight) is a ValidationError, checked after
+    ``criterion_equivalence``; it must pass ``check_real``, checked after
     the counts.
     """
     check_count("n_instances", n_instances, 0)
     check_count("seed", seed, 0)
     check_count("max_m", max_m, 3)
     check_count("max_r", max_r, 1)
-    if (
-        isinstance(fault_scale, bool)
-        or not isinstance(fault_scale, numbers.Real)
-        or not math.isfinite(fault_scale)
-    ):
-        raise ValidationError(f"fault_scale must be a finite real number, got {fault_scale!r}")
+    fault_scale = check_real("fault_scale", fault_scale)
     # r (m - r) is largest at m = max_m, r = max_m / 2, within r <= max_r.
     r = min(max_r, max_m // 2)
     kron_entries = (r * (max_m - r)) ** 2

@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the toolkit, the integer, bounded
-integer and weight checks of its input types, and the text-file reader that
-turns undecodable input into one of its errors."""
+integer, real and weight checks of its input types, and the text-file reader
+that turns undecodable input into one of its errors."""
 
 import math
 import numbers
@@ -49,6 +49,27 @@ def check_count(name, value, least, below=None):
     if below is not None and int(value) >= below:
         raise ValidationError(f"need {name} < {below}, got {value}")
     return value
+
+
+def check_real(name, value, least=None):
+    """``float(value)``, or a ValidationError unless it is a finite real number, at least ``least``.
+
+    The one rule of every real scalar input (an SNR, a noise power, a
+    threshold, a scale): any ``numbers.Real`` but a bool, neither NaN nor
+    infinite, else ``<name> must be a finite real number, got <value!r>``;
+    then, where ``least`` is given, ``need <name> >= <least>, got
+    <value>``.  An integer past float range counts as infinite.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        real = real and math.isfinite(value)
+    except OverflowError:  # an integer past float range
+        real = False
+    if not real:
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"need {name} >= {least}, got {value}")
+    return float(value)
 
 
 def check_weight(weight, r):

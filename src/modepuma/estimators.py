@@ -529,15 +529,22 @@ def _divided_differences(candidates, m):
     sin(k delta / 2) / delta and scaled to the columns' norm sqrt(m).  So
     a_(i+1) = a_i + s_i d_i with s_i = ||a_(i+1) - a_i|| / sqrt(m), the
     spread, and s_i^2 is returned.  A pair under 1e-12 apart has spread 0,
-    and its column is formed at delta = 1 so that it stays finite.  An
-    (S, K) stack of candidate sets gives (S, m, K - 1) and (S, K - 1).
+    and its column is formed at delta = 1 so that it stays finite.  A gap
+    above pi is formed on the short arc across +-pi, (c_(i+1) - pi) -
+    (c_i + pi), as sin(k delta / 2) = (-1)^k sin(k (delta - 2 pi) / 2):
+    near a multiple of pi, rounding k delta / 2 would cost the sine its
+    leading digits.  An (S, K) stack of candidate sets gives (S, m, K - 1)
+    and (S, K - 1).
     """
     k = np.arange(m)[:, None]
+    c = candidates[..., None, :]
     gap = np.diff(candidates)[..., None, :]
     apart = gap >= 1e-12
-    half = np.sin(k * np.where(apart, gap, 1.0) / 2)
+    wrap = gap > np.pi
+    delta = np.where(wrap, (c[..., 1:] - np.pi) - (c[..., :-1] + np.pi), np.where(apart, gap, 1.0))
+    half = np.sin(k * delta / 2) * np.where(wrap, (-1.0) ** k, 1.0)
     half2 = np.sum(half**2, axis=-2)
-    mid = np.exp(0.5j * k * (candidates[..., None, :-1] + candidates[..., None, 1:]))
+    mid = np.exp(0.5j * k * (c[..., :-1] + c[..., 1:]))
     spread2 = np.where(apart[..., 0, :], 4 * half2 / m, 0.0)
     return 1j * mid * (half * np.sqrt(m / half2)[..., None, :]), spread2
 
@@ -849,7 +856,8 @@ def match_angles(estimate_angles, truth_angles):
     Returns (errors, rmse).  ``estimate_angles`` may be a (k, n) stack of
     sets against n true angles: errors is then (k, n) and rmse a (k,)
     array, and each row gets the same arithmetic as that set alone, so a
-    single set is a stack of one.
+    single set is a stack of one.  Sets of unequal length, or of no
+    angles, are a ValidationError.
     """
     est = np.asarray(estimate_angles, dtype=float)
     stacked = est.ndim == 2
@@ -858,6 +866,8 @@ def match_angles(estimate_angles, truth_angles):
     if tru.ndim != 1 or est.shape[1:] != tru.shape:
         raise ValidationError("angle sets must have equal length")
     n = tru.size
+    if n == 0:
+        raise ValidationError("angle sets must not be empty")
     shifts = (np.arange(n)[:, None] + np.arange(n)) % n
     d = est[:, shifts] - tru
     errs = np.mod(d + np.pi, 2 * np.pi) - np.pi

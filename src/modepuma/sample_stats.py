@@ -7,13 +7,12 @@ into signal subspace / noise power, and the diagonal signal weights
 g_i = (lambda_i - sigma^2)^2 / lambda_i used by the weighted subspace fit.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .array_model import as_angles, steering_matrix
-from .errors import NumericalError, ValidationError, check_count, check_integer
+from .errors import NumericalError, ValidationError, check_count, check_integer, check_real
 
 # Most complex draws of one simulation, T (r + m): ``simulate_snapshots``
 # draws them as a (T, 2 (r + m)) block of floats, 256 MiB at the cap, and
@@ -72,7 +71,8 @@ class Scenario:
     m is an integer (``check_integer``); r, seed and n_snapshots are
     integers in range (``check_count``): 0 < r < m, 0 <= seed < 2**64 and
     n_snapshots >= 1.  r counts the angles, and the simulation's draws fit
-    ``check_draw_size``.
+    ``check_draw_size``.  noise_power is a real number >= 0
+    (``check_real``), stored as a float.
     """
 
     m: int
@@ -92,10 +92,7 @@ class Scenario:
         if self.r != self.angles.size:
             raise ValidationError("r does not match the number of angles")
         object.__setattr__(self, "source_cov", check_source_cov(self.source_cov, self.r))
-        if not isinstance(self.noise_power, numbers.Real):
-            raise ValidationError(f"noise power must be a real number, got {self.noise_power!r}")
-        if not (np.isfinite(self.noise_power) and self.noise_power >= 0):
-            raise ValidationError("noise power must be finite and >= 0")
+        object.__setattr__(self, "noise_power", check_real("noise power", self.noise_power, 0))
         check_draw_size(self.m, self.r, self.n_snapshots)
 
 

@@ -138,6 +138,7 @@ class TestSweepConfig:
         [
             ({"snr_db_list = 10": "snr_db_list = 4000"}, "SNR 4000.0 dB is out of float range"),
             ({"snr_db_list = 10": "snr_db_list = 10, -4000"}, "SNR -4000.0 dB is out of float range"),
+            ({"snr_db_list = 10": "snr_db_list = 10, inf"}, "SNR must be a finite real number, got inf"),
             (
                 {
                     "source_cov = identity": "source_cov = 1e306, 1e306",
@@ -146,7 +147,7 @@ class TestSweepConfig:
                 "SNR -30.0 dB with source_cov trace 2e+306 gives a noise power out of float range",
             ),
         ],
-        ids=["snr-4000", "snr-minus-4000", "noise-power-overflow"],
+        ids=["snr-4000", "snr-minus-4000", "snr-inf", "noise-power-overflow"],
     )
     def test_snr_past_float_range_names_its_line(self, tmp_path, edits, message):
         text = SWEEP_TEXT
@@ -980,7 +981,9 @@ class TestMcCommand:
         stripped = lines[:3] + [line.rsplit(",", 1)[0] + ",\n" for line in lines[3:]]
         assert "".join(stripped).encode() == plain.read_bytes()
 
-    @pytest.mark.parametrize("threshold", [float("nan"), -0.1], ids=["nan", "negative"])
+    @pytest.mark.parametrize(
+        "threshold", [float("nan"), float("inf"), -0.1], ids=["nan", "inf", "negative"]
+    )
     def test_bad_success_threshold_rejected(self, tmp_path, threshold):
         with pytest.raises(ValidationError, match="success threshold"):
             run_sweep(_sweep_from_text(tmp_path), success_threshold=threshold)
@@ -998,7 +1001,7 @@ class TestMcCommand:
             ({"jobs": 2.5}, "jobs must be an integer, got 2.5"),
             ({"jobs": "2"}, "jobs must be an integer, got '2'"),
             ({"jobs": True}, "jobs must be an integer, got True"),
-            ({"success_threshold": "0.1"}, "success threshold must be a real number, got '0.1'"),
+            ({"success_threshold": "0.1"}, "success threshold must be a finite real number, got '0.1'"),
         ],
         ids=["float-jobs", "str-jobs", "bool-jobs", "str-threshold"],
     )
@@ -1274,8 +1277,9 @@ class TestBadArguments:
             ("--angles", "nan"),
             ("--angles", "0.1", "--noise-power", "nan"),
             ("--angles", "0.1", "--snr-db", "nan"),
+            ("--angles", "0.1", "--snr-db", "inf"),
         ],
-        ids=["angle-not-a-number", "angle-nan", "noise-power-nan", "snr-db-nan"],
+        ids=["angle-not-a-number", "angle-nan", "noise-power-nan", "snr-db-nan", "snr-db-inf"],
     )
     def test_simulate_rejects_bad_values(self, tmp_path, extra):
         out = tmp_path / "snaps.txt"
@@ -1458,3 +1462,71 @@ class TestVerifyProperties:
         proc = run_cli("verify", "--instances", "25", "--seed", "658043762")
         assert proc.returncode == 0, proc.stdout
         assert proc.stdout.count("ok") == 6
+
+
+def _scenario_with_noise_power(tmp_path, value):
+    return Scenario(m=4, r=1, angles=[0.1], source_cov=[[1.0]], noise_power=value, n_snapshots=2, seed=0)
+
+
+def _sweep_with_snr(tmp_path, value):
+    return replace(_sweep_from_text(tmp_path), snr_db_list=(value,))
+
+
+def _run_sweep_at_threshold(tmp_path, value):
+    return run_sweep(_sweep_from_text(tmp_path), success_threshold=value)
+
+
+def _verify_with_fault_scale(tmp_path, value):
+    return verify_properties(n_instances=2, fault_scale=value)
+
+
+def _noise_power_at_snr(tmp_path, value):
+    return noise_power_for_snr(np.eye(2), 2, value)
+
+
+# Each real scalar input: how to feed it a value, the name its messages
+# use, the prefix a wrapping check puts before them, and its lower bound.
+_REAL_INPUTS = {
+    "scenario-noise-power": (_scenario_with_noise_power, "noise power", "", 0),
+    "sweep-spec-snr": (_sweep_with_snr, "SNR", "bad snr_db_list: ", None),
+    "run-sweep-threshold": (_run_sweep_at_threshold, "success threshold", "", 0),
+    "verify-fault-scale": (_verify_with_fault_scale, "fault_scale", "", None),
+    "noise-power-for-snr": (_noise_power_at_snr, "SNR", "", None),
+}
+
+_BAD_REALS = {
+    "string": "1",
+    "complex": 1 + 0j,
+    "bool": True,
+    "none": None,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "minus-inf": -float("inf"),
+}
+
+
+def _bad_real_cases():
+    """(entry, value, message) for every input: each value that is not a
+    finite real number, and -1 where the input has a lower bound."""
+    for entry, (_, name, prefix, least) in _REAL_INPUTS.items():
+        for label, value in _BAD_REALS.items():
+            message = f"{name} must be a finite real number, got {value!r}"
+            yield pytest.param(entry, value, prefix + message, id=f"{entry}-{label}")
+        if least is not None:
+            message = f"need {name} >= {least}, got -1.0"
+            yield pytest.param(entry, -1.0, prefix + message, id=f"{entry}-negative")
+
+
+class TestRealNumberRule:
+    @pytest.mark.parametrize("entry, value, message", list(_bad_real_cases()))
+    def test_every_real_input_gives_the_same_message(self, tmp_path, entry, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                _REAL_INPUTS[entry][0](tmp_path, value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [0, np.float64(0.5), np.int64(2)], ids=["int", "np-float", "np-int"])
+    def test_a_scenario_stores_its_noise_power_as_a_float(self, tmp_path, value):
+        sc = _scenario_with_noise_power(tmp_path, value)
+        assert type(sc.noise_power) is float and sc.noise_power == value

@@ -1086,14 +1086,19 @@ def _reference_score_subsets(candidates, cov, r):
     return subsets, scores
 
 
+def _near_limit_cov(m, seed):
+    """The m x m covariance that ``near_limit_candidates`` draws from ``seed``."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
+    return X @ X.conj().T / (m + 2)
+
+
 @st.composite
 def near_limit_candidates(draw):
     """m, a covariance, and candidates whose close pairs and triples put some
     subsets' Gram condition numbers in (1e10, 1e12], beyond it, or at +inf."""
     m = draw(st.sampled_from([6, 8, 16]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = rng.standard_normal((m, m + 2)) + 1j * rng.standard_normal((m, m + 2))
-    cov = X @ X.conj().T / (m + 2)
+    cov = _near_limit_cov(m, draw(st.integers(0, 2**32 - 1)))
     base = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5))
     gaps = st.sampled_from([0.0, 1e-13, 1e-7, 1e-6, 2e-6, 3e-6, 1e-5, 3e-4, 1e-3, 3e-2])
     partners = []
@@ -1200,6 +1205,9 @@ def clustered_candidates(draw):
 class TestGramRoute:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(near_limit_candidates(), clustered_candidates()))
+    # A pair 2e-5 rad apart across +-pi: its plain gap is near 2 pi, where
+    # sin(k gap / 2) loses its leading digits unless formed on the short arc.
+    @example((np.array([-3.14157265, 3.14159265]), _near_limit_cov(16, 1), 2))
     def test_matches_the_all_qr_scoring(self, drawn):
         candidates, cov, r = drawn
         _assert_matches_reference(
@@ -1884,6 +1892,14 @@ class TestStackedMatch:
     def test_a_stack_of_another_length_is_rejected(self):
         with pytest.raises(ValidationError, match="equal length"):
             match_angles(np.zeros((3, 2)), [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize(
+        "estimate", [[], np.zeros((3, 0))], ids=["empty-set", "stack-of-empty-sets"]
+    )
+    def test_empty_sets_are_rejected(self, estimate):
+        with pytest.raises(ValidationError) as info:
+            match_angles(estimate, [])
+        assert str(info.value) == "angle sets must not be empty"
 
 
 class TestEstimatorConfig:
